@@ -60,7 +60,7 @@ AblationResult runScheme(msm::WeightingScheme scheme, std::uint64_t seed) {
     mp.seed = seed;
     auto ctrl = std::make_unique<core::MsmController>(mp);
     auto* c = ctrl.get();
-    server.createProject("ablation", std::move(ctrl));
+    server.createProject({.name = "ablation"}, std::move(ctrl));
     dep.runUntilDone(1e12);
 
     AblationResult res;

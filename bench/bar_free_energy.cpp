@@ -41,7 +41,7 @@ int main() {
         bp.maxRounds = 60;
         auto ctrl = std::make_unique<BarController>(bp);
         auto* c = ctrl.get();
-        server.createProject("free_energy", std::move(ctrl));
+        server.createProject({.name = "free_energy"}, std::move(ctrl));
         const bool done = dep.runUntilDone(1e12);
         const auto& est = *c->estimate();
         const double exact = c->analyticDeltaF();

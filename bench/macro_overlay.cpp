@@ -233,7 +233,7 @@ RunMetrics runHot(const HotConfig& hc, bool batched,
         dep.setFaultPlan(plan);
     }
 
-    project.createProject("mill",
+    project.createProject({.name = "mill"},
                           std::make_unique<FixedController>(hc.commands));
 
     const auto t0 = std::chrono::steady_clock::now();
@@ -319,7 +319,7 @@ RunMetrics runSparse(bool batched) {
     probe.attach(client.endpoint());
 
     const auto pid = server.createProject(
-        "trickle", std::make_unique<FixedController>(8));
+        {.name = "trickle"}, std::make_unique<FixedController>(8));
     // Open-loop status pings: one reliable round-trip every ~7 s on an
     // otherwise idle wide-area link. Each ack is standalone by
     // construction -- exactly the path the ack-flush bound protects.

@@ -530,7 +530,7 @@ SingleMetrics runSingle() {
     plan.defaultProfile.reorderProbability = 0.02;
     dep.setFaultPlan(plan);
 
-    project.createProject("mill",
+    project.createProject({.name = "mill"},
                           std::make_unique<CountingController>(30720));
 
     const bool done = dep.runUntilDone(1e9);

@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "core/queue.hpp"
-#include "core/queue_legacy.hpp"
+#include "support/queue_legacy.hpp"
 #include "util/random.hpp"
 
 using namespace cop;

@@ -62,7 +62,8 @@ VillinStudy runVillinStudy(const VillinStudyConfig& config) {
     auto controller = std::make_unique<core::MsmController>(mp);
     study.controller = controller.get();
     study.projectId =
-        projectServer.createProject("msm_villin", std::move(controller));
+        projectServer.createProject({.name = "msm_villin"},
+                                    std::move(controller));
 
     Timer timer;
     const bool done = dep.runUntilDone(1e12);

@@ -76,7 +76,7 @@ int main() {
     mp.seed = 5;
     auto controller = std::make_unique<MsmController>(mp);
     auto* msm = controller.get();
-    stockholm.createProject("msm_villin", std::move(controller));
+    stockholm.createProject({.name = "msm_villin"}, std::move(controller));
 
     // Crash a Stockholm worker mid-run; its commands restart elsewhere
     // from the cached checkpoints.

@@ -37,7 +37,7 @@ int main() {
     bp.maxRounds = 50;
     auto controller = std::make_unique<BarController>(bp);
     auto* barCtrl = controller.get();
-    server.createProject("free_energy", std::move(controller));
+    server.createProject({.name = "free_energy"}, std::move(controller));
 
     std::printf("sampling lambda chain until total error <= %.3f kT...\n",
                 bp.targetError);

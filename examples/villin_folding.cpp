@@ -47,7 +47,7 @@ int main() {
     mp.seed = 2011;
     auto controller = std::make_unique<MsmController>(mp);
     auto* msm = controller.get();
-    const auto pid = server.createProject("msm_villin",
+    const auto pid = server.createProject({.name = "msm_villin"},
                                           std::move(controller));
 
     // A monitoring client, as the paper's command-line client would.

@@ -1,16 +1,17 @@
 /// \file wal_fuzz.cpp
-/// Fuzz harness over the recovery-path untrusted-bytes surface (ISSUE 9):
-/// the WAL log-stream parser, the snapshot container parser, and the blob
-/// codec's frame decoder. These are the three byte formats a crashed (or
-/// hostile) disk hands the server at recovery, so each must reject
-/// malformed input with cop::IoError — never a hostile-length allocation,
-/// an out-of-bounds read, or trailing garbage silently accepted.
+/// Fuzz harness over the recovery-path untrusted-bytes surface: the WAL
+/// log-stream parser with every record body run through the typed event
+/// decoder, the snapshot container parser, and the blob codec's frame
+/// decoder. These are the byte formats a crashed (or hostile) disk hands
+/// the server at recovery, so each must reject malformed input with
+/// cop::IoError — never a hostile-length allocation, an out-of-bounds
+/// read, or trailing garbage silently accepted.
 ///
-/// Input format: byte 0 selects the surface (mod 3) — 0: Wal::parseLog,
-/// 1: Wal::parseSnapshot, 2: util::decode — and the remaining bytes are
-/// the raw file/frame image. cop::Error is the *expected* outcome for
-/// malformed input; anything else (std::bad_alloc, std::length_error, UB
-/// caught by ASan/UBSan, a crash) is a finding.
+/// Input format: byte 0 selects the surface (mod 3) — 0: Wal::parseLog +
+/// event::decode, 1: Wal::parseSnapshot, 2: util::decode — and the
+/// remaining bytes are the raw file/frame image. cop::Error is the
+/// *expected* outcome for malformed input; anything else (std::bad_alloc,
+/// std::length_error, UB caught by ASan/UBSan, a crash) is a finding.
 ///
 /// Same three modes as envelope_fuzz (fuzz/CMakeLists.txt,
 /// tools/run_fuzz.sh): libFuzzer exploration under clang, deterministic
@@ -18,13 +19,15 @@
 /// rewrite the committed seed corpus — well-formed images from the real
 /// writers plus the hostile shapes recovery must survive (truncated
 /// record, bad CRC mid-log, snapshot length/count mismatch, nested codec
-/// frame, trailing garbage, hostile length prefixes).
+/// frame, trailing garbage, hostile length prefixes, out-of-range record
+/// fields).
 
 #include <cstdint>
 #include <cstring>
 #include <span>
 #include <vector>
 
+#include "core/plane_events.hpp"
 #include "core/wal.hpp"
 #include "util/codec.hpp"
 #include "util/error.hpp"
@@ -43,13 +46,19 @@ void fuzzOne(std::span<const std::uint8_t> bytes) {
             std::size_t torn = 0;
             cop::core::Wal::parseLog(
                 body,
-                [](cop::core::WalRecordType,
+                [](cop::core::WalRecordType type,
                    std::span<const std::uint8_t> rec) {
                     // Touch every body byte: OOB here is the bug class
                     // ASan exists to catch.
                     volatile std::uint8_t sink = 0;
                     for (const std::uint8_t b : rec) sink = sink ^ b;
                     (void)sink;
+                    // Then decode it as recovery would. A rejected body
+                    // must not stop the parser from reaching the next.
+                    try {
+                        (void)cop::core::event::decode(type, rec);
+                    } catch (const cop::Error&) {
+                    }
                 },
                 kMaxBytes, &torn);
             break;
@@ -116,6 +125,58 @@ std::vector<std::uint8_t> logRecord(std::uint8_t type,
     return out;
 }
 
+/// A record whose body is the event's real encoding.
+template <typename Event>
+std::vector<std::uint8_t> eventRecord(const Event& event) {
+    cop::BinaryWriter w;
+    event.encode(w);
+    return logRecord(std::uint8_t(Event::kType), w.buffer());
+}
+
+/// One well-formed record of every WalRecordType, in tag order.
+std::vector<std::uint8_t> everyEventLog() {
+    namespace ev = cop::core::event;
+    const std::vector<std::string> executables = {"mdrun", "fe_sample"};
+    const std::vector<cop::core::CommandId> renewed = {7, 8};
+    const cop::core::SharedBytes blob(std::vector<std::uint8_t>(64, 3));
+    cop::core::CommandSpec spec;
+    spec.id = 7;
+    spec.projectId = 1;
+    spec.executable = "mdrun";
+    spec.input = blob;
+    cop::core::WorkloadRequestPayload request;
+    request.worker = 4;
+    request.cores = 2;
+    request.executables = executables;
+    cop::core::HeartbeatPayload heartbeat;
+    heartbeat.worker = 4;
+    heartbeat.running = {7};
+    heartbeat.projectServers = {0};
+
+    std::vector<std::uint8_t> log;
+    const auto add = [&](const auto& event) {
+        const auto record = eventRecord(event);
+        log.insert(log.end(), record.begin(), record.end());
+    };
+    add(ev::TenantAdd{1, {}, "msm"});
+    add(ev::Push{1, true, spec});
+    add(ev::Claim{.worker = 4, .cores = 2, .executables = &executables,
+                  .expires = 360.0, .ids = {7}});
+    add(ev::Complete{7, 1, true});
+    add(ev::Requeue{7, ev::RequeueReason::LeaseExpiry});
+    add(ev::RequeueWorker{4});
+    add(ev::Checkpoint{7, blob});
+    add(ev::Park{request});
+    add(ev::ParkDrop{4});
+    add(ev::ParkCursor{1, {4}});
+    add(ev::Renew{4, 360.0, renewed});
+    add(ev::WorkerSeen{4, 12.5, heartbeat});
+    add(ev::WorkerGone{4});
+    add(ev::CacheAdd{7, 1, 0, blob});
+    add(ev::CacheDrop{7});
+    return log;
+}
+
 std::vector<std::uint8_t> snapshotImage(std::vector<std::uint8_t> state) {
     std::vector<std::uint8_t> out = {'C', 'P', 'W', 'S'};
     const std::uint64_t len = state.size();
@@ -163,6 +224,30 @@ int generateCorpus(const fs::path& dir) {
     hugeLen[2] = 0xFF;
     hugeLen[3] = 0x7F;
     writeSeed(dir, "log_huge_len", 0, hugeLen);
+
+    // Every record type, well formed: the decoder's accepting paths.
+    writeSeed(dir, "log_every_event", 0, everyEventLog());
+
+    // Record fields out of range or past the end of the body: the framing
+    // is intact, so only the event decoder can reject them.
+    {
+        namespace ev = cop::core::event;
+        cop::core::TenantConfig badPolicy;
+        badPolicy.claimPolicy = cop::core::ClaimPolicy(9);
+        writeSeed(dir, "log_bad_claim_policy", 0,
+                  eventRecord(ev::TenantAdd{1, badPolicy, "msm"}));
+        writeSeed(dir, "log_bad_requeue_reason", 0,
+                  eventRecord(ev::Requeue{7, ev::RequeueReason(2)}));
+        cop::BinaryWriter body;
+        body.write(std::int32_t(4));     // worker
+        body.write(std::int32_t(1));     // cores
+        body.write(std::uint64_t(0));    // no executables
+        body.write(360.0);               // lease deadline
+        body.write(std::uint64_t(1000)); // ids declared ...
+        body.write(std::uint64_t(7));    // ... one present
+        writeSeed(dir, "log_claim_ids_past_end", 0,
+                  logRecord(claim, body.buffer()));
+    }
 
     // Zero length: the preallocated (never-written) tail of the log —
     // replay must stop cleanly there, not reject the log.

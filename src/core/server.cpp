@@ -2,20 +2,61 @@
 
 #include <algorithm>
 
-#include "util/codec.hpp"
 #include "util/logging.hpp"
 
 namespace cop::core {
 
 namespace {
 
-/// Checkpoint blobs dominate WAL volume, so they ride the log as codec
-/// frames (util::encode). The Stored fallback caps the cost of an
-/// incompressible blob at the 18-byte frame header; replay bounds the
-/// inflation below before allocating.
-constexpr std::size_t kMaxWalBlobBytes = std::size_t(1) << 30;
+/// ServerStats in snapshot order. The counters apply() owns are durable;
+/// the rest are process-local, so their snapshot slots are written but
+/// recovery neither restores nor resets them.
+struct CounterSlot {
+    std::uint64_t ServerStats::*field;
+    bool durable;
+};
+constexpr CounterSlot kCounterSlots[] = {
+    {&ServerStats::workloadRequests, false},
+    {&ServerStats::requestsForwarded, false},
+    {&ServerStats::commandsAssigned, true},
+    {&ServerStats::commandsCompleted, true},
+    {&ServerStats::commandsFailed, true},
+    {&ServerStats::workersFailed, true},
+    {&ServerStats::commandsRequeued, true},
+    {&ServerStats::heartbeatsReceived, true},
+    {&ServerStats::duplicateResultsDropped, true},
+    {&ServerStats::leasesExpired, true},
+    {&ServerStats::parkedRequestsDropped, true},
+    {&ServerStats::parkRejections, false},
+    {&ServerStats::clientRequestsShed, false},
+    {&ServerStats::heartbeatSummariesSent, false},
+    {&ServerStats::heartbeatSummariesReceived, false},
+    {&ServerStats::leaseRenewalsAggregated, false},
+};
 
 } // namespace
+
+template <typename Event>
+decltype(auto) Server::commit(Event&& e) {
+    using E = std::decay_t<Event>;
+    const auto append = [&] {
+        if (!wal_) return;
+        walScratch_.clear();
+        e.encode(walScratch_);
+        wal_->append(E::kType, walScratch_.buffer());
+        maybeSnapshot();
+    };
+    // A claim is logged with its outcome, so after apply(); every other
+    // event is logged first, because apply() may move its payload out.
+    if constexpr (std::is_same_v<E, event::Claim>) {
+        auto outcome = apply(e);
+        append();
+        return outcome;
+    } else {
+        append();
+        return apply(e);
+    }
+}
 
 /// ProjectContext implementation bound to one hosted project.
 class Server::ContextImpl : public ProjectContext {
@@ -29,31 +70,19 @@ public:
     }
 
     CommandId submitCommand(CommandSpec spec) override {
-        spec.id = server_->nextCommandId();
-        spec.projectId = id_;
-        spec.projectServer = server_->id();
-        const CommandId cid = spec.id;
-        // Logged before the push stashes the input into the vault, while
-        // the payload still travels inline with the spec.
-        logPush(spec, /*force=*/true);
-        server_->projects_.at(id_).outstanding.insert(cid);
+        const CommandId cid = stamp(spec);
         // Controller reactions to finished commands must never deadlock on
         // the project's own quota: plain submits bypass admission.
-        server_->scheduler_.push(id_, std::move(spec), /*force=*/true);
+        server_->commit(event::Push{id_, /*force=*/true, std::move(spec)});
+        server_->projects_.at(id_).outstanding.insert(cid);
         server_->scheduleServiceWaiting();
         return cid;
     }
 
     SubmitResult trySubmitCommand(CommandSpec spec) override {
-        spec.id = server_->nextCommandId();
-        spec.projectId = id_;
-        spec.projectServer = server_->id();
-        const CommandId cid = spec.id;
-        // Rejected pushes are logged too: replay re-runs admission against
-        // the identical replayed state (and burns the same command id).
-        logPush(spec, /*force=*/false);
-        const auto decision =
-            server_->scheduler_.push(id_, std::move(spec), /*force=*/false);
+        const CommandId cid = stamp(spec);
+        const auto decision = server_->commit(
+            event::Push{id_, /*force=*/false, std::move(spec)});
         if (!decision.admitted)
             return SubmitResult{0, false, decision.retryAfter};
         server_->projects_.at(id_).outstanding.insert(cid);
@@ -66,13 +95,11 @@ public:
     }
 
 private:
-    void logPush(const CommandSpec& spec, bool force) {
-        if (!server_->wal_) return;
-        auto& w = server_->walWriter();
-        w.write(std::uint64_t(id_));
-        w.write(std::uint8_t(force ? 1 : 0));
-        spec.serialize(w);
-        server_->walAppend(WalRecordType::Push, w);
+    CommandId stamp(CommandSpec& spec) const {
+        spec.id = server_->nextCommandId();
+        spec.projectId = id_;
+        spec.projectServer = server_->id();
+        return spec.id;
     }
 
     Server* server_;
@@ -123,25 +150,14 @@ void Server::addPeer(net::NodeId peer) {
 ProjectId Server::createProject(ProjectSpec spec,
                                 std::unique_ptr<Controller> controller) {
     COP_REQUIRE(controller != nullptr, "project needs a controller");
-    const ProjectId id = nextProjectId_++;
+    const ProjectId id = nextProjectId_;
     TenantConfig tenant;
     tenant.weight = spec.weight;
     tenant.claimPolicy = spec.claimPolicy.value_or(config_.claimPolicy);
     tenant.maxPendingCommands = spec.maxPendingCommands;
     tenant.maxPendingBytes = spec.maxPendingBytes;
     tenant.admissionRetryAfter = spec.admissionRetryAfter;
-    scheduler_.addTenant(id, tenant);
-    if (wal_) {
-        auto& w = walWriter();
-        w.write(std::uint64_t(id));
-        w.write(tenant.weight);
-        w.write(std::uint8_t(tenant.claimPolicy));
-        w.write(std::uint64_t(tenant.maxPendingCommands));
-        w.write(std::uint64_t(tenant.maxPendingBytes));
-        w.write(tenant.admissionRetryAfter);
-        w.write(spec.name);
-        walAppend(WalRecordType::TenantAdd, w);
-    }
+    commit(event::TenantAdd{id, tenant, spec.name});
     ProjectEntry entry;
     entry.name = std::move(spec.name);
     entry.controller = std::move(controller);
@@ -150,13 +166,6 @@ ProjectId Server::createProject(ProjectSpec spec,
     COP_ENSURE(inserted, "duplicate project id");
     it->second.controller->onProjectStart(*it->second.context);
     return id;
-}
-
-ProjectId Server::createProject(std::string name,
-                                std::unique_ptr<Controller> controller) {
-    ProjectSpec spec;
-    spec.name = std::move(name);
-    return createProject(std::move(spec), std::move(controller));
 }
 
 bool Server::projectDone(ProjectId id) const {
@@ -204,10 +213,10 @@ ServerMetrics Server::metricsSnapshot() const {
     return m;
 }
 
-CommandId Server::nextCommandId() {
+CommandId Server::nextCommandId() const {
     // Server id in the high bits keeps ids globally unique across project
     // servers sharing the same worker pool.
-    return (std::uint64_t(id()) + 1) << 40 | ++commandCounter_;
+    return (std::uint64_t(id()) + 1) << 40 | (commandCounter_ + 1);
 }
 
 void Server::handleEnvelope(const wire::Envelope& env,
@@ -241,36 +250,12 @@ void Server::handleEnvelope(const wire::Envelope& env,
 
 std::vector<CommandSpec> Server::claimFor(
     const WorkloadRequestPayload& request) {
-    auto claimed =
-        scheduler_.claim(request.executables, request.cores, request.worker);
-    std::vector<CommandSpec> fresh;
-    fresh.reserve(claimed.size());
-    for (auto& cmd : claimed) {
-        if (completedCommands_.count(cmd.id) > 0) {
-            // Stale re-execution of a command whose first run already
-            // delivered its result (requeue raced with recovery).
-            scheduler_.complete(cmd.id);
-            releaseLease(cmd.id);
-            continue;
-        }
-        grantLease(cmd.id, request.worker);
-        fresh.push_back(std::move(cmd));
-    }
-    if (wal_) {
-        // The claim is logged by its *inputs* plus the expected outcome:
-        // replay re-runs the real DRR claim against the replayed shards,
-        // which reproduces every deficit/cursor/ring transition exactly —
-        // even for claims that assigned nothing — and the logged ids
-        // cross-check that the replayed schedule did not diverge.
-        auto& w = walWriter();
-        w.write(std::int32_t(request.worker));
-        w.write(std::int32_t(request.cores));
-        w.write(request.executables);
-        w.write(network_->loop().now() + leaseDuration());
-        w.write(std::uint64_t(fresh.size()));
-        for (const auto& c : fresh) w.write(std::uint64_t(c.id));
-        walAppend(WalRecordType::Claim, w);
-    }
+    auto fresh = commit(event::Claim{
+        .worker = request.worker,
+        .cores = request.cores,
+        .executables = &request.executables,
+        .expires = network_->loop().now() + leaseDuration()});
+    if (!fresh.empty()) ensureLeaseSweepScheduled();
     return fresh;
 }
 
@@ -280,24 +265,14 @@ void Server::handleWorkloadRequest(const WorkloadRequestPayload& request,
 
     // Track the worker if it reports to us directly (its closest server).
     if (msg.source == request.worker) {
-        auto& rec = workers_[request.worker];
-        rec.lastHeartbeat = network_->loop().now();
+        commit(event::WorkerSeen{request.worker, network_->loop().now()});
         ensureSweepScheduled();
-        if (wal_) {
-            auto& w = walWriter();
-            w.write(std::int32_t(request.worker));
-            w.write(rec.lastHeartbeat);
-            w.write(std::uint8_t(0)); // liveness only, no payload update
-            walAppend(WalRecordType::WorkerSeen, w);
-        }
     }
 
     auto claimed = claimFor(request);
     if (!claimed.empty()) {
-        stats_.commandsAssigned += claimed.size();
-        WorkloadAssignPayload assign;
-        assign.commands = std::move(claimed);
-        endpoint_.send(request.worker, assign);
+        endpoint_.send(request.worker,
+                       WorkloadAssignPayload{std::move(claimed)});
         return;
     }
 
@@ -330,42 +305,16 @@ void Server::handleWorkloadRequest(const WorkloadRequestPayload& request,
                                          config_.parkRetryAfter});
             return;
         }
-        parkRequest(std::move(fwd));
+        commit(event::Park{std::move(fwd)});
         return;
     }
     endpoint_.send(request.worker, NoWorkPayload{request.worker});
 }
 
 void Server::pruneParkedRequest(net::NodeId dead) {
-    const auto parkedEnd = std::remove_if(
-        parkedRequests_.begin(), parkedRequests_.end(),
-        [dead](const WorkloadRequestPayload& p) { return p.worker == dead; });
-    const auto removed = std::uint64_t(parkedRequests_.end() - parkedEnd);
-    if (removed > 0 && wal_ && !recovering_) {
-        auto& w = walWriter();
-        w.write(std::int32_t(dead));
-        walAppend(WalRecordType::ParkDrop, w);
-    }
-    stats_.parkedRequestsDropped += removed;
-    parkedRequests_.erase(parkedEnd, parkedRequests_.end());
-}
-
-void Server::parkRequest(WorkloadRequestPayload request) {
-    if (wal_ && !recovering_) {
-        auto& w = walWriter();
-        request.serialize(w);
-        walAppend(WalRecordType::Park, w);
-    }
-    // One parked slot per worker: a re-sent request (retransmit that beat
-    // its ack, or a poll after a timeout) replaces the stale one instead
-    // of producing double assignments later.
-    for (auto& parked : parkedRequests_) {
-        if (parked.worker == request.worker) {
-            parked = std::move(request);
-            return;
-        }
-    }
-    parkedRequests_.push_back(std::move(request));
+    if (std::any_of(parkedRequests_.begin(), parkedRequests_.end(),
+                    [dead](const auto& p) { return p.worker == dead; }))
+        commit(event::ParkDrop{dead});
 }
 
 bool Server::hostsUnfinishedProject() const {
@@ -391,45 +340,26 @@ void Server::serviceWaitingRequests() {
     // this keeps it worker-fair too).
     const std::size_t n = parkedRequests_.size();
     const std::size_t start = unparkCursor_ % n;
-    std::vector<WorkloadRequestPayload> stillParked;
+    event::ParkCursor pass{.cursor = start + 1};
     for (std::size_t k = 0; k < n; ++k) {
-        auto& request = parkedRequests_[(start + k) % n];
+        const auto& request = parkedRequests_[(start + k) % n];
         auto claimed = claimFor(request);
         if (!claimed.empty()) {
-            stats_.commandsAssigned += claimed.size();
-            WorkloadAssignPayload assign;
-            assign.commands = std::move(claimed);
-            endpoint_.send(request.worker, assign);
+            endpoint_.send(request.worker,
+                           WorkloadAssignPayload{std::move(claimed)});
         } else if (hostsUnfinishedProject()) {
-            stillParked.push_back(std::move(request));
+            pass.workers.push_back(request.worker);
         } else {
             endpoint_.send(request.worker, NoWorkPayload{request.worker});
         }
     }
-    parkedRequests_ = std::move(stillParked);
-    unparkCursor_ = start + 1;
-    if (wal_) {
-        // The pass reorders the park list (rotation) and drops answered
-        // slots; the record pins the surviving composition *and order* so
-        // replayed future passes rotate identically.
-        auto& w = walWriter();
-        w.write(std::uint64_t(unparkCursor_));
-        w.write(std::uint64_t(parkedRequests_.size()));
-        for (const auto& p : parkedRequests_) w.write(std::int32_t(p.worker));
-        walAppend(WalRecordType::ParkCursor, w);
-    }
+    commit(std::move(pass));
 }
 
 void Server::handleCommandOutput(const CommandOutputPayload& payload) {
     // Drop any cached checkpoints: the command is over.
-    if (checkpointMeta_.erase(payload.result.commandId) > 0) {
-        store_->erase(cacheKey(payload.result.commandId));
-        if (wal_) {
-            auto& w = walWriter();
-            w.write(std::uint64_t(payload.result.commandId));
-            walAppend(WalRecordType::CacheDrop, w);
-        }
-    }
+    if (checkpointMeta_.count(payload.result.commandId) > 0)
+        commit(event::CacheDrop{payload.result.commandId});
 
     if (projects_.find(payload.result.projectId) != projects_.end()) {
         dispatchResult(payload.result);
@@ -446,51 +376,25 @@ void Server::handleCommandOutput(const CommandOutputPayload& payload) {
 }
 
 void Server::dispatchResult(CommandResult result) {
-    if (wal_) {
-        auto& w = walWriter();
-        w.write(std::uint64_t(result.commandId));
-        w.write(std::uint64_t(result.projectId));
-        w.write(std::uint8_t(result.success ? 1 : 0));
-        walAppend(WalRecordType::Complete, w);
-    }
-    if (completedCommands_.count(result.commandId) > 0) {
-        // A requeued copy of this command also ran to completion; the
-        // first result won. Clear any in-flight record so the re-execution
-        // does not linger (and its lease with it).
-        scheduler_.complete(result.commandId);
-        releaseLease(result.commandId);
-        ++stats_.duplicateResultsDropped;
-        return;
-    }
-    auto spec = scheduler_.complete(result.commandId);
-    releaseLease(result.commandId);
+    // A requeued copy of this command also ran to completion: the first
+    // result won, and apply() only clears the re-execution's in-flight
+    // record and lease.
+    const bool duplicate = completedCommands_.count(result.commandId) > 0;
+    const auto spec = commit(event::Complete{
+        result.commandId, result.projectId, result.success});
+    if (duplicate) return;
     auto& entry = projects_.at(result.projectId);
     entry.outstanding.erase(result.commandId);
-    if (result.success) {
-        completedCommands_.insert(result.commandId);
-        ++stats_.commandsCompleted;
+    if (result.success)
         entry.controller->onCommandFinished(*entry.context, result);
-    } else {
-        ++stats_.commandsFailed;
-        if (spec)
-            entry.controller->onCommandFailed(*entry.context, *spec);
-    }
+    else if (spec)
+        entry.controller->onCommandFailed(*entry.context, *spec);
 }
 
 void Server::handleHeartbeat(const HeartbeatPayload& hb) {
-    ++stats_.heartbeatsReceived;
-    auto& rec = workers_[hb.worker];
-    rec.lastHeartbeat = network_->loop().now();
-    rec.lastPayload = hb;
+    const double now = network_->loop().now();
+    commit(event::WorkerSeen{hb.worker, now, hb});
     ensureSweepScheduled();
-    if (wal_) {
-        auto& w = walWriter();
-        w.write(std::int32_t(hb.worker));
-        w.write(rec.lastHeartbeat);
-        w.write(std::uint8_t(1));
-        hb.serialize(w);
-        walAppend(WalRecordType::WorkerSeen, w);
-    }
 
     // Renew leases: locally for commands we host; renewals towards remote
     // project servers are buffered and flushed as one HeartbeatSummary
@@ -503,20 +407,13 @@ void Server::handleHeartbeat(const HeartbeatPayload& hb) {
         const net::NodeId ps = i < hb.projectServers.size()
                                    ? hb.projectServers[i]
                                    : net::kInvalidNode;
-        if (ps == id()) {
-            renewLease(hb.running[i], hb.worker);
+        if (ps == id())
             local.push_back(hb.running[i]);
-        } else if (ps != net::kInvalidNode) {
+        else if (ps != net::kInvalidNode)
             remote[ps].push_back(hb.running[i]);
-        }
     }
-    if (!local.empty() && wal_) {
-        auto& w = walWriter();
-        w.write(std::int32_t(hb.worker));
-        w.write(network_->loop().now() + leaseDuration());
-        w.write(local);
-        walAppend(WalRecordType::Renew, w);
-    }
+    if (!local.empty())
+        commit(event::Renew{hb.worker, now + leaseDuration(), local});
     for (auto& [ps, commands] : remote)
         bufferLeaseRenewals(ps, hb.worker, std::move(commands));
 }
@@ -562,33 +459,21 @@ void Server::flushHeartbeatSummaries() {
 void Server::handleHeartbeatSummary(const HeartbeatSummaryPayload& summary) {
     ++stats_.heartbeatSummariesReceived;
     const double expires = network_->loop().now() + leaseDuration();
+    const std::span<const CommandId> commands(summary.commands);
     std::size_t k = 0;
     for (std::size_t i = 0; i < summary.workers.size(); ++i) {
-        std::vector<CommandId> ids;
-        for (std::uint32_t j = 0; j < summary.counts[i]; ++j, ++k) {
-            renewLease(summary.commands[k], summary.workers[i]);
-            ids.push_back(summary.commands[k]);
-        }
-        if (!ids.empty() && wal_) {
-            auto& w = walWriter();
-            w.write(std::int32_t(summary.workers[i]));
-            w.write(expires);
-            w.write(ids);
-            walAppend(WalRecordType::Renew, w);
-        }
+        const auto ids = commands.subspan(k, summary.counts[i]);
+        k += ids.size();
+        if (!ids.empty())
+            commit(event::Renew{summary.workers[i], expires, ids});
     }
 }
 
 void Server::handleLeaseRenew(const LeaseRenewPayload& payload) {
-    for (CommandId id : payload.commands)
-        renewLease(id, payload.worker);
-    if (!payload.commands.empty() && wal_) {
-        auto& w = walWriter();
-        w.write(std::int32_t(payload.worker));
-        w.write(network_->loop().now() + leaseDuration());
-        w.write(payload.commands);
-        walAppend(WalRecordType::Renew, w);
-    }
+    if (!payload.commands.empty())
+        commit(event::Renew{payload.worker,
+                            network_->loop().now() + leaseDuration(),
+                            payload.commands});
 }
 
 void Server::handleCheckpoint(const CheckpointPayload& cp) {
@@ -597,52 +482,21 @@ void Server::handleCheckpoint(const CheckpointPayload& cp) {
     // the in-flight record; otherwise cache it for failure handoff. Either
     // way the blob lands in the tiered store (via the queue's vault or
     // under cacheKey()), so a cold cache spills to disk instead of RAM.
-    if (projects_.find(cp.projectId) != projects_.end()) {
-        if (wal_) {
-            auto& w = walWriter();
-            w.write(std::uint64_t(cp.commandId));
-            w.writeBytes(util::encode(cp.blob).frame);
-            walAppend(WalRecordType::Checkpoint, w);
-        }
-        scheduler_.updateCheckpoint(cp.commandId, cp.blob);
-        return;
-    }
-    checkpointMeta_[cp.commandId] =
-        CachedCheckpoint{cp.projectId, cp.projectServer};
-    store_->put(cacheKey(cp.commandId), cp.blob);
-    if (wal_) {
-        auto& w = walWriter();
-        w.write(std::uint64_t(cp.commandId));
-        w.write(std::uint64_t(cp.projectId));
-        w.write(std::int32_t(cp.projectServer));
-        w.writeBytes(util::encode(cp.blob).frame);
-        walAppend(WalRecordType::CacheAdd, w);
-    }
+    if (projects_.find(cp.projectId) != projects_.end())
+        commit(event::Checkpoint{cp.commandId, cp.blob});
+    else
+        commit(event::CacheAdd{cp.commandId, cp.projectId, cp.projectServer,
+                               cp.blob});
 }
 
 void Server::handleWorkerFailed(const WorkerFailedPayload& payload) {
-    for (std::size_t i = 0; i < payload.commands.size(); ++i) {
-        if (i < payload.checkpoints.size() &&
-            !payload.checkpoints[i].empty()) {
-            if (wal_) {
-                auto& w = walWriter();
-                w.write(std::uint64_t(payload.commands[i]));
-                w.writeBytes(util::encode(payload.checkpoints[i]).frame);
-                walAppend(WalRecordType::Checkpoint, w);
-            }
-            scheduler_.updateCheckpoint(payload.commands[i],
-                                        payload.checkpoints[i]);
-        }
-    }
-    if (wal_) {
-        auto& w = walWriter();
-        w.write(std::int32_t(payload.worker));
-        walAppend(WalRecordType::RequeueWorker, w);
-    }
-    const auto requeued = scheduler_.requeueWorker(payload.worker);
-    stats_.commandsRequeued += requeued.size();
-    for (CommandId id : requeued) releaseLease(id);
-    if (!requeued.empty()) {
+    for (std::size_t i = 0; i < payload.commands.size(); ++i)
+        if (i < payload.checkpoints.size() && !payload.checkpoints[i].empty())
+            commit(event::Checkpoint{payload.commands[i],
+                                     payload.checkpoints[i]});
+    const std::size_t requeued =
+        commit(event::RequeueWorker{payload.worker});
+    if (requeued > 0) {
         scheduleServiceWaiting();
         // The worker died holding our commands; if it also held a parked
         // long-poll slot here (request raced ahead of its final outputs),
@@ -651,7 +505,7 @@ void Server::handleWorkerFailed(const WorkerFailedPayload& payload) {
     }
     COP_LOG_INFO("server") << name() << ": worker "
                            << network_->node(payload.worker).name()
-                           << " failed; requeued " << requeued.size()
+                           << " failed; requeued " << requeued
                            << " commands";
 }
 
@@ -698,30 +552,11 @@ void Server::handleDeliveryFailure(const net::Message& failed) {
     for (const auto& cmd : assign.commands) {
         const auto holder = scheduler_.holderOf(cmd.id);
         if (holder && *holder == failed.destination &&
-            scheduler_.requeueCommand(cmd.id)) {
-            releaseLease(cmd.id);
-            if (wal_) {
-                auto& w = walWriter();
-                w.write(std::uint64_t(cmd.id));
-                w.write(std::uint8_t(0)); // reason: delivery failure
-                walAppend(WalRecordType::Requeue, w);
-            }
+            commit(event::Requeue{cmd.id,
+                                  event::RequeueReason::DeliveryFailure}))
             ++requeued;
-        }
     }
-    stats_.commandsRequeued += requeued;
     if (requeued > 0) scheduleServiceWaiting();
-}
-
-void Server::grantLease(CommandId id, net::NodeId worker) {
-    leases_[id] = Lease{worker, network_->loop().now() + leaseDuration()};
-    ensureLeaseSweepScheduled();
-}
-
-void Server::renewLease(CommandId id, net::NodeId worker) {
-    auto it = leases_.find(id);
-    if (it == leases_.end() || it->second.worker != worker) return;
-    it->second.expires = network_->loop().now() + leaseDuration();
 }
 
 void Server::ensureLeaseSweepScheduled() {
@@ -736,21 +571,13 @@ void Server::sweepLeases() {
     const double now = network_->loop().now();
     std::size_t requeued = 0;
     for (auto it = leases_.begin(); it != leases_.end();) {
-        if (it->second.expires <= now) {
-            ++stats_.leasesExpired;
-            if (wal_) {
-                auto& w = walWriter();
-                w.write(std::uint64_t(it->first));
-                w.write(std::uint8_t(1)); // reason: lease expiry
-                walAppend(WalRecordType::Requeue, w);
-            }
-            if (scheduler_.requeueCommand(it->first)) ++requeued;
-            it = leases_.erase(it);
-        } else {
-            ++it;
-        }
+        const CommandId cid = it->first;
+        const bool expired = it->second.expires <= now;
+        ++it; // apply() erases the expired lease
+        if (expired &&
+            commit(event::Requeue{cid, event::RequeueReason::LeaseExpiry}))
+            ++requeued;
     }
-    stats_.commandsRequeued += requeued;
     if (requeued > 0) scheduleServiceWaiting();
     ensureLeaseSweepScheduled();
 }
@@ -768,88 +595,220 @@ void Server::sweepWorkers() {
     const double deadline =
         config_.failureMultiplier * config_.heartbeatInterval;
     for (auto it = workers_.begin(); it != workers_.end();) {
-        if (now - it->second.lastHeartbeat > deadline) {
-            ++stats_.workersFailed;
-            const net::NodeId dead = it->first;
-            if (wal_) {
-                auto& w = walWriter();
-                w.write(std::int32_t(dead));
-                walAppend(WalRecordType::WorkerGone, w);
-            }
-            const std::size_t requeuedFromDead =
-                applyWorkerDeath(dead, it->second);
+        const net::NodeId dead = it->first;
+        const bool silent = now - it->second.lastHeartbeat > deadline;
+        ++it; // apply() erases the dead worker's record
+        if (!silent) continue;
+        const auto death = commit(event::WorkerGone{dead});
+        // Signal each remote project server, in server-id order; our own
+        // share was requeued in place, and its service pass is armed at
+        // the same point in that order.
+        for (const auto& [ps, failure] : death.signals) {
+            if (ps != id())
+                endpoint_.send(ps, failure);
+            else if (death.requeued > 0)
+                scheduleServiceWaiting();
+        }
+        if (death.requeued > 0) {
+            scheduleServiceWaiting();
             // Drop the dead worker's parked request — but only when the
             // scheduler still attributed in-flight commands to it: dying
-            // mid-run is real evidence of death, and without the prune the
-            // park queue leaks one entry per such worker. An *idle* parked
-            // worker is legitimately silent (no heartbeats without running
-            // commands, and its last heartbeat may still list commands that
-            // since completed); its park slot is the long-poll contract and
-            // must survive the liveness sweep.
-            if (requeuedFromDead > 0) pruneParkedRequest(dead);
-            // And its buffered lease renewals: renewing on behalf of a
-            // worker we just declared dead would only delay recovery.
-            for (auto& [ps, byWorker] : summaryBuffers_)
-                byWorker.erase(dead);
-            it = workers_.erase(it);
-        } else {
-            ++it;
+            // mid-run is real evidence of death, and without the prune
+            // the park queue leaks one entry per such worker. An *idle*
+            // parked worker is legitimately silent (no heartbeats without
+            // running commands, and its last heartbeat may still list
+            // commands that since completed); its park slot is the
+            // long-poll contract and must survive the liveness sweep.
+            pruneParkedRequest(dead);
         }
+        // And its buffered lease renewals: renewing on behalf of a worker
+        // we just declared dead would only delay recovery.
+        for (auto& [ps, byWorker] : summaryBuffers_) byWorker.erase(dead);
     }
     if (!workers_.empty()) ensureSweepScheduled();
-}
-
-std::size_t Server::applyWorkerDeath(net::NodeId dead,
-                                     const WorkerRecord& rec) {
-    const auto& hb = rec.lastPayload;
-    // Group the dead worker's commands by project server and send each one
-    // a failure signal with our cached checkpoints.
-    std::map<net::NodeId, WorkerFailedPayload> perServer;
-    for (std::size_t i = 0; i < hb.running.size(); ++i) {
-        const net::NodeId ps = i < hb.projectServers.size()
-                                   ? hb.projectServers[i]
-                                   : net::kInvalidNode;
-        if (ps == net::kInvalidNode) continue;
-        auto& p = perServer[ps];
-        p.worker = dead;
-        p.commands.push_back(hb.running[i]);
-        // Shares the cached buffer into the payload — no copy while hot.
-        p.checkpoints.push_back(cachedCheckpointBlob(hb.running[i]));
-    }
-    std::size_t requeuedFromDead = 0;
-    for (auto& [ps, payload] : perServer) {
-        if (ps == id()) {
-            // We host the project: requeue directly.
-            for (std::size_t i = 0; i < payload.commands.size(); ++i)
-                if (!payload.checkpoints[i].empty())
-                    scheduler_.updateCheckpoint(payload.commands[i],
-                                                payload.checkpoints[i]);
-            const auto requeued = scheduler_.requeueWorker(dead);
-            requeuedFromDead += requeued.size();
-            stats_.commandsRequeued += requeued.size();
-            for (CommandId cid : requeued) releaseLease(cid);
-            if (!requeued.empty() && !recovering_) scheduleServiceWaiting();
-        } else if (!recovering_) {
-            // Replay never resends: the original signal either arrived (and
-            // its effects are the remote server's state) or its loss is the
-            // transport layer's fault model, not the WAL's.
-            endpoint_.send(ps, payload);
-        }
-    }
-    // If the worker ran commands we host but never heartbeated them
-    // (edge case), requeue those too.
-    const auto extra = scheduler_.requeueWorker(dead);
-    requeuedFromDead += extra.size();
-    stats_.commandsRequeued += extra.size();
-    for (CommandId cid : extra) releaseLease(cid);
-    if (!extra.empty() && !recovering_) scheduleServiceWaiting();
-    return requeuedFromDead;
 }
 
 SharedBytes Server::cachedCheckpointBlob(CommandId id) {
     if (checkpointMeta_.count(id) == 0) return SharedBytes{};
     auto blob = store_->get(cacheKey(id));
     return blob ? *blob : SharedBytes{};
+}
+
+// --- apply(): the only plane mutations -----------------------------------
+
+void Server::apply(event::TenantAdd& e) {
+    COP_IO_CHECK(!scheduler_.hasTenant(e.project), "wal: duplicate tenant");
+    scheduler_.addTenant(e.project, e.config);
+    nextProjectId_ = std::max(nextProjectId_, e.project + 1);
+}
+
+AdmissionDecision Server::apply(event::Push& e) {
+    COP_IO_CHECK(scheduler_.hasTenant(e.tenant),
+                 "wal: push for unknown tenant");
+    // Our own ids carry this server in the high bits and the counter in
+    // the low 40; a pushed id advances the counter past it.
+    if ((e.spec.id >> 40) == std::uint64_t(id()) + 1)
+        commandCounter_ = std::max(
+            commandCounter_, e.spec.id & ((std::uint64_t(1) << 40) - 1));
+    return scheduler_.push(e.tenant, std::move(e.spec), e.force);
+}
+
+std::vector<CommandSpec> Server::apply(event::Claim& e) {
+    auto claimed = scheduler_.claim(*e.executables, e.cores, e.worker);
+    std::vector<CommandSpec> fresh;
+    fresh.reserve(claimed.size());
+    std::vector<CommandId> ids;
+    ids.reserve(claimed.size());
+    for (auto& cmd : claimed) {
+        if (completedCommands_.count(cmd.id) > 0) {
+            // Stale re-execution of a command whose first run already
+            // delivered its result (requeue raced with recovery).
+            scheduler_.complete(cmd.id);
+            leases_.erase(cmd.id);
+            continue;
+        }
+        leases_[cmd.id] = Lease{e.worker, e.expires};
+        ids.push_back(cmd.id);
+        fresh.push_back(std::move(cmd));
+    }
+    COP_IO_CHECK(!e.logged || ids == e.ids,
+                 "wal: claim replay diverged from log");
+    e.ids = std::move(ids);
+    stats_.commandsAssigned += fresh.size();
+    return fresh;
+}
+
+std::optional<CommandSpec> Server::apply(event::Complete& e) {
+    auto spec = scheduler_.complete(e.command);
+    leases_.erase(e.command);
+    if (completedCommands_.count(e.command) > 0) {
+        ++stats_.duplicateResultsDropped;
+        return std::nullopt;
+    }
+    if (e.success) {
+        completedCommands_.insert(e.command);
+        ++stats_.commandsCompleted;
+    } else {
+        ++stats_.commandsFailed;
+    }
+    return spec;
+}
+
+bool Server::apply(event::Requeue& e) {
+    if (e.reason == event::RequeueReason::LeaseExpiry) ++stats_.leasesExpired;
+    leases_.erase(e.command);
+    if (!scheduler_.requeueCommand(e.command)) return false;
+    ++stats_.commandsRequeued;
+    return true;
+}
+
+std::size_t Server::apply(event::RequeueWorker& e) {
+    const auto requeued = scheduler_.requeueWorker(e.worker);
+    stats_.commandsRequeued += requeued.size();
+    for (CommandId cid : requeued) leases_.erase(cid);
+    return requeued.size();
+}
+
+void Server::apply(event::Checkpoint& e) {
+    scheduler_.updateCheckpoint(e.command, std::move(e.blob));
+}
+
+void Server::apply(event::Park& e) {
+    // One parked slot per worker: a re-sent request (retransmit that beat
+    // its ack, or a poll after a timeout) replaces the stale one instead
+    // of producing double assignments later.
+    for (auto& parked : parkedRequests_) {
+        if (parked.worker == e.request.worker) {
+            parked = std::move(e.request);
+            return;
+        }
+    }
+    parkedRequests_.push_back(std::move(e.request));
+}
+
+void Server::apply(event::ParkDrop& e) {
+    stats_.parkedRequestsDropped += std::erase_if(
+        parkedRequests_, [&](const auto& p) { return p.worker == e.worker; });
+}
+
+void Server::apply(event::ParkCursor& e) {
+    std::vector<WorkloadRequestPayload> next;
+    next.reserve(e.workers.size());
+    const std::size_t n = parkedRequests_.size();
+    // Survivors are named in the pass's order, which starts at the old
+    // cursor: resuming each scan at the previous hit keeps a live pass
+    // linear in the number of parked slots.
+    std::size_t at = n == 0 ? 0 : unparkCursor_ % n;
+    for (net::NodeId worker : e.workers) {
+        std::size_t k = 0;
+        while (k < n && parkedRequests_[(at + k) % n].worker != worker) ++k;
+        COP_IO_CHECK(k < n, "wal: park cursor names unknown worker");
+        at = (at + k) % n;
+        next.push_back(std::move(parkedRequests_[at]));
+        parkedRequests_[at].worker = net::kInvalidNode; // taken
+    }
+    // Slots not named were assigned or answered NoWork in the pass.
+    parkedRequests_ = std::move(next);
+    unparkCursor_ = std::size_t(e.cursor);
+}
+
+void Server::apply(event::Renew& e) {
+    for (CommandId cid : e.commands) {
+        auto it = leases_.find(cid);
+        if (it != leases_.end() && it->second.worker == e.worker)
+            it->second.expires = e.expires;
+    }
+}
+
+void Server::apply(event::WorkerSeen& e) {
+    auto& rec = workers_[e.worker];
+    rec.lastHeartbeat = e.seen;
+    if (e.heartbeat) {
+        rec.lastPayload = std::move(*e.heartbeat);
+        ++stats_.heartbeatsReceived;
+    }
+}
+
+Server::WorkerDeath Server::apply(event::WorkerGone& e) {
+    auto it = workers_.find(e.worker);
+    COP_IO_CHECK(it != workers_.end(), "wal: unknown worker gone");
+    ++stats_.workersFailed;
+    // Group the dead worker's commands by project server, each with our
+    // cached checkpoint (shared into the payload, no copy while hot).
+    WorkerDeath death;
+    const auto& hb = it->second.lastPayload;
+    for (std::size_t i = 0; i < hb.running.size(); ++i) {
+        const net::NodeId ps = i < hb.projectServers.size()
+                                   ? hb.projectServers[i]
+                                   : net::kInvalidNode;
+        if (ps == net::kInvalidNode) continue;
+        auto& p = death.signals[ps];
+        p.worker = e.worker;
+        p.commands.push_back(hb.running[i]);
+        p.checkpoints.push_back(cachedCheckpointBlob(hb.running[i]));
+    }
+    // We host these projects ourselves: restart from the cached
+    // checkpoints. The requeue also covers commands of ours the worker
+    // never heartbeated.
+    if (auto own = death.signals.find(id()); own != death.signals.end())
+        for (std::size_t i = 0; i < own->second.commands.size(); ++i)
+            if (!own->second.checkpoints[i].empty())
+                scheduler_.updateCheckpoint(own->second.commands[i],
+                                            own->second.checkpoints[i]);
+    event::RequeueWorker requeue{e.worker};
+    death.requeued = apply(requeue);
+    workers_.erase(it);
+    return death;
+}
+
+void Server::apply(event::CacheAdd& e) {
+    checkpointMeta_[e.command] = CachedCheckpoint{e.project, e.projectServer};
+    store_->put(cacheKey(e.command), std::move(e.blob));
+}
+
+void Server::apply(event::CacheDrop& e) {
+    if (checkpointMeta_.erase(e.command) > 0)
+        store_->erase(cacheKey(e.command));
 }
 
 // --- Durability (DESIGN.md "Durability & tiered storage") ----------------
@@ -874,18 +833,12 @@ std::size_t Server::InputVault::sizeOf(CommandId id) const {
     return store->sizeOf(id);
 }
 
-void Server::walAppend(WalRecordType type, const BinaryWriter& w) {
-    if (!wal_ || recovering_) return;
-    wal_->append(type, w.buffer());
-    maybeSnapshot();
-}
-
 void Server::maybeSnapshot() {
     const auto every = config_.durability.snapshotEveryRecords;
     if (every == 0 || snapshotScheduled_ || !wal_) return;
     if (wal_->stats().recordsSinceSnapshot < every) return;
-    // Deferred to its own event-loop task: a snapshot taken mid-handler
-    // could land between a logged record and the mutation it describes.
+    // Deferred to its own event-loop task so a snapshot always sees the
+    // plane between handlers, never partway through one.
     snapshotScheduled_ = true;
     network_->loop().schedule(0.0, [this] {
         snapshotScheduled_ = false;
@@ -925,23 +878,7 @@ std::vector<std::uint8_t> Server::snapshotState() {
         w.write(std::int32_t(meta.projectServer));
         w.writeBytes(cachedCheckpointBlob(id));
     }
-    // ServerStats ride along so operator metrics stay continuous.
-    w.write(stats_.workloadRequests);
-    w.write(stats_.requestsForwarded);
-    w.write(stats_.commandsAssigned);
-    w.write(stats_.commandsCompleted);
-    w.write(stats_.commandsFailed);
-    w.write(stats_.workersFailed);
-    w.write(stats_.commandsRequeued);
-    w.write(stats_.heartbeatsReceived);
-    w.write(stats_.duplicateResultsDropped);
-    w.write(stats_.leasesExpired);
-    w.write(stats_.parkedRequestsDropped);
-    w.write(stats_.parkRejections);
-    w.write(stats_.clientRequestsShed);
-    w.write(stats_.heartbeatSummariesSent);
-    w.write(stats_.heartbeatSummariesReceived);
-    w.write(stats_.leaseRenewalsAggregated);
+    for (const auto& slot : kCounterSlots) w.write(stats_.*slot.field);
     return w.takeBuffer();
 }
 
@@ -989,217 +926,11 @@ void Server::restoreSnapshot(std::span<const std::uint8_t> bytes) {
                      "snapshot: duplicate cached checkpoint");
         store_->put(cacheKey(cid), SharedBytes(r.readBytes()));
     }
-    stats_.workloadRequests = r.read<std::uint64_t>();
-    stats_.requestsForwarded = r.read<std::uint64_t>();
-    stats_.commandsAssigned = r.read<std::uint64_t>();
-    stats_.commandsCompleted = r.read<std::uint64_t>();
-    stats_.commandsFailed = r.read<std::uint64_t>();
-    stats_.workersFailed = r.read<std::uint64_t>();
-    stats_.commandsRequeued = r.read<std::uint64_t>();
-    stats_.heartbeatsReceived = r.read<std::uint64_t>();
-    stats_.duplicateResultsDropped = r.read<std::uint64_t>();
-    stats_.leasesExpired = r.read<std::uint64_t>();
-    stats_.parkedRequestsDropped = r.read<std::uint64_t>();
-    stats_.parkRejections = r.read<std::uint64_t>();
-    stats_.clientRequestsShed = r.read<std::uint64_t>();
-    stats_.heartbeatSummariesSent = r.read<std::uint64_t>();
-    stats_.heartbeatSummariesReceived = r.read<std::uint64_t>();
-    stats_.leaseRenewalsAggregated = r.read<std::uint64_t>();
+    for (const auto& slot : kCounterSlots) {
+        const auto value = r.read<std::uint64_t>();
+        if (slot.durable) stats_.*slot.field = value;
+    }
     COP_IO_CHECK(r.atEnd(), "snapshot: trailing bytes");
-}
-
-void Server::applyWalRecord(WalRecordType type,
-                            std::span<const std::uint8_t> body) {
-    BinaryReader r(body);
-    switch (type) {
-    case WalRecordType::TenantAdd: {
-        const auto pid = ProjectId(r.read<std::uint64_t>());
-        TenantConfig cfg;
-        cfg.weight = r.read<double>();
-        const auto policy = r.read<std::uint8_t>();
-        COP_IO_CHECK(policy <= std::uint8_t(ClaimPolicy::LargestFit),
-                     "wal: bad claim policy");
-        cfg.claimPolicy = ClaimPolicy(policy);
-        cfg.maxPendingCommands = std::size_t(r.read<std::uint64_t>());
-        cfg.maxPendingBytes = std::size_t(r.read<std::uint64_t>());
-        cfg.admissionRetryAfter = r.read<double>();
-        const std::string name = r.readString();
-        (void)name; // provenance only; projects_ is the application layer
-        COP_IO_CHECK(cfg.weight > 0.0, "wal: bad tenant weight");
-        COP_IO_CHECK(!scheduler_.hasTenant(pid), "wal: duplicate tenant");
-        scheduler_.addTenant(pid, cfg);
-        nextProjectId_ = std::max(nextProjectId_, pid + 1);
-        break;
-    }
-    case WalRecordType::Push: {
-        const auto tenant = ProjectId(r.read<std::uint64_t>());
-        const auto force = r.read<std::uint8_t>();
-        CommandSpec spec = CommandSpec::deserialize(r);
-        COP_IO_CHECK(scheduler_.hasTenant(tenant),
-                     "wal: push for unknown tenant");
-        COP_IO_CHECK(spec.projectId == tenant, "wal: push tenant mismatch");
-        if ((spec.id >> 40) == std::uint64_t(id()) + 1)
-            commandCounter_ = std::max(
-                commandCounter_, spec.id & ((std::uint64_t(1) << 40) - 1));
-        scheduler_.push(tenant, std::move(spec), force != 0);
-        break;
-    }
-    case WalRecordType::Claim: {
-        const auto worker = net::NodeId(r.read<std::int32_t>());
-        const int cores = r.read<std::int32_t>();
-        const auto nexe = r.readCount(1);
-        std::vector<std::string> executables;
-        executables.reserve(std::size_t(nexe));
-        for (std::uint64_t i = 0; i < nexe; ++i)
-            executables.push_back(r.readString());
-        const double expires = r.read<double>();
-        const auto nids = r.readCount(8);
-        std::vector<CommandId> logged;
-        logged.reserve(std::size_t(nids));
-        for (std::uint64_t i = 0; i < nids; ++i)
-            logged.push_back(r.read<std::uint64_t>());
-        // Re-run the real DRR claim on the replayed shards; this rebuilds
-        // deficits/cursor/ring transitions exactly, then the logged ids
-        // cross-check the reproduced schedule.
-        auto claimed = scheduler_.claim(executables, cores, worker);
-        std::vector<CommandId> fresh;
-        for (auto& cmd : claimed) {
-            if (completedCommands_.count(cmd.id) > 0) {
-                scheduler_.complete(cmd.id);
-                leases_.erase(cmd.id);
-                continue;
-            }
-            leases_[cmd.id] = Lease{worker, expires};
-            fresh.push_back(cmd.id);
-        }
-        COP_IO_CHECK(fresh == logged,
-                     "wal: claim replay diverged from log");
-        stats_.commandsAssigned += fresh.size();
-        break;
-    }
-    case WalRecordType::Complete: {
-        const auto cid = CommandId(r.read<std::uint64_t>());
-        const auto pid = ProjectId(r.read<std::uint64_t>());
-        const bool success = r.read<std::uint8_t>() != 0;
-        (void)pid;
-        if (completedCommands_.count(cid) > 0) {
-            scheduler_.complete(cid);
-            leases_.erase(cid);
-            ++stats_.duplicateResultsDropped;
-            break;
-        }
-        scheduler_.complete(cid);
-        leases_.erase(cid);
-        if (success) {
-            completedCommands_.insert(cid);
-            ++stats_.commandsCompleted;
-        } else {
-            ++stats_.commandsFailed;
-        }
-        break;
-    }
-    case WalRecordType::Requeue: {
-        const auto cid = CommandId(r.read<std::uint64_t>());
-        const auto reason = r.read<std::uint8_t>();
-        COP_IO_CHECK(reason <= 1, "wal: bad requeue reason");
-        if (reason == 1) ++stats_.leasesExpired;
-        if (scheduler_.requeueCommand(cid)) ++stats_.commandsRequeued;
-        leases_.erase(cid);
-        break;
-    }
-    case WalRecordType::RequeueWorker: {
-        const auto worker = net::NodeId(r.read<std::int32_t>());
-        const auto requeued = scheduler_.requeueWorker(worker);
-        stats_.commandsRequeued += requeued.size();
-        for (CommandId cid : requeued) leases_.erase(cid);
-        break;
-    }
-    case WalRecordType::Checkpoint: {
-        const auto cid = CommandId(r.read<std::uint64_t>());
-        scheduler_.updateCheckpoint(
-            cid, SharedBytes(util::decode(r.readBytes(), kMaxWalBlobBytes)));
-        break;
-    }
-    case WalRecordType::Park: {
-        parkRequest(WorkloadRequestPayload::deserialize(r));
-        break;
-    }
-    case WalRecordType::ParkDrop: {
-        pruneParkedRequest(net::NodeId(r.read<std::int32_t>()));
-        break;
-    }
-    case WalRecordType::ParkCursor: {
-        const auto cursor = r.read<std::uint64_t>();
-        const auto n = r.readCount(4);
-        std::vector<WorkloadRequestPayload> next;
-        next.reserve(std::size_t(n));
-        for (std::uint64_t i = 0; i < n; ++i) {
-            const auto worker = net::NodeId(r.read<std::int32_t>());
-            auto it = std::find_if(
-                parkedRequests_.begin(), parkedRequests_.end(),
-                [&](const WorkloadRequestPayload& p) {
-                    return p.worker == worker;
-                });
-            COP_IO_CHECK(it != parkedRequests_.end(),
-                         "wal: park cursor names unknown worker");
-            next.push_back(std::move(*it));
-            parkedRequests_.erase(it);
-        }
-        // Slots not named were assigned or answered NoWork in the pass.
-        parkedRequests_ = std::move(next);
-        unparkCursor_ = std::size_t(cursor);
-        break;
-    }
-    case WalRecordType::Renew: {
-        const auto worker = net::NodeId(r.read<std::int32_t>());
-        const double expires = r.read<double>();
-        const auto n = r.readCount(8);
-        for (std::uint64_t i = 0; i < n; ++i) {
-            const auto cid = CommandId(r.read<std::uint64_t>());
-            auto it = leases_.find(cid);
-            if (it != leases_.end() && it->second.worker == worker)
-                it->second.expires = expires;
-        }
-        break;
-    }
-    case WalRecordType::WorkerSeen: {
-        const auto worker = net::NodeId(r.read<std::int32_t>());
-        const double seen = r.read<double>();
-        const bool hasPayload = r.read<std::uint8_t>() != 0;
-        auto& rec = workers_[worker];
-        rec.lastHeartbeat = seen;
-        if (hasPayload) {
-            rec.lastPayload = HeartbeatPayload::deserialize(r);
-            ++stats_.heartbeatsReceived;
-        }
-        break;
-    }
-    case WalRecordType::WorkerGone: {
-        const auto worker = net::NodeId(r.read<std::int32_t>());
-        auto it = workers_.find(worker);
-        COP_IO_CHECK(it != workers_.end(), "wal: unknown worker gone");
-        ++stats_.workersFailed;
-        applyWorkerDeath(worker, it->second);
-        workers_.erase(it);
-        break;
-    }
-    case WalRecordType::CacheAdd: {
-        const auto cid = CommandId(r.read<std::uint64_t>());
-        CachedCheckpoint meta;
-        meta.projectId = ProjectId(r.read<std::uint64_t>());
-        meta.projectServer = net::NodeId(r.read<std::int32_t>());
-        checkpointMeta_[cid] = meta;
-        store_->put(cacheKey(cid),
-                    SharedBytes(util::decode(r.readBytes(), kMaxWalBlobBytes)));
-        break;
-    }
-    case WalRecordType::CacheDrop: {
-        const auto cid = CommandId(r.read<std::uint64_t>());
-        if (checkpointMeta_.erase(cid) > 0) store_->erase(cacheKey(cid));
-        break;
-    }
-    }
-    COP_IO_CHECK(r.atEnd(), "wal: trailing bytes in record");
 }
 
 std::uint64_t Server::recoverFromWal() {
@@ -1222,23 +953,18 @@ std::uint64_t Server::recoverFromWal() {
     summaryBuffers_.clear();
     commandCounter_ = 0;
     nextProjectId_ = 1;
-    stats_ = ServerStats{};
+    for (const auto& slot : kCounterSlots)
+        if (slot.durable) stats_.*slot.field = 0;
     for (auto& [pid, entry] : projects_) entry.outstanding.clear();
 
     const auto before = wal_->stats().replayedRecords;
-    recovering_ = true;
-    try {
-        const auto snap = wal_->loadSnapshot();
-        if (!snap.empty()) restoreSnapshot(snap);
-        wal_->replay([this](WalRecordType t,
-                            std::span<const std::uint8_t> b) {
-            applyWalRecord(t, b);
-        });
-    } catch (...) {
-        recovering_ = false;
-        throw;
-    }
-    recovering_ = false;
+    const auto snap = wal_->loadSnapshot();
+    if (!snap.empty()) restoreSnapshot(snap);
+    wal_->replay([this](WalRecordType type,
+                        std::span<const std::uint8_t> body) {
+        auto decoded = event::decode(type, body);
+        std::visit([this](auto& e) { apply(e); }, decoded);
+    });
 
     // outstanding == the plane's unfinished commands, by construction
     // (inserted on submit/push, erased exactly when complete() retires).

@@ -35,6 +35,7 @@
 
 #include "core/controller.hpp"
 #include "core/envelope.hpp"
+#include "core/plane_events.hpp"
 #include "core/scheduler.hpp"
 #include "core/segment_store.hpp"
 #include "core/wal.hpp"
@@ -119,7 +120,7 @@ struct ProjectSpec {
     /// Fair-share weight across this server's tenants (DRR).
     double weight = 1.0;
     /// Per-tenant claim policy; unset = ServerConfig::claimPolicy.
-    std::optional<ClaimPolicy> claimPolicy;
+    std::optional<ClaimPolicy> claimPolicy = std::nullopt;
     /// Admission quotas (0 = unlimited), and the retry-after hint handed
     /// to rejected submitters.
     std::size_t maxPendingCommands = 0;
@@ -127,6 +128,9 @@ struct ProjectSpec {
     double admissionRetryAfter = 30.0;
 };
 
+/// Server counters. Those Server::apply() owns, from commandsAssigned to
+/// parkedRequestsDropped, are plane state: durable, rebuilt by recovery.
+/// The rest count this process's own traffic and are not recovered.
 struct ServerStats {
     std::uint64_t workloadRequests = 0;
     std::uint64_t requestsForwarded = 0;
@@ -195,12 +199,8 @@ public:
     /// Creates a project hosted on this server with an explicit scheduling
     /// contract (weight, claim policy, admission quotas). The controller's
     /// onProjectStart fires immediately.
+    /// `createProject({.name = "p"}, ...)` takes the default contract.
     ProjectId createProject(ProjectSpec spec,
-                            std::unique_ptr<Controller> controller);
-    /// Convenience wrapper: default contract (weight 1, server-default
-    /// claim policy, no quotas). Kept so pre-tenancy callers compile
-    /// unchanged.
-    ProjectId createProject(std::string name,
                             std::unique_ptr<Controller> controller);
 
     bool projectDone(ProjectId id) const;
@@ -305,16 +305,12 @@ private:
     /// commands are dropped.
     void dispatchResult(CommandResult result);
 
-    /// Claims matching commands, dropping stale re-executions of commands
-    /// that already completed, and grants leases for the assignment.
+    /// Claims matching commands and grants leases for the assignment
+    /// (stale re-executions of completed commands are dropped).
     std::vector<CommandSpec> claimFor(const WorkloadRequestPayload& request);
-    void parkRequest(WorkloadRequestPayload request);
-    /// Removes a dead worker's parked long-poll slot (and counts the drop).
+    /// Discards a dead worker's parked long-poll slot, if it has one.
     void pruneParkedRequest(net::NodeId dead);
 
-    void grantLease(CommandId id, net::NodeId worker);
-    void renewLease(CommandId id, net::NodeId worker);
-    void releaseLease(CommandId id) { leases_.erase(id); }
     void ensureLeaseSweepScheduled();
     void sweepLeases();
     double leaseDuration() const {
@@ -339,26 +335,47 @@ private:
                                            : config_.heartbeatInterval / 4.0;
     }
 
-    CommandId nextCommandId();
-
-    /// Requeues everything a dead worker held: feeds cached checkpoints,
-    /// requeues across shards, drops leases, and (outside recovery)
-    /// signals remote project servers. Shared by sweepWorkers() and
-    /// WorkerGone replay so both walk the identical state transition.
-    std::size_t applyWorkerDeath(net::NodeId dead, const WorkerRecord& rec);
+    /// The id the next Push will carry (apply() advances the counter).
+    CommandId nextCommandId() const;
     /// Cached checkpoint blob for a command, empty when absent.
     SharedBytes cachedCheckpointBlob(CommandId id);
 
+    // --- The control plane as events (core/plane_events.hpp) -------------
+    /// The only way a live handler changes plane state: applies `event`
+    /// and, when the WAL is on, appends it. Returns apply()'s result.
+    template <typename Event>
+    decltype(auto) commit(Event&& e);
+
+    /// What a worker's death leaves for the handler to do.
+    struct WorkerDeath {
+        /// Failure signals per project server of the worker's last
+        /// heartbeat, with our cached checkpoints. The entry for this
+        /// server, if any, has already been applied in place.
+        std::map<net::NodeId, WorkerFailedPayload> signals;
+        std::size_t requeued = 0; ///< our commands put back on the queues
+    };
+
+    /// The only code that changes plane state: the scheduler, leases,
+    /// workers, completed set, park slots and cursor, checkpoint cache, id
+    /// counters and the durable ServerStats counters. Shared by commit()
+    /// and WAL replay; never sends, appends or arms a timer.
+    void apply(event::TenantAdd& e);
+    AdmissionDecision apply(event::Push& e);
+    std::vector<CommandSpec> apply(event::Claim& e);
+    std::optional<CommandSpec> apply(event::Complete& e);
+    bool apply(event::Requeue& e);
+    std::size_t apply(event::RequeueWorker& e);
+    void apply(event::Checkpoint& e);
+    void apply(event::Park& e);
+    void apply(event::ParkDrop& e);
+    void apply(event::ParkCursor& e);
+    void apply(event::Renew& e);
+    void apply(event::WorkerSeen& e);
+    WorkerDeath apply(event::WorkerGone& e);
+    void apply(event::CacheAdd& e);
+    void apply(event::CacheDrop& e);
+
     // --- Durability (DESIGN.md "Durability & tiered storage") ------------
-    /// Appends one typed record (no-op when the WAL is off or replaying).
-    void walAppend(WalRecordType type, const BinaryWriter& w);
-    /// Cleared scratch writer for record bodies: one record is built at a
-    /// time (append sites never nest), so reusing the buffer keeps the
-    /// per-record hot-path allocation-free.
-    BinaryWriter& walWriter() {
-        walScratch_.clear();
-        return walScratch_;
-    }
     /// Schedules a snapshot+truncate once the record budget is exceeded.
     void maybeSnapshot();
     /// Serializes the whole durable plane (scheduler shards with payloads,
@@ -366,9 +383,6 @@ private:
     std::vector<std::uint8_t> snapshotState();
     /// Inverse of snapshotState(); the stream is untrusted (IoError).
     void restoreSnapshot(std::span<const std::uint8_t> bytes);
-    /// Applies one replayed record; bodies are untrusted (IoError).
-    void applyWalRecord(WalRecordType type,
-                        std::span<const std::uint8_t> body);
 
     net::OverlayNetwork* network_;
     net::Node node_;
@@ -403,10 +417,11 @@ private:
     std::unique_ptr<SegmentStore> store_; ///< tiered blob store (always on)
     InputVault inputVault_;               ///< queue-facing adapter
     std::unique_ptr<Wal> wal_;            ///< nullptr when WAL disabled
-    bool recovering_ = false;  ///< suppresses walAppend during replay
     bool snapshotScheduled_ = false;
     std::uint64_t recoveries_ = 0;
-    BinaryWriter walScratch_;  ///< see walWriter()
+    /// Scratch writer for record bodies, reused so appends do not
+    /// allocate (commits never nest).
+    BinaryWriter walScratch_;
 };
 
 } // namespace cop::core

@@ -112,7 +112,7 @@ ScalingResult simulateRun(const ScalingConfig& config) {
 
     auto controller = std::make_unique<SyntheticMsmController>(config);
     auto* driver = controller.get();
-    server.createProject("villin-scaling", std::move(controller));
+    server.createProject({.name = "villin-scaling"}, std::move(controller));
 
     const bool done = dep.runUntilDone(1e12);
     COP_ENSURE(done, "scaling run did not finish");

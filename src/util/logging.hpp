@@ -25,6 +25,12 @@ public:
     }
     LogLevel level() const { return level_.load(std::memory_order_relaxed); }
 
+    /// Whether a line at `level` must be built at all. Warnings and errors
+    /// always are, so warningCount() also counts muted ones.
+    bool enabled(LogLevel level) const {
+        return level >= LogLevel::Warn || level >= this->level();
+    }
+
     /// Emits `msg` tagged with level and component, if enabled.
     void log(LogLevel level, const std::string& component,
              const std::string& msg) COP_EXCLUDES(mutex_);
@@ -59,11 +65,25 @@ struct LogLine {
         return *this;
     }
 };
+/// Turns `LogLine << ...` into a void expression for COP_LOG_AT's `?:`;
+/// binds looser than `<<`, so the whole chain lands on its right.
+struct LogVoidify {
+    void operator&(const LogLine&) const {}
+};
 } // namespace detail
 
 } // namespace cop
 
-#define COP_LOG_DEBUG(component) ::cop::detail::LogLine(::cop::LogLevel::Debug, component)
-#define COP_LOG_INFO(component)  ::cop::detail::LogLine(::cop::LogLevel::Info, component)
-#define COP_LOG_WARN(component)  ::cop::detail::LogLine(::cop::LogLevel::Warn, component)
-#define COP_LOG_ERROR(component) ::cop::detail::LogLine(::cop::LogLevel::Error, component)
+/// Checks the level before anything is built: a disabled line evaluates
+/// neither the ostringstream nor its `<<` arguments. Usable as a single
+/// statement anywhere, including an unbraced if/else arm.
+#define COP_LOG_AT(level, component)                                         \
+    !::cop::Logger::instance().enabled(level)                                \
+        ? (void)0                                                            \
+        : ::cop::detail::LogVoidify() &                                      \
+              ::cop::detail::LogLine(level, component)
+
+#define COP_LOG_DEBUG(component) COP_LOG_AT(::cop::LogLevel::Debug, component)
+#define COP_LOG_INFO(component)  COP_LOG_AT(::cop::LogLevel::Info, component)
+#define COP_LOG_WARN(component)  COP_LOG_AT(::cop::LogLevel::Warn, component)
+#define COP_LOG_ERROR(component) COP_LOG_AT(::cop::LogLevel::Error, component)

@@ -45,7 +45,7 @@ TEST(MsmControllerTest, RunsGenerationsAndBuildsModel) {
                       mdRegistry(), links::intraCluster());
     auto ctrl = std::make_unique<MsmController>(smallMsmParams());
     auto* c = ctrl.get();
-    server.createProject("hairpin", std::move(ctrl));
+    server.createProject({.name = "hairpin"}, std::move(ctrl));
     ASSERT_TRUE(dep.runUntilDone(1e9));
 
     EXPECT_EQ(c->generation(), 2);
@@ -81,7 +81,8 @@ TEST(MsmControllerTest, StatusReportMentionsGeneration) {
     dep.addWorker("w0", server, WorkerConfig{}, mdRegistry(),
                   links::intraCluster());
     auto ctrl = std::make_unique<MsmController>(smallMsmParams(13));
-    const auto pid = server.createProject("hairpin", std::move(ctrl));
+    const auto pid =
+        server.createProject({.name = "hairpin"}, std::move(ctrl));
     dep.runUntilDone(1e9);
     const auto status = server.projectStatus(pid);
     EXPECT_NE(status.find("generation"), std::string::npos);
@@ -96,7 +97,7 @@ TEST(MsmControllerTest, DeterministicAcrossRuns) {
                       links::intraCluster());
         auto ctrl = std::make_unique<MsmController>(smallMsmParams(seed));
         auto* c = ctrl.get();
-        server.createProject("hairpin", std::move(ctrl));
+        server.createProject({.name = "hairpin"}, std::move(ctrl));
         dep.runUntilDone(1e9);
         return c->minRmsdAngstrom();
     };
@@ -127,7 +128,7 @@ TEST(BarControllerTest, ConvergesToAnalyticResult) {
     bp.targetError = 0.02;
     auto ctrl = std::make_unique<BarController>(bp);
     auto* c = ctrl.get();
-    server.createProject("bar", std::move(ctrl));
+    server.createProject({.name = "bar"}, std::move(ctrl));
     ASSERT_TRUE(dep.runUntilDone(1e9));
 
     ASSERT_TRUE(c->estimate().has_value());
@@ -153,7 +154,7 @@ TEST(BarControllerTest, AdaptiveRefinementAddsRounds) {
     bp.maxRounds = 40;
     auto ctrl = std::make_unique<BarController>(bp);
     auto* c = ctrl.get();
-    server.createProject("bar", std::move(ctrl));
+    server.createProject({.name = "bar"}, std::move(ctrl));
     ASSERT_TRUE(dep.runUntilDone(1e9));
     EXPECT_GT(c->rounds(), 1);
     EXPECT_LE(c->estimate()->totalError, bp.targetError * 1.001);

@@ -64,7 +64,7 @@ TEST(Framework, SingleServerSingleWorkerCompletesProject) {
                   links::intraCluster());
     auto ctrl = std::make_unique<FixedController>(5);
     auto* c = ctrl.get();
-    const auto pid = server.createProject("test", std::move(ctrl));
+    const auto pid = server.createProject({.name = "test"}, std::move(ctrl));
     EXPECT_TRUE(dep.runUntilDone(1e6));
     EXPECT_EQ(c->results.size(), 5u);
     EXPECT_TRUE(server.projectDone(pid));
@@ -80,7 +80,7 @@ TEST(Framework, WorkloadFillsWorkerCores) {
     auto& worker = dep.addWorker("w0", server, wc, echoRegistry(100.0),
                                  links::intraCluster());
     auto ctrl = std::make_unique<FixedController>(4);
-    server.createProject("test", std::move(ctrl));
+    server.createProject({.name = "test"}, std::move(ctrl));
     // After the initial exchange, all 4 commands run concurrently.
     dep.loop().runUntil(50.0);
     EXPECT_EQ(worker.runningCommands(), 4u);
@@ -98,7 +98,7 @@ TEST(Framework, RequestRelayedAcrossServers) {
                   links::intraCluster());
     auto ctrl = std::make_unique<FixedController>(3);
     auto* c = ctrl.get();
-    s0.createProject("remote", std::move(ctrl));
+    s0.createProject({.name = "remote"}, std::move(ctrl));
     EXPECT_TRUE(dep.runUntilDone(1e6));
     EXPECT_EQ(c->results.size(), 3u);
     EXPECT_GE(s1.stats().requestsForwarded, 1u);
@@ -117,7 +117,7 @@ TEST(Framework, ChainOfThreeServers) {
                   links::intraCluster());
     auto ctrl = std::make_unique<FixedController>(2);
     auto* c = ctrl.get();
-    s0.createProject("far", std::move(ctrl));
+    s0.createProject({.name = "far"}, std::move(ctrl));
     EXPECT_TRUE(dep.runUntilDone(1e7));
     EXPECT_EQ(c->results.size(), 2u);
     // Output traversed the wide-area link.
@@ -132,7 +132,7 @@ TEST(Framework, MultipleWorkersShareTheQueue) {
                       echoRegistry(100.0), links::intraCluster());
     auto ctrl = std::make_unique<FixedController>(12);
     auto* c = ctrl.get();
-    server.createProject("shared", std::move(ctrl));
+    server.createProject({.name = "shared"}, std::move(ctrl));
     EXPECT_TRUE(dep.runUntilDone(1e6));
     EXPECT_EQ(c->results.size(), 12u);
     // Work spread across all workers.
@@ -153,7 +153,7 @@ TEST(Framework, WorkerFailureRequeuesAndRecovers) {
                                  echoRegistry(1000.0), links::intraCluster());
     auto ctrl = std::make_unique<FixedController>(2);
     auto* c = ctrl.get();
-    server.createProject("resilient", std::move(ctrl));
+    server.createProject({.name = "resilient"}, std::move(ctrl));
 
     doomed.failAfter(50.0); // dies mid-run
     // A rescuer appears later.
@@ -173,7 +173,7 @@ TEST(Framework, ClientMonitorsProjectStatus) {
                   links::intraCluster());
     auto& client =
         dep.addClient("cli", server, links::wideArea());
-    const auto pid = server.createProject("watched",
+    const auto pid = server.createProject({.name = "watched"},
                                           std::make_unique<FixedController>(1));
     client.requestStatus(server.id(), pid);
     dep.runUntilDone(1e6);
@@ -209,7 +209,7 @@ TEST(Framework, FailedCommandReachesControllerHook) {
     };
     auto ctrl = std::make_unique<FailAware>(1);
     auto* c = ctrl.get();
-    server.createProject("failing", std::move(ctrl));
+    server.createProject({.name = "failing"}, std::move(ctrl));
     EXPECT_TRUE(dep.runUntilDone(1e6));
     EXPECT_EQ(c->failures, 1);
     EXPECT_EQ(server.stats().commandsFailed, 1u);
@@ -232,7 +232,7 @@ TEST(Framework, ParkedRequestServedWhenWorkAppears) {
         bool finished = false;
     };
     auto lazy = std::make_unique<LazyController>();
-    server.createProject("lazy", std::move(lazy));
+    server.createProject({.name = "lazy"}, std::move(lazy));
     auto& worker = dep.addWorker("w0", server, WorkerConfig{},
                                  echoRegistry(), links::intraCluster());
     dep.loop().run(); // request parks (no NoWorkAvailable ping-pong)
@@ -241,7 +241,7 @@ TEST(Framework, ParkedRequestServedWhenWorkAppears) {
     // Inject work through a second project; the parked request fires.
     auto ctrl = std::make_unique<FixedController>(1);
     auto* c = ctrl.get();
-    server.createProject("real", std::move(ctrl));
+    server.createProject({.name = "real"}, std::move(ctrl));
     EXPECT_TRUE(dep.runUntilDone(1e6) || c->results.size() == 1);
     EXPECT_EQ(c->results.size(), 1u);
 }
@@ -268,7 +268,7 @@ TEST(Framework, EchoOutputPreservesInputBytes) {
     };
     auto ctrl = std::make_unique<PayloadController>();
     auto* c = ctrl.get();
-    server.createProject("payload", std::move(ctrl));
+    server.createProject({.name = "payload"}, std::move(ctrl));
     EXPECT_TRUE(dep.runUntilDone(1e6));
     ASSERT_EQ(c->results.size(), 1u);
     EXPECT_EQ(c->results[0].output,
@@ -303,8 +303,8 @@ TEST(Framework, TwoProjectsShareWorkerPoolByExecutable) {
     auto otherCtrl = std::make_unique<FixedController>(3, "other");
     auto* ec = echoCtrl.get();
     auto* oc = otherCtrl.get();
-    server.createProject("p_echo", std::move(echoCtrl));
-    server.createProject("p_other", std::move(otherCtrl));
+    server.createProject({.name = "p_echo"}, std::move(echoCtrl));
+    server.createProject({.name = "p_other"}, std::move(otherCtrl));
     EXPECT_TRUE(dep.runUntilDone(1e7));
     EXPECT_EQ(ec->results.size(), 3u);
     EXPECT_EQ(oc->results.size(), 3u);
@@ -334,7 +334,8 @@ TEST(Framework, ClientControlCommandReachesController) {
     };
     auto ctrl = std::make_unique<Tunable>();
     auto* t = ctrl.get();
-    const auto pid = server.createProject("tunable", std::move(ctrl));
+    const auto pid =
+        server.createProject({.name = "tunable"}, std::move(ctrl));
     auto& client = dep.addClient("cli", server, links::dataCenter());
     client.sendCommand(server.id(), pid, "stop");
     dep.loop().run(64);
@@ -358,7 +359,7 @@ TEST(Framework, HeartbeatsStayAtClosestServer) {
     dep.addWorker("w0", relay, wc, echoRegistry(200.0),
                   links::intraCluster());
     auto ctrl = std::make_unique<FixedController>(1);
-    project.createProject("remote", std::move(ctrl));
+    project.createProject({.name = "remote"}, std::move(ctrl));
     dep.runUntilDone(1e7);
     EXPECT_GE(relay.stats().heartbeatsReceived, 1u);
     EXPECT_EQ(project.stats().heartbeatsReceived, 0u);
@@ -393,7 +394,7 @@ TEST(Framework, SharedFilesystemCutsWideAreaTraffic) {
         };
         dep.addWorker("w0", server, WorkerConfig{}, echoRegistry(),
                       props);
-        server.createProject("big", std::make_unique<BigPayload>());
+        server.createProject({.name = "big"}, std::make_unique<BigPayload>());
         dep.runUntilDone(1e7);
         return dep.network().totalStats().bytes;
     };
@@ -430,7 +431,7 @@ TEST(Framework, MixedCoreWorkloadPacksWorker) {
             return results.size() == 2 && ctx.outstandingCommands() == 0;
         }
     };
-    server.createProject("mixed", std::make_unique<Mixed>());
+    server.createProject({.name = "mixed"}, std::make_unique<Mixed>());
     dep.loop().runUntil(100.0);
     EXPECT_EQ(worker.runningCommands(), 2u);
     EXPECT_TRUE(dep.runUntilDone(1e7));

@@ -76,7 +76,26 @@ struct RunOutcome {
     std::uint64_t recoveries = 0;
     std::uint64_t walRecords = 0;
     std::uint64_t storeSpills = 0;
+    std::uint64_t snapshotsAtCrash = 0;
+    ServerStats stats;
 };
+
+/// The ServerStats counters Server::apply() owns: recovery rebuilds them
+/// from snapshot + log, so a crash must not change any of them.
+void expectDurableCountersEqual(const ServerStats& a, const ServerStats& b,
+                                std::uint64_t seed) {
+    EXPECT_EQ(a.commandsAssigned, b.commandsAssigned) << "seed " << seed;
+    EXPECT_EQ(a.commandsCompleted, b.commandsCompleted) << "seed " << seed;
+    EXPECT_EQ(a.commandsFailed, b.commandsFailed) << "seed " << seed;
+    EXPECT_EQ(a.workersFailed, b.workersFailed) << "seed " << seed;
+    EXPECT_EQ(a.commandsRequeued, b.commandsRequeued) << "seed " << seed;
+    EXPECT_EQ(a.heartbeatsReceived, b.heartbeatsReceived) << "seed " << seed;
+    EXPECT_EQ(a.duplicateResultsDropped, b.duplicateResultsDropped)
+        << "seed " << seed;
+    EXPECT_EQ(a.leasesExpired, b.leasesExpired) << "seed " << seed;
+    EXPECT_EQ(a.parkedRequestsDropped, b.parkedRequestsDropped)
+        << "seed " << seed;
+}
 
 enum class Crash { None, Transparent, FullLoss };
 
@@ -84,12 +103,14 @@ enum class Crash { None, Transparent, FullLoss };
 /// whole scheduler/lease/cache plane mid-study (and for FullLoss also the
 /// endpoint's volatile wire state) and rebuilds it from snapshot + log.
 RunOutcome runStudy(std::uint64_t seed, Crash crash,
-                    const std::string& walDir, double crashAt = 111.377) {
+                    const std::string& walDir,
+                    std::uint64_t snapshotEvery = 150,
+                    double crashAt = 111.377) {
     Deployment dep(seed);
     ServerConfig sc;
     sc.durability.walEnabled = true;
     sc.durability.walDir = walDir;
-    sc.durability.snapshotEveryRecords = 150;
+    sc.durability.snapshotEveryRecords = snapshotEvery;
     sc.durability.storeRamBytes = 32 * 1024; // force tiering mid-study
     auto& server = dep.addServer("s0", sc);
     for (int i = 0; i < 3; ++i)
@@ -98,13 +119,15 @@ RunOutcome runStudy(std::uint64_t seed, Crash crash,
 
     auto msmCtrl = std::make_unique<MsmController>(msmParams(seed));
     auto* msm = msmCtrl.get();
-    server.createProject("msm", std::move(msmCtrl));
+    server.createProject({.name = "msm"}, std::move(msmCtrl));
     auto barCtrl = std::make_unique<BarController>(barParams(seed));
     auto* bar = barCtrl.get();
-    server.createProject("bar", std::move(barCtrl));
+    server.createProject({.name = "bar"}, std::move(barCtrl));
 
+    RunOutcome out;
     if (crash != Crash::None) {
-        dep.loop().schedule(crashAt, [&server, crash, &dep] {
+        dep.loop().schedule(crashAt, [&server, crash, &dep, &out] {
+            out.snapshotsAtCrash = server.wal()->stats().snapshots;
             if (crash == Crash::FullLoss) server.endpoint().reset();
             server.recoverFromWal();
             if (crash == Crash::FullLoss) {
@@ -117,7 +140,6 @@ RunOutcome runStudy(std::uint64_t seed, Crash crash,
         });
     }
 
-    RunOutcome out;
     out.done = dep.runUntilDone(1e9);
     out.traceHash = dep.network().traceHash();
     out.msmMinRmsd = msm->minRmsdAngstrom();
@@ -135,36 +157,47 @@ RunOutcome runStudy(std::uint64_t seed, Crash crash,
     out.recoveries = m.recoveries;
     out.walRecords = m.wal.records;
     out.storeSpills = m.store.spills;
+    out.stats = m.server;
     return out;
 }
 
 /// The tentpole guarantee, five seeds: a mid-study kill + WAL resurrection
-/// is invisible — byte-identical event trace and study outputs.
+/// is invisible — byte-identical event trace, study outputs and durable
+/// counters. Two legs: recovery replays the whole log (the studies write
+/// fewer records than the first leg's snapshot budget), or it restores a
+/// snapshot and replays only the tail.
 TEST(Recovery, KillResurrectIsScheduleTransparent) {
-    for (std::uint64_t seed : {101u, 102u, 103u, 104u, 105u}) {
-        TempDir base(std::to_string(seed) + "_base");
-        TempDir crash(std::to_string(seed) + "_crash");
-        const auto a = runStudy(seed, Crash::None, base.path.string());
-        const auto b = runStudy(seed, Crash::Transparent,
-                                crash.path.string());
-        ASSERT_TRUE(a.done) << "seed " << seed;
-        ASSERT_TRUE(b.done) << "seed " << seed;
-        EXPECT_EQ(a.traceHash, b.traceHash) << "seed " << seed;
-        EXPECT_EQ(a.msmMinRmsd, b.msmMinRmsd) << "seed " << seed;
-        EXPECT_EQ(a.msmGenerations, b.msmGenerations) << "seed " << seed;
-        EXPECT_EQ(a.barDeltaF, b.barDeltaF) << "seed " << seed;
-        EXPECT_EQ(a.barError, b.barError) << "seed " << seed;
-        EXPECT_EQ(a.barRounds, b.barRounds) << "seed " << seed;
-        EXPECT_EQ(a.commandsCompleted, b.commandsCompleted)
-            << "seed " << seed;
-        EXPECT_EQ(a.deadLetters, 0u) << "seed " << seed;
-        EXPECT_EQ(b.deadLetters, 0u) << "seed " << seed;
-        EXPECT_EQ(a.recoveries, 0u);
-        EXPECT_EQ(b.recoveries, 1u) << "seed " << seed;
-        EXPECT_GT(b.walRecords, 0u);
-        // The tiered store actually tiered (the cap was chosen to force
-        // spills with these studies' checkpoint volume).
-        EXPECT_GT(b.storeSpills, 0u) << "seed " << seed;
+    for (std::uint64_t snapshotEvery : {150u, 20u}) {
+        SCOPED_TRACE("snapshotEveryRecords " + std::to_string(snapshotEvery));
+        for (std::uint64_t seed : {101u, 102u, 103u, 104u, 105u}) {
+            TempDir base(std::to_string(seed) + "_base");
+            TempDir crash(std::to_string(seed) + "_crash");
+            const auto a = runStudy(seed, Crash::None, base.path.string(),
+                                    snapshotEvery);
+            const auto b = runStudy(seed, Crash::Transparent,
+                                    crash.path.string(), snapshotEvery);
+            ASSERT_TRUE(a.done) << "seed " << seed;
+            ASSERT_TRUE(b.done) << "seed " << seed;
+            if (snapshotEvery == 20)
+                EXPECT_GT(b.snapshotsAtCrash, 0u) << "seed " << seed;
+            else
+                EXPECT_EQ(b.snapshotsAtCrash, 0u) << "seed " << seed;
+            EXPECT_EQ(a.traceHash, b.traceHash) << "seed " << seed;
+            EXPECT_EQ(a.msmMinRmsd, b.msmMinRmsd) << "seed " << seed;
+            EXPECT_EQ(a.msmGenerations, b.msmGenerations) << "seed " << seed;
+            EXPECT_EQ(a.barDeltaF, b.barDeltaF) << "seed " << seed;
+            EXPECT_EQ(a.barError, b.barError) << "seed " << seed;
+            EXPECT_EQ(a.barRounds, b.barRounds) << "seed " << seed;
+            expectDurableCountersEqual(a.stats, b.stats, seed);
+            EXPECT_EQ(a.deadLetters, 0u) << "seed " << seed;
+            EXPECT_EQ(b.deadLetters, 0u) << "seed " << seed;
+            EXPECT_EQ(a.recoveries, 0u);
+            EXPECT_EQ(b.recoveries, 1u) << "seed " << seed;
+            EXPECT_GT(b.walRecords, 0u);
+            // The tiered store actually tiered (the cap was chosen to
+            // force spills with these studies' checkpoint volume).
+            EXPECT_GT(b.storeSpills, 0u) << "seed " << seed;
+        }
     }
 }
 
@@ -200,7 +233,7 @@ TEST(Recovery, SurvivesRepeatedCrashes) {
     // points land mid-flight (a BAR-only study would finish first).
     auto msmCtrl = std::make_unique<MsmController>(msmParams(seed));
     auto* msm = msmCtrl.get();
-    server.createProject("msm", std::move(msmCtrl));
+    server.createProject({.name = "msm"}, std::move(msmCtrl));
     for (double t : {23.13, 61.77, 107.03})
         dep.loop().schedule(t, [&server] { server.recoverFromWal(); });
     ASSERT_TRUE(dep.runUntilDone(1e9));
@@ -216,7 +249,7 @@ TEST(Recovery, WalDisabledByDefault) {
     dep.addWorker("w0", server, WorkerConfig{}, bothRegistries(),
                   links::intraCluster());
     auto barCtrl = std::make_unique<BarController>(barParams(7));
-    server.createProject("bar", std::move(barCtrl));
+    server.createProject({.name = "bar"}, std::move(barCtrl));
     ASSERT_TRUE(dep.runUntilDone(1e9));
     const auto m = server.metricsSnapshot();
     EXPECT_EQ(m.wal.records, 0u);
@@ -245,7 +278,7 @@ TEST(Recovery, CheckpointCacheIsBoundedByStoreCap) {
     ExecutableRegistry slowReg;
     slowReg.add("mdrun", makeMdrunExecutable(linearDurationModel(0.2)));
     auto ctrl = std::make_unique<MsmController>(mp);
-    server.createProject("churn", std::move(ctrl));
+    server.createProject({.name = "churn"}, std::move(ctrl));
 
     WorkerConfig wc;
     wc.heartbeatInterval = 30.0;

@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "core/queue.hpp"
-#include "core/queue_legacy.hpp"
+#include "support/queue_legacy.hpp"
 #include "util/random.hpp"
 
 namespace cop::core {

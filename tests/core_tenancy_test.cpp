@@ -286,7 +286,8 @@ TEST(Tenancy, ProjectSpecControlsShardConfigAndOldOverloadKeepsDefaults) {
     auto& server = dep.addServer("s0", sc);
 
     const auto legacy =
-        server.createProject("legacy", std::make_unique<GreedyController>(0));
+        server.createProject({.name = "legacy"},
+                             std::make_unique<GreedyController>(0));
     ProjectSpec spec;
     spec.name = "tuned";
     spec.weight = 3.0;
@@ -395,7 +396,8 @@ TEST(Tenancy, ParkQueueBackpressureRetryAfterStretchesWorkerBackoff) {
 
     auto ctrl = std::make_unique<TriggerController>(1, 3);
     auto* trig = ctrl.get();
-    const auto pid = server.createProject("trickle", std::move(ctrl));
+    const auto pid =
+        server.createProject({.name = "trickle"}, std::move(ctrl));
 
     auto& client = dep.addClient("cli", server, links::dataCenter());
     dep.loop().schedule(35.0, [&] {
@@ -428,7 +430,7 @@ TEST(Tenancy, IdleParkedWorkerSurvivesSweepAfterHavingRunWork) {
 
     auto ctrl = std::make_unique<TriggerController>(1, 1);
     auto* trig = ctrl.get();
-    const auto pid = server.createProject("lazy", std::move(ctrl));
+    const auto pid = server.createProject({.name = "lazy"}, std::move(ctrl));
 
     auto& client = dep.addClient("cli", server, links::dataCenter());
     // Fires long after the worker (idle since ~t=2) has been swept.
@@ -458,7 +460,7 @@ TEST(Tenancy, DeadMidRunWorkerHandsOffToParkedPeer) {
 
     auto ctrl = std::make_unique<TriggerController>(1, 0);
     auto* trig = ctrl.get();
-    server.createProject("solo", std::move(ctrl));
+    server.createProject({.name = "solo"}, std::move(ctrl));
     w0.failAfter(20.0);
 
     EXPECT_TRUE(dep.runUntilDone(1e6));
@@ -524,7 +526,7 @@ TEST(Tenancy, HeartbeatSummariesKeepRemoteLeasesAliveAcrossEdges) {
 
     auto ctrl = std::make_unique<TriggerController>(1, 0);
     auto* trig = ctrl.get();
-    project.createProject("far", std::move(ctrl));
+    project.createProject({.name = "far"}, std::move(ctrl));
 
     EXPECT_TRUE(dep.runUntilDone(1e6));
     EXPECT_EQ(trig->finished(), 1);

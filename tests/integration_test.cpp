@@ -48,7 +48,7 @@ TEST(Integration, PaperPipelineOnHairpin) {
     mp.seed = 42;
     auto controller = std::make_unique<core::MsmController>(mp);
     auto* msm = controller.get();
-    projectServer.createProject("hairpin", std::move(controller));
+    projectServer.createProject({.name = "hairpin"}, std::move(controller));
 
     ASSERT_TRUE(dep.runUntilDone(1e12));
 
@@ -99,7 +99,7 @@ TEST(Integration, SurvivesRepeatedWorkerChurn) {
     mp.seed = 43;
     auto controller = std::make_unique<core::MsmController>(mp);
     auto* msm = controller.get();
-    server.createProject("churn", std::move(controller));
+    server.createProject({.name = "churn"}, std::move(controller));
 
     core::WorkerConfig wc;
     wc.heartbeatInterval = 30.0;

@@ -149,11 +149,13 @@ ChaosRun runChaosDeployment(std::uint64_t seed, bool batching = true) {
     dep.setFaultPlan(plan);
 
     const auto msmId =
-        project.createProject("chaos-msm", std::make_unique<core::MsmController>(
-                                               miniMsmParams(seed)));
+        project.createProject({.name = "chaos-msm"},
+                              std::make_unique<core::MsmController>(
+                                  miniMsmParams(seed)));
     const auto barId =
-        project.createProject("chaos-bar", std::make_unique<core::BarController>(
-                                               miniBarParams(seed)));
+        project.createProject({.name = "chaos-bar"},
+                              std::make_unique<core::BarController>(
+                                  miniBarParams(seed)));
 
     ChaosRun run;
     run.done = dep.runUntilDone(5e5);
@@ -220,7 +222,7 @@ TEST(Chaos, DuplicateDeliveryIsIdempotent) {
 
     auto ctrl = std::make_unique<FixedController>(5);
     auto* c = ctrl.get();
-    server.createProject("dup", std::move(ctrl));
+    server.createProject({.name = "dup"}, std::move(ctrl));
     ASSERT_TRUE(dep.runUntilDone(1e6));
     EXPECT_EQ(c->results.size(), 5u); // exactly once each
     EXPECT_EQ(server.stats().commandsCompleted, 5u);
@@ -249,7 +251,7 @@ TEST(Chaos, TransientPartitionHeals) {
 
     auto ctrl = std::make_unique<FixedController>(8);
     auto* c = ctrl.get();
-    s0.createProject("partitioned", std::move(ctrl));
+    s0.createProject({.name = "partitioned"}, std::move(ctrl));
     ASSERT_TRUE(dep.runUntilDone(1e6));
     EXPECT_EQ(c->results.size(), 8u);
     EXPECT_GE(dep.network().faultStats().linkCuts, 1u);
@@ -284,7 +286,7 @@ TEST(Chaos, CheckpointHandoffUnderLossyLinks) {
     mp.seed = 17;
     auto controller = std::make_unique<core::MsmController>(mp);
     auto* msm = controller.get();
-    server.createProject("handoff", std::move(controller));
+    server.createProject({.name = "handoff"}, std::move(controller));
 
     core::ExecutableRegistry reg;
     reg.add("mdrun",
@@ -342,7 +344,7 @@ TEST(Chaos, WorkerFailsOverToAlternateServer) {
 
     auto ctrl = std::make_unique<FixedController>(6);
     auto* c = ctrl.get();
-    backup.createProject("failover", std::move(ctrl));
+    backup.createProject({.name = "failover"}, std::move(ctrl));
     ASSERT_TRUE(dep.runUntilDone(1e6));
     EXPECT_EQ(c->results.size(), 6u);
     EXPECT_GE(worker.stats().serverFailovers, 1u);
@@ -419,7 +421,7 @@ TEST(Chaos, LeaseExpiryRequeueBeatsNewerSamePriorityWork) {
     auto ctrl =
         std::make_unique<LateSubmitController>(std::move(initial), 3);
     auto* c = ctrl.get();
-    project.createProject("lease-order", std::move(ctrl));
+    project.createProject({.name = "lease-order"}, std::move(ctrl));
 
     // G arrives while A's original run is still leased out.
     dep.loop().schedule(60.0, [c] { c->submitLate(echoSpec(2, 2)); });
@@ -457,7 +459,7 @@ TEST(Chaos, LeaseExpiryRequeuesAfterRelayCrash) {
 
     auto ctrl = std::make_unique<FixedController>(3);
     auto* c = ctrl.get();
-    project.createProject("leased", std::move(ctrl));
+    project.createProject({.name = "leased"}, std::move(ctrl));
     ASSERT_TRUE(dep.runUntilDone(1e6));
     EXPECT_EQ(c->results.size(), 3u);
     EXPECT_GE(project.stats().leasesExpired, 1u);

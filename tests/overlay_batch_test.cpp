@@ -272,7 +272,7 @@ TEST(OverlayBatch, DeploymentCompletesIdenticallyBatchedAndUnbatched) {
         });
         dep.addWorker("w0", server, wc, std::move(reg),
                       links::intraCluster());
-        server.createProject("p", std::make_unique<Fixed>(12));
+        server.createProject({.name = "p"}, std::make_unique<Fixed>(12));
         const bool done = dep.runUntilDone(1e6);
         return std::pair(done, server.stats().commandsCompleted);
     };

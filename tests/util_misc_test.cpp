@@ -9,6 +9,7 @@
 
 #include "util/cli.hpp"
 #include "util/histogram.hpp"
+#include "util/logging.hpp"
 #include "util/serialize.hpp"
 #include "util/string_util.hpp"
 #include "util/table.hpp"
@@ -167,6 +168,29 @@ TEST(ThreadPool, ChunkedCoversRange) {
         total += s;
     });
     EXPECT_EQ(total.load(), (109 * 110 - 9 * 10) / 2);
+}
+
+TEST(Logging, DisabledLinesEvaluateNothing) {
+    auto& logger = Logger::instance();
+    const LogLevel saved = logger.level();
+    int evaluated = 0;
+    const auto touch = [&] { return ++evaluated; };
+
+    logger.setLevel(LogLevel::Warn);
+    COP_LOG_DEBUG("test") << touch();
+    if (evaluated == 0)
+        COP_LOG_INFO("test") << touch();
+    else
+        ADD_FAILURE() << "a disabled line evaluated its arguments";
+    EXPECT_EQ(evaluated, 0);
+
+    // Muted warnings are still built, so warningCount() sees them.
+    logger.setLevel(LogLevel::Off);
+    const std::size_t warnings = logger.warningCount();
+    COP_LOG_WARN("test") << touch();
+    EXPECT_EQ(evaluated, 1);
+    EXPECT_EQ(logger.warningCount(), warnings + 1);
+    logger.setLevel(saved);
 }
 
 TEST(Serialize, RoundTripScalarsAndStrings) {

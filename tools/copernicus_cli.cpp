@@ -73,7 +73,7 @@ int cmdFold(const CliArgs& args) {
     mp.seed = std::uint64_t(args.getInt("seed", 2011));
     auto controller = std::make_unique<core::MsmController>(mp);
     auto* msm = controller.get();
-    server.createProject("msm_villin", std::move(controller));
+    server.createProject({.name = "msm_villin"}, std::move(controller));
 
     std::printf("folding: %ld starts x %ld tasks, %ld generations, "
                 "%ld workers\n",
@@ -137,7 +137,7 @@ int cmdBar(const CliArgs& args) {
     bp.seed = std::uint64_t(args.getInt("seed", 1976));
     auto controller = std::make_unique<core::BarController>(bp);
     auto* barCtrl = controller.get();
-    server.createProject("free_energy", std::move(controller));
+    server.createProject({.name = "free_energy"}, std::move(controller));
     const bool done = dep.runUntilDone(1e12);
     const auto& est = *barCtrl->estimate();
     std::printf("deltaF = %.4f +/- %.4f kT after %d rounds (analytic "
