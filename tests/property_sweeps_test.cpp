@@ -136,16 +136,21 @@ INSTANTIATE_TEST_SUITE_P(Ks, ClusterCountSweep,
 
 // --- All estimators produce valid stochastic matrices across seeds ------
 
+// gtest names each case by dumping the parameter's bytes, so the gap
+// between `kind` and `seed` is an explicit zero field: left as padding it
+// held stack garbage and the test names changed from run to run.
 struct EstimatorSeed {
     msm::EstimatorKind kind;
+    std::uint32_t zero = 0;
     std::uint64_t seed;
 };
+static_assert(sizeof(EstimatorSeed) == 16, "EstimatorSeed has no padding");
 
 class EstimatorSweep : public ::testing::TestWithParam<EstimatorSeed> {};
 
 TEST_P(EstimatorSweep, RowsStochasticOnRandomData) {
-    const auto [kind, seed] = GetParam();
-    Rng rng(seed);
+    const EstimatorSeed& param = GetParam();
+    Rng rng(param.seed);
     std::vector<msm::DiscreteTrajectory> trajs;
     for (int t = 0; t < 20; ++t) {
         msm::DiscreteTrajectory traj;
@@ -157,7 +162,7 @@ TEST_P(EstimatorSweep, RowsStochasticOnRandomData) {
         trajs.push_back(std::move(traj));
     }
     msm::MarkovModelParams p;
-    p.estimator = kind;
+    p.estimator = param.kind;
     const auto m = msm::MarkovStateModel::fromTrajectories(trajs, 12, p);
     for (std::size_t i = 0; i < m.numStates(); ++i) {
         double row = 0.0;
@@ -176,12 +181,12 @@ TEST_P(EstimatorSweep, RowsStochasticOnRandomData) {
 INSTANTIATE_TEST_SUITE_P(
     Estimators, EstimatorSweep,
     ::testing::Values(
-        EstimatorSeed{msm::EstimatorKind::RowNormalized, 1},
-        EstimatorSeed{msm::EstimatorKind::RowNormalized, 2},
-        EstimatorSeed{msm::EstimatorKind::Symmetrized, 1},
-        EstimatorSeed{msm::EstimatorKind::Symmetrized, 2},
-        EstimatorSeed{msm::EstimatorKind::ReversibleMle, 1},
-        EstimatorSeed{msm::EstimatorKind::ReversibleMle, 2}));
+        EstimatorSeed{.kind = msm::EstimatorKind::RowNormalized, .seed = 1},
+        EstimatorSeed{.kind = msm::EstimatorKind::RowNormalized, .seed = 2},
+        EstimatorSeed{.kind = msm::EstimatorKind::Symmetrized, .seed = 1},
+        EstimatorSeed{.kind = msm::EstimatorKind::Symmetrized, .seed = 2},
+        EstimatorSeed{.kind = msm::EstimatorKind::ReversibleMle, .seed = 1},
+        EstimatorSeed{.kind = msm::EstimatorKind::ReversibleMle, .seed = 2}));
 
 // --- BAR accuracy across overlap regimes --------------------------------
 
