@@ -8,9 +8,10 @@
 ///    follow-up WorkloadRequest) complete in the same event-loop tick and
 ///    coalesce into single Batch frames. A mild seeded fault plan keeps
 ///    the reliability machinery honest. The headline is sustained
-///    wall-clock commands/sec: every wire frame pays host-side routing
-///    (per-hop Dijkstra), scheduling and allocation, so cutting frames
-///    ~5x shows up directly as throughput.
+///    wall-clock commands/sec: every wire frame pays host-side per-hop
+///    forwarding (a memoized route lookup), event scheduling and
+///    allocation, so cutting frames ~5x shows up as throughput, though
+///    modestly now that routes are not recomputed per hop.
 ///
 ///  - "sparse": an open-loop trickle. Long commands on single-core
 ///    workers plus a wide-area client pinging project status every few

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <functional>
 #include <limits>
-#include <queue>
 
 #include "util/logging.hpp"
 #include "util/random.hpp"
@@ -91,16 +91,17 @@ OverlayNetwork::OverlayNetwork(EventLoop& loop) : loop_(&loop) {}
 
 NodeId OverlayNetwork::registerNode(Node& node) {
     nodes_.push_back(&node);
+    adjacency_.emplace_back();
     return NodeId(nodes_.size() - 1);
 }
 
 Node& OverlayNetwork::node(NodeId id) {
-    COP_REQUIRE(id >= 0 && std::size_t(id) < nodes_.size(), "bad node id");
+    COP_REQUIRE(registered(id), "bad node id");
     return *nodes_[std::size_t(id)];
 }
 
 const Node& OverlayNetwork::node(NodeId id) const {
-    COP_REQUIRE(id >= 0 && std::size_t(id) < nodes_.size(), "bad node id");
+    COP_REQUIRE(registered(id), "bad node id");
     return *nodes_[std::size_t(id)];
 }
 
@@ -118,18 +119,18 @@ void OverlayNetwork::connect(NodeId a, NodeId b, LinkProperties props) {
     const auto key = keyOf(a, b);
     COP_REQUIRE(links_.find(key) == links_.end(), "link already exists");
     links_[key] = Link{props, {}};
-    adjacency_[a].push_back(b);
-    adjacency_[b].push_back(a);
+    adjacency_[std::size_t(a)].push_back(b);
+    adjacency_[std::size_t(b)].push_back(a);
+    invalidateRoutes();
 }
 
 bool OverlayNetwork::connected(NodeId a, NodeId b) const {
     return links_.find(keyOf(a, b)) != links_.end();
 }
 
-std::vector<NodeId> OverlayNetwork::neighbors(NodeId id) const {
-    auto it = adjacency_.find(id);
-    if (it == adjacency_.end()) return {};
-    return it->second;
+const std::vector<NodeId>& OverlayNetwork::neighbors(NodeId id) const {
+    static const std::vector<NodeId> kNone;
+    return registered(id) ? adjacency_[std::size_t(id)] : kNone;
 }
 
 bool OverlayNetwork::nodeUp(NodeId id) const {
@@ -145,37 +146,62 @@ bool OverlayNetwork::linkUsable(NodeId a, NodeId b) const {
 }
 
 NodeId OverlayNetwork::nextHop(NodeId from, NodeId to) const {
+    // Range first: ids off the wire must neither index past the tables nor
+    // grow the memo.
+    if (!registered(from) || !registered(to)) return kInvalidNode;
     if (from == to) return to;
     if (!nodeUp(from) || !nodeUp(to)) return kInvalidNode;
-    // Dijkstra from `from` by total latency over usable links; return the
-    // first hop of the best path. Networks are tiny (paper: "no more than
-    // a handful of servers"), so recomputing per call is simpler than
-    // caching — and stays correct as links cut and heal.
-    const std::size_t n = nodes_.size();
-    std::vector<double> dist(n, std::numeric_limits<double>::infinity());
-    std::vector<NodeId> firstHop(n, kInvalidNode);
-    using QE = std::pair<double, NodeId>;
-    std::priority_queue<QE, std::vector<QE>, std::greater<>> pq;
-    dist[std::size_t(from)] = 0.0;
-    pq.push({0.0, from});
-    while (!pq.empty()) {
-        const auto [d, u] = pq.top();
-        pq.pop();
+    const std::uint64_t key = (std::uint64_t(std::uint32_t(from)) << 32) |
+                              std::uint32_t(to);
+    const auto [it, miss] = routes_.try_emplace(key, kInvalidNode);
+    if (miss) it->second = shortestPathFirstHop(from, to);
+    return it->second;
+}
+
+NodeId OverlayNetwork::shortestPathFirstHop(NodeId from, NodeId to) const {
+    // Dijkstra from `from` by total latency over usable links, stopping
+    // once `to` is settled; returns the first hop of the best path.
+    auto& [dist, firstHop, touched, heap] = routeScratch_;
+    if (dist.size() < nodes_.size()) {
+        dist.resize(nodes_.size(), std::numeric_limits<double>::infinity());
+        firstHop.resize(nodes_.size(), kInvalidNode);
+    }
+    const auto relax = [&](NodeId v, double d, NodeId hop) {
+        if (dist[std::size_t(v)] == std::numeric_limits<double>::infinity())
+            touched.push_back(v);
+        dist[std::size_t(v)] = d;
+        firstHop[std::size_t(v)] = hop;
+        heap.emplace_back(d, v);
+        std::push_heap(heap.begin(), heap.end(), std::greater<>{});
+    };
+    relax(from, 0.0, kInvalidNode);
+    while (!heap.empty()) {
+        std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
+        const auto [d, u] = heap.back();
+        heap.pop_back();
         if (d > dist[std::size_t(u)]) continue;
         if (u == to) break;
-        for (NodeId v : neighbors(u)) {
+        for (NodeId v : adjacency_[std::size_t(u)]) {
             if (!linkUsable(u, v)) continue;
-            const auto& link = links_.at(keyOf(u, v));
-            const double nd = d + link.props.latency;
-            if (nd < dist[std::size_t(v)]) {
-                dist[std::size_t(v)] = nd;
-                firstHop[std::size_t(v)] =
-                    (u == from) ? v : firstHop[std::size_t(u)];
-                pq.push({nd, v});
-            }
+            const double nd = d + links_.at(keyOf(u, v)).props.latency;
+            if (nd < dist[std::size_t(v)])
+                relax(v, nd, u == from ? v : firstHop[std::size_t(u)]);
         }
     }
-    return firstHop[std::size_t(to)];
+    const NodeId hop = firstHop[std::size_t(to)];
+    for (NodeId v : touched) {
+        dist[std::size_t(v)] = std::numeric_limits<double>::infinity();
+        firstHop[std::size_t(v)] = kInvalidNode;
+    }
+    touched.clear();
+    heap.clear();
+    return hop;
+}
+
+void OverlayNetwork::invalidateRoutes() {
+    // clear() on an empty table still sweeps its buckets; partitions call
+    // this once per crossing link.
+    if (!routes_.empty()) routes_.clear();
 }
 
 void OverlayNetwork::send(Message msg) {
@@ -320,6 +346,7 @@ void OverlayNetwork::setFaultPlan(const FaultPlan& plan) {
 void OverlayNetwork::cutLink(NodeId a, NodeId b) {
     COP_REQUIRE(connected(a, b), "cannot cut a link that does not exist");
     ++downLinks_[keyOf(a, b)];
+    invalidateRoutes();
     ++faultStats_.linkCuts;
     traceEvent(kTraceLinkDown, std::uint64_t(a), std::uint64_t(b), 0);
 }
@@ -328,6 +355,7 @@ void OverlayNetwork::healLink(NodeId a, NodeId b) {
     auto it = downLinks_.find(keyOf(a, b));
     COP_REQUIRE(it != downLinks_.end() && it->second > 0, "link is not cut");
     if (--it->second == 0) downLinks_.erase(it);
+    invalidateRoutes();
     traceEvent(kTraceLinkUp, std::uint64_t(a), std::uint64_t(b), 0);
 }
 
@@ -346,8 +374,9 @@ void OverlayNetwork::applyPartition(const std::vector<NodeId>& island,
 }
 
 void OverlayNetwork::crashNode(NodeId id) {
-    COP_REQUIRE(id >= 0 && std::size_t(id) < nodes_.size(), "bad node id");
+    COP_REQUIRE(registered(id), "bad node id");
     ++downNodes_[id];
+    invalidateRoutes();
     ++faultStats_.crashes;
     traceEvent(kTraceNodeDown, std::uint64_t(id), 0, 0);
 }
@@ -356,6 +385,7 @@ void OverlayNetwork::restoreNode(NodeId id) {
     auto it = downNodes_.find(id);
     COP_REQUIRE(it != downNodes_.end() && it->second > 0, "node is not down");
     if (--it->second == 0) downNodes_.erase(it);
+    invalidateRoutes();
     traceEvent(kTraceNodeUp, std::uint64_t(id), 0, 0);
 }
 
@@ -370,6 +400,13 @@ void OverlayNetwork::traceEvent(std::uint64_t kind, std::uint64_t a,
     mix(a);
     mix(b);
     mix(c);
+}
+
+const LinkProperties& OverlayNetwork::linkProperties(NodeId a,
+                                                     NodeId b) const {
+    auto it = links_.find(keyOf(a, b));
+    COP_REQUIRE(it != links_.end(), "no such link");
+    return it->second.props;
 }
 
 const LinkStats& OverlayNetwork::linkStats(NodeId a, NodeId b) const {

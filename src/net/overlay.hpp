@@ -21,6 +21,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "net/event_loop.hpp"
@@ -127,13 +128,20 @@ public:
     /// a dead-letter event — routing failures are observable, not aborts.
     void send(Message msg);
 
-    /// Next-hop routing table entry from `from` towards `to` (lowest total
-    /// latency over *usable* links, Dijkstra); kInvalidNode if unreachable.
+    /// First hop from `from` towards `to` on the lowest-total-latency path
+    /// over *usable* links (Dijkstra; of equal-latency paths, the one found
+    /// first when ties pop in node-id order). kInvalidNode if unreachable,
+    /// if either end is down, or if either id is not a registered node.
+    /// Routes are memoized per (from, to) pair and the memo is cleared by
+    /// every mutator that can change a route (connect, cutLink, healLink,
+    /// crashNode, restoreNode), so a lookup always equals a fresh Dijkstra
+    /// over the current topology; only the pairs actually routed are kept.
     NodeId nextHop(NodeId from, NodeId to) const;
 
-    /// Neighbours of `id`.
-    std::vector<NodeId> neighbors(NodeId id) const;
+    /// Neighbours of `id` (empty for an unregistered id).
+    const std::vector<NodeId>& neighbors(NodeId id) const;
 
+    const LinkProperties& linkProperties(NodeId a, NodeId b) const;
     const LinkStats& linkStats(NodeId a, NodeId b) const;
     /// Sum of traffic over all links touching `id`.
     LinkStats nodeStats(NodeId id) const;
@@ -184,6 +192,13 @@ private:
         return a < b ? LinkKey{a, b} : LinkKey{b, a};
     }
 
+    bool registered(NodeId id) const {
+        return id >= 0 && std::size_t(id) < nodes_.size();
+    }
+    /// Early-exit Dijkstra behind nextHop's memo; reuses routeScratch_.
+    NodeId shortestPathFirstHop(NodeId from, NodeId to) const;
+    /// Forgets every memoized route; called by each topology mutator.
+    void invalidateRoutes();
     void forward(Message msg, NodeId at);
     void deadLetter(const Message& msg, DeadLetterReason reason);
     const FaultProfile& profileFor(const LinkKey& key) const;
@@ -194,8 +209,23 @@ private:
     EventLoop* loop_;
     std::vector<Node*> nodes_;
     std::map<LinkKey, Link> links_;
-    std::map<NodeId, std::vector<NodeId>> adjacency_;
+    std::vector<std::vector<NodeId>> adjacency_; ///< indexed by NodeId
     std::uint64_t nextMessageId_ = 1;
+
+    /// (from << 32 | to) -> first hop, for the pairs routed since the last
+    /// topology change. Mutable, so const nextHop is no more safe to call
+    /// concurrently than the rest of the (event-loop-only) network.
+    mutable std::unordered_map<std::uint64_t, NodeId> routes_;
+    /// Dijkstra working set, kept across misses so that a miss does not
+    /// allocate once it has warmed up. `touched` lists the entries to
+    /// reset after each run.
+    struct RouteScratch {
+        std::vector<double> dist;
+        std::vector<NodeId> firstHop;
+        std::vector<NodeId> touched;
+        std::vector<std::pair<double, NodeId>> heap;
+    };
+    mutable RouteScratch routeScratch_;
 
     FaultPlan plan_;
     bool planActive_ = false;

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <string>
 
@@ -205,6 +206,93 @@ TEST(Chaos, TraceDeterministicUnderSeed) {
     EXPECT_EQ(a1.faultStats.deadLetters, a2.faultStats.deadLetters);
     const auto b = runChaosDeployment(8);
     EXPECT_NE(a1.traceHash, b.traceHash);
+}
+
+/// Multi-hop routing under every fault kind. Four servers form a diamond
+/// of equal-latency links (project -> relayA|relayB -> edge), so the
+/// project <-> edge route is a latency tie that the tie-break decides;
+/// workers hang off the edge and both relays. The plan drops, duplicates
+/// and reorders everywhere, cuts one diamond edge for a while, partitions
+/// relayB's side off, and crashes and restarts the edge server. The
+/// executables are synthetic (no MD), so the trace depends on routing,
+/// fault injection and the control plane alone.
+struct GoldenRouteRun {
+    bool done = false;
+    std::uint64_t traceHash = 0;
+    net::FaultStats faultStats;
+    net::LinkStats viaA;
+    net::LinkStats viaB;
+};
+
+GoldenRouteRun runGoldenRouteScenario() {
+    core::Deployment dep(1976);
+    core::ServerConfig sc;
+    sc.heartbeatInterval = 30.0;
+    auto& project = dep.addServer("project", sc);
+    auto& relayA = dep.addServer("relayA", sc);
+    auto& relayB = dep.addServer("relayB", sc);
+    auto& edge = dep.addServer("edge", sc);
+    dep.connectServers(project, relayA, core::links::dataCenter());
+    dep.connectServers(project, relayB, core::links::dataCenter());
+    dep.connectServers(relayA, edge, core::links::dataCenter());
+    dep.connectServers(relayB, edge, core::links::dataCenter());
+
+    core::WorkerConfig wc;
+    wc.heartbeatInterval = 30.0;
+    std::vector<net::NodeId> relayBSide{relayB.id()};
+    for (int w = 0; w < 6; ++w) {
+        auto& home = w < 3 ? edge : (w < 5 ? relayA : relayB);
+        auto& worker =
+            dep.addWorker("w" + std::to_string(w), home, wc,
+                          echoRegistry(20.0), core::links::intraCluster());
+        if (&home == &relayB) relayBSide.push_back(worker.id());
+    }
+
+    net::FaultPlan plan;
+    plan.seed = 1976;
+    plan.defaultProfile.dropProbability = 0.05;
+    plan.defaultProfile.duplicateProbability = 0.05;
+    plan.defaultProfile.reorderProbability = 0.1;
+    plan.cutLink(project.id(), relayA.id(), 20.0, 60.0);
+    plan.partition(relayBSide, 70.0, 110.0);
+    plan.crashNode(edge.id(), 120.0, 170.0);
+    dep.setFaultPlan(plan);
+
+    project.createProject({.name = "golden-route"},
+                          std::make_unique<FixedController>(60));
+
+    GoldenRouteRun run;
+    run.done = dep.runUntilDone(1e6);
+    run.traceHash = dep.network().traceHash();
+    run.faultStats = dep.network().faultStats();
+    run.viaA = dep.network().linkStats(relayA.id(), edge.id());
+    run.viaB = dep.network().linkStats(relayB.id(), edge.id());
+    return run;
+}
+
+/// The whole delivery/fault trace of the scenario above, pinned. Routing
+/// is part of the trace (every hop's link picks the chaos draws and the
+/// delivery times), so a routing change that is not bit-identical —
+/// another tie-break, a stale route after a cut, heal, crash or restart —
+/// fails here.
+TEST(Chaos, GoldenMultiHopTraceHashIsPinned) {
+    const auto run = runGoldenRouteScenario();
+    EXPECT_TRUE(run.done);
+    // The scenario really exercises what the pin is meant to cover.
+    EXPECT_GT(run.faultStats.dropped, 0u);
+    EXPECT_GT(run.faultStats.duplicated, 0u);
+    EXPECT_GT(run.faultStats.delayed, 0u);
+    EXPECT_GT(run.faultStats.deadLetters, 0u);
+    EXPECT_GE(run.faultStats.linkCuts, 3u); // the timed cut + the partition
+    EXPECT_EQ(run.faultStats.crashes, 1u);
+    // The tie-break sends project <-> edge traffic via relayA; the cut
+    // moves it onto relayB for a while.
+    EXPECT_GT(run.viaA.messages, 0u);
+    EXPECT_GT(run.viaB.messages, 0u);
+    char hex[32];
+    std::snprintf(hex, sizeof hex, "0x%016llx",
+                  static_cast<unsigned long long>(run.traceHash));
+    EXPECT_EQ(run.traceHash, 0xb30e43d68237304dull) << "trace hash is " << hex;
 }
 
 TEST(Chaos, DuplicateDeliveryIsIdempotent) {

@@ -4,11 +4,18 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
+#include <memory>
+#include <numeric>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "net/backoff.hpp"
 #include "net/event_loop.hpp"
 #include "net/fault.hpp"
 #include "net/overlay.hpp"
+#include "support/route_oracle.hpp"
 #include "util/random.hpp"
 
 namespace cop::net {
@@ -121,34 +128,44 @@ TEST(Overlay, DirectDeliveryWithLatency) {
     EXPECT_NEAR(deliveredAt, 0.5 + 196.0 / 1e6, 1e-9);
 }
 
-TEST(Overlay, MultiHopRoutingTakesLowestLatencyPath) {
-    // a - b - d (fast), a - c - d (slow): message a->d goes via b.
+/// a - b - d (fast, 0.02 s) and a - c - d (slow, 2 s). The memo tests
+/// query a -> d first, so the route is memoized before the topology
+/// changes under it.
+struct Diamond {
     TestNet t;
-    Node a = t.makeNode("a", 1), b = t.makeNode("b", 2),
-         c = t.makeNode("c", 3), d = t.makeNode("d", 4);
-    mutualTrust(a, b);
-    mutualTrust(a, c);
-    mutualTrust(b, d);
-    mutualTrust(c, d);
-    t.net.connect(a.id(), b.id(), LinkProperties{0.01, 1e9});
-    t.net.connect(b.id(), d.id(), LinkProperties{0.01, 1e9});
-    t.net.connect(a.id(), c.id(), LinkProperties{1.0, 1e9});
-    t.net.connect(c.id(), d.id(), LinkProperties{1.0, 1e9});
+    Node a = t.makeNode("a", 1);
+    Node b = t.makeNode("b", 2);
+    Node c = t.makeNode("c", 3);
+    Node d = t.makeNode("d", 4);
 
-    EXPECT_EQ(t.net.nextHop(a.id(), d.id()), b.id());
+    Diamond() {
+        for (Node* x : {&a, &b, &c, &d})
+            for (Node* y : {&a, &b, &c, &d})
+                if (x != y) x->trust(y->publicKey());
+        t.net.connect(a.id(), b.id(), LinkProperties{0.01, 1e9});
+        t.net.connect(b.id(), d.id(), LinkProperties{0.01, 1e9});
+        t.net.connect(a.id(), c.id(), LinkProperties{1.0, 1e9});
+        t.net.connect(c.id(), d.id(), LinkProperties{1.0, 1e9});
+    }
+    NodeId route() const { return t.net.nextHop(a.id(), d.id()); }
+};
+
+TEST(Overlay, MultiHopRoutingTakesLowestLatencyPath) {
+    Diamond g;
+    EXPECT_EQ(g.route(), g.b.id());
 
     int delivered = 0;
-    d.setHandler([&](const Message&) { ++delivered; });
+    g.d.setHandler([&](const Message&) { ++delivered; });
     Message msg;
-    msg.source = a.id();
-    msg.destination = d.id();
-    t.net.send(msg);
-    t.loop.run();
+    msg.source = g.a.id();
+    msg.destination = g.d.id();
+    g.t.net.send(msg);
+    g.t.loop.run();
     EXPECT_EQ(delivered, 1);
     // Traffic accounted on both hops of the fast path, none on the slow.
-    EXPECT_EQ(t.net.linkStats(a.id(), b.id()).messages, 1u);
-    EXPECT_EQ(t.net.linkStats(b.id(), d.id()).messages, 1u);
-    EXPECT_EQ(t.net.linkStats(a.id(), c.id()).messages, 0u);
+    EXPECT_EQ(g.t.net.linkStats(g.a.id(), g.b.id()).messages, 1u);
+    EXPECT_EQ(g.t.net.linkStats(g.b.id(), g.d.id()).messages, 1u);
+    EXPECT_EQ(g.t.net.linkStats(g.a.id(), g.c.id()).messages, 0u);
 }
 
 TEST(Overlay, UnreachableDestinationDeadLetters) {
@@ -170,6 +187,236 @@ TEST(Overlay, UnreachableDestinationDeadLetters) {
     bad.source = a.id();
     bad.destination = kInvalidNode;
     EXPECT_THROW(t.net.send(bad), cop::InvalidArgument);
+}
+
+TEST(Overlay, UnregisteredDestinationDeadLetters) {
+    // Destinations can come off the wire (a relayed CommandOutput names
+    // its project server): an id that is not a registered node is a
+    // routing failure, never an out-of-bounds read.
+    TestNet t;
+    Node a = t.makeNode("a", 1);
+    Node b = t.makeNode("b", 2);
+    mutualTrust(a, b);
+    t.net.connect(a.id(), b.id(), {});
+    std::vector<DeadLetterReason> reasons;
+    t.net.setDeadLetterHandler(
+        [&](const Message&, DeadLetterReason r) { reasons.push_back(r); });
+    for (NodeId hostile : {NodeId(999), NodeId(-5)}) {
+        Message msg;
+        msg.source = a.id();
+        msg.destination = hostile;
+        EXPECT_NO_THROW(t.net.send(msg));
+        EXPECT_EQ(t.net.nextHop(a.id(), hostile), kInvalidNode);
+        EXPECT_EQ(t.net.nextHop(hostile, a.id()), kInvalidNode);
+    }
+    t.loop.run();
+    EXPECT_EQ(reasons, (std::vector<DeadLetterReason>{
+                           DeadLetterReason::NoRoute,
+                           DeadLetterReason::NoRoute}));
+    EXPECT_EQ(t.net.linkStats(a.id(), b.id()).messages, 0u);
+}
+
+TEST(Overlay, MemoizedRouteFollowsLinkCutAndHeal) {
+    Diamond g;
+    EXPECT_EQ(g.route(), g.b.id());
+    g.t.net.cutLink(g.a.id(), g.b.id());
+    EXPECT_EQ(g.route(), g.c.id());
+    g.t.net.healLink(g.a.id(), g.b.id());
+    EXPECT_EQ(g.route(), g.b.id());
+}
+
+TEST(Overlay, MemoizedRouteFollowsPartitionAndHeal) {
+    Diamond g;
+    EXPECT_EQ(g.route(), g.b.id());
+    FaultPlan plan;
+    plan.partition({g.b.id()}, /*at=*/1.0, /*heal=*/2.0);
+    g.t.net.setFaultPlan(plan);
+    g.t.loop.runUntil(1.5);
+    EXPECT_EQ(g.route(), g.c.id());
+    g.t.loop.runUntil(2.5);
+    EXPECT_EQ(g.route(), g.b.id());
+}
+
+TEST(Overlay, MemoizedRouteFollowsRelayCrashAndRestore) {
+    Diamond g;
+    EXPECT_EQ(g.route(), g.b.id());
+    g.t.net.crashNode(g.b.id());
+    EXPECT_EQ(g.route(), g.c.id());
+    g.t.net.crashNode(g.c.id()); // both relays down: no route at all
+    EXPECT_EQ(g.route(), kInvalidNode);
+    g.t.net.restoreNode(g.c.id());
+    EXPECT_EQ(g.route(), g.c.id());
+    g.t.net.restoreNode(g.b.id());
+    EXPECT_EQ(g.route(), g.b.id());
+}
+
+TEST(Overlay, MemoizedRouteTakesNewShortcut) {
+    Diamond g;
+    EXPECT_EQ(g.route(), g.b.id());
+    EXPECT_EQ(g.t.net.nextHop(g.c.id(), g.b.id()), g.a.id());
+    g.t.net.connect(g.a.id(), g.d.id(), LinkProperties{0.001, 1e9});
+    EXPECT_EQ(g.route(), g.d.id());
+    g.t.net.connect(g.c.id(), g.b.id(), LinkProperties{0.5, 1e9});
+    EXPECT_EQ(g.t.net.nextHop(g.c.id(), g.b.id()), g.b.id());
+}
+
+std::uint64_t envU64(const char* name, std::uint64_t fallback) {
+    const char* v = std::getenv(name);
+    return v != nullptr ? std::strtoull(v, nullptr, 10) : fallback;
+}
+
+/// Totals over a property sweep, so the sweep can show it was not
+/// vacuous.
+struct RouteSweepTally {
+    std::uint64_t queries = 0;
+    std::uint64_t multiHop = 0;    ///< routes whose first hop != destination
+    std::uint64_t unreachable = 0; ///< kInvalidNode answers
+    std::uint64_t changed = 0;     ///< answers that differ from the last step
+};
+
+/// One seeded random overlay: integer latencies from a small set (so
+/// equal-latency paths are common and the tie-break is exercised), a
+/// fault plan of timed cuts, partitions and a crash, and random direct
+/// mutations interleaved with queries of every (from, to) pair in random
+/// order. Every answer must equal the uncached reference router's.
+void checkRoutesAgainstReference(std::uint64_t seed, RouteSweepTally& tally) {
+    Rng rng(seed);
+    EventLoop loop;
+    OverlayNetwork net(loop);
+    const int n = 4 + int(rng.uniformInt(10));
+    std::vector<std::unique_ptr<Node>> nodes;
+    for (int i = 0; i < n; ++i)
+        nodes.push_back(std::make_unique<Node>(
+            net, "n" + std::to_string(i), KeyPair::generate(seed * 64 + i)));
+    for (auto& x : nodes)
+        for (auto& y : nodes)
+            if (x != y) x->trust(y->publicKey());
+
+    const double latencies[] = {1.0, 1.0, 2.0, 3.0};
+    std::vector<std::pair<NodeId, NodeId>> links;
+    std::vector<std::pair<NodeId, NodeId>> unlinked;
+    for (NodeId a = 0; a < n; ++a)
+        for (NodeId b = a + 1; b < n; ++b)
+            (rng.uniform() < 0.35 ? links : unlinked).emplace_back(a, b);
+    const auto connect = [&](std::pair<NodeId, NodeId> link) {
+        net.connect(link.first, link.second,
+                    LinkProperties{latencies[rng.uniformInt(4)], 1e9});
+    };
+    for (const auto& link : links) connect(link);
+
+    FaultPlan plan;
+    plan.seed = seed;
+    const auto randomNode = [&] { return NodeId(rng.uniformInt(n)); };
+    for (int k = 0; k < 3; ++k) {
+        const double at = rng.uniform(0.0, 60.0);
+        std::vector<NodeId> island;
+        for (NodeId v = 0; v < n; ++v)
+            if (rng.uniform() < 0.3) island.push_back(v);
+        plan.partition(island, at, at + rng.uniform(1.0, 20.0));
+    }
+    if (!links.empty()) {
+        const auto& link = links[rng.uniformInt(links.size())];
+        const double at = rng.uniform(0.0, 60.0);
+        plan.cutLink(link.first, link.second, at, at + 15.0);
+    }
+    const double crashAt = rng.uniform(0.0, 60.0);
+    plan.crashNode(randomNode(), crashAt, crashAt + 10.0);
+    net.setFaultPlan(plan);
+    // A partition heals the links crossing its island at heal time, so a
+    // link connected across an island mid-partition would be healed
+    // without having been cut: new links only join nodes that no island
+    // separates.
+    std::erase_if(unlinked, [&](std::pair<NodeId, NodeId> pair) {
+        return std::any_of(
+            plan.partitions.begin(), plan.partitions.end(),
+            [&](const FaultPlan::Partition& p) {
+                const auto in = [&](NodeId v) {
+                    return std::find(p.island.begin(), p.island.end(), v) !=
+                           p.island.end();
+                };
+                return in(pair.first) != in(pair.second);
+            });
+    });
+
+    std::vector<std::pair<NodeId, NodeId>> cut;
+    std::vector<NodeId> crashed;
+    std::vector<NodeId> previous(std::size_t(n * n), kInvalidNode);
+    std::vector<int> order(std::size_t(n * n));
+    std::iota(order.begin(), order.end(), 0);
+    int mismatches = 0;
+    std::string firstMismatch;
+    for (int step = 0; step < 80; ++step) {
+        switch (rng.uniformInt(6)) {
+        case 0:
+            if (!links.empty()) {
+                const auto link = links[rng.uniformInt(links.size())];
+                net.cutLink(link.first, link.second);
+                cut.push_back(link);
+            }
+            break;
+        case 1:
+            if (!cut.empty()) {
+                const std::size_t i = rng.uniformInt(cut.size());
+                net.healLink(cut[i].first, cut[i].second);
+                cut.erase(cut.begin() + std::ptrdiff_t(i));
+            }
+            break;
+        case 2:
+            crashed.push_back(randomNode());
+            net.crashNode(crashed.back());
+            break;
+        case 3:
+            if (!crashed.empty()) {
+                const std::size_t i = rng.uniformInt(crashed.size());
+                net.restoreNode(crashed[i]);
+                crashed.erase(crashed.begin() + std::ptrdiff_t(i));
+            }
+            break;
+        case 4:
+            if (!unlinked.empty()) {
+                const std::size_t i = rng.uniformInt(unlinked.size());
+                connect(unlinked[i]);
+                links.push_back(unlinked[i]);
+                unlinked.erase(unlinked.begin() + std::ptrdiff_t(i));
+            }
+            break;
+        default:
+            loop.runUntil(loop.now() + rng.uniform(0.0, 10.0));
+            break;
+        }
+        std::shuffle(order.begin(), order.end(), rng);
+        for (int k : order) {
+            const NodeId from = k / n, to = k % n;
+            const NodeId got = net.nextHop(from, to);
+            const NodeId want = referenceNextHop(net, from, to);
+            if (got != want && mismatches++ == 0)
+                firstMismatch = "step " + std::to_string(step) + ": " +
+                                std::to_string(from) + " -> " +
+                                std::to_string(to) + " memo " +
+                                std::to_string(got) + ", reference " +
+                                std::to_string(want);
+            ++tally.queries;
+            if (want == kInvalidNode) ++tally.unreachable;
+            else if (want != to) ++tally.multiHop;
+            if (step > 0 && want != previous[std::size_t(k)]) ++tally.changed;
+            previous[std::size_t(k)] = want;
+        }
+    }
+    EXPECT_EQ(mismatches, 0) << "seed " << seed << ", first at "
+                             << firstMismatch;
+}
+
+TEST(RouteOracle, MemoMatchesReferenceUnderRandomTopologyChanges) {
+    // Multi-seed sweep over the chaos seed window; CI shifts it via the
+    // environment.
+    const std::uint64_t base = envU64("COP_CHAOS_SEED_BASE", 1000);
+    const std::uint64_t count = envU64("COP_CHAOS_SEED_COUNT", 20);
+    RouteSweepTally tally;
+    for (std::uint64_t s = 0; s < count; ++s)
+        checkRoutesAgainstReference(base + s, tally);
+    EXPECT_GT(tally.multiHop, 0u);
+    EXPECT_GT(tally.unreachable, 0u);
+    EXPECT_GT(tally.changed, 0u);
 }
 
 TEST(Overlay, StatsAggregation) {
@@ -396,33 +643,22 @@ TEST(Overlay, CrashedNodeDeadLettersUntilRestart) {
 }
 
 TEST(Overlay, RoutesAroundCutLink) {
-    // a - b - d and a - c - d: cutting a-b reroutes via c.
-    TestNet t;
-    Node a = t.makeNode("a", 1), b = t.makeNode("b", 2),
-         c = t.makeNode("c", 3), d = t.makeNode("d", 4);
-    mutualTrust(a, b);
-    mutualTrust(a, c);
-    mutualTrust(b, d);
-    mutualTrust(c, d);
-    t.net.connect(a.id(), b.id(), LinkProperties{0.01, 1e9});
-    t.net.connect(b.id(), d.id(), LinkProperties{0.01, 1e9});
-    t.net.connect(a.id(), c.id(), LinkProperties{1.0, 1e9});
-    t.net.connect(c.id(), d.id(), LinkProperties{1.0, 1e9});
-
-    t.net.cutLink(a.id(), b.id());
-    EXPECT_FALSE(t.net.linkUsable(a.id(), b.id()));
-    EXPECT_EQ(t.net.nextHop(a.id(), d.id()), c.id());
+    // Cutting a-b reroutes a -> d via c.
+    Diamond g;
+    g.t.net.cutLink(g.a.id(), g.b.id());
+    EXPECT_FALSE(g.t.net.linkUsable(g.a.id(), g.b.id()));
+    EXPECT_EQ(g.route(), g.c.id());
 
     int delivered = 0;
-    d.setHandler([&](const Message&) { ++delivered; });
+    g.d.setHandler([&](const Message&) { ++delivered; });
     Message msg;
-    msg.source = a.id();
-    msg.destination = d.id();
-    t.net.send(msg);
-    t.loop.run();
+    msg.source = g.a.id();
+    msg.destination = g.d.id();
+    g.t.net.send(msg);
+    g.t.loop.run();
     EXPECT_EQ(delivered, 1);
-    EXPECT_EQ(t.net.linkStats(a.id(), c.id()).messages, 1u);
-    EXPECT_EQ(t.net.linkStats(a.id(), b.id()).messages, 0u);
+    EXPECT_EQ(g.t.net.linkStats(g.a.id(), g.c.id()).messages, 1u);
+    EXPECT_EQ(g.t.net.linkStats(g.a.id(), g.b.id()).messages, 0u);
 }
 
 TEST(Overlay, TraceHashIsDeterministicUnderSeed) {

@@ -7,12 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <limits>
 #include <new>
 #include <string>
 #include <vector>
 
+#include "core/copernicus.hpp"
 #include "core/envelope.hpp"
 #include "net/event_loop.hpp"
 #include "net/overlay.hpp"
@@ -451,6 +453,41 @@ TEST(WireMalformed, EndpointCountsMalformedDropsAndDeliversNothing) {
     sendRawTo(hb.encode());                 // well-formed still delivers
     EXPECT_EQ(ep.stats().malformedDropped, 2u);
     EXPECT_EQ(delivered, 1);
+}
+
+TEST(WireMalformed, RelayToUnregisteredProjectServerDeadLetters) {
+    // A well-formed CommandOutput for a project this server does not host
+    // is relayed to the project server the payload names. The name comes
+    // off the wire: ids that are not registered nodes must dead-letter at
+    // the overlay (NoRoute), not crash or throw in the relaying server.
+    Deployment dep(5);
+    auto& server = dep.addServer("s0");
+    net::Node rogue(dep.network(), "rogue", net::KeyPair::generate(77));
+    rogue.trust(server.node().publicKey());
+    server.node().trust(rogue.publicKey());
+    dep.network().connect(rogue.id(), server.id(), {});
+    Endpoint ep(dep.network(), rogue);
+
+    std::vector<net::NodeId> deadDestinations;
+    dep.network().setDeadLetterHandler(
+        [&](const net::Message& msg, net::DeadLetterReason reason) {
+            EXPECT_EQ(reason, net::DeadLetterReason::NoRoute);
+            deadDestinations.push_back(msg.destination);
+        });
+    for (net::NodeId hostile : {net::NodeId(999), net::NodeId(-5)}) {
+        CommandOutputPayload out;
+        out.result = sampleResult();
+        out.result.projectId = 12345; // not hosted anywhere
+        out.projectServer = hostile;
+        ep.send(server.id(), out);
+    }
+    EXPECT_NO_THROW(dep.loop().runUntil(600.0));
+    EXPECT_NE(std::find(deadDestinations.begin(), deadDestinations.end(), 999),
+              deadDestinations.end());
+    EXPECT_NE(std::find(deadDestinations.begin(), deadDestinations.end(), -5),
+              deadDestinations.end());
+    for (net::NodeId d : deadDestinations) EXPECT_TRUE(d == 999 || d == -5);
+    EXPECT_EQ(server.stats().commandsCompleted, 0u);
 }
 
 } // namespace
