@@ -358,7 +358,7 @@ WeightedMetrics runWeighted() {
         controllers.push_back(ctrl.get());
         core::ProjectSpec spec;
         spec.name = "tenant" + std::to_string(p);
-        spec.weight = weights[p];
+        spec.tenant.weight = weights[p];
         server.createProject(std::move(spec), std::move(ctrl));
     }
 
@@ -423,8 +423,8 @@ AdmissionMetrics runAdmission() {
     auto* greedy = ctrl.get();
     core::ProjectSpec spec;
     spec.name = "quota";
-    spec.maxPendingCommands = 32;
-    spec.admissionRetryAfter = 7.5;
+    spec.tenant.maxPendingCommands = 32;
+    spec.tenant.admissionRetryAfter = 7.5;
     const auto pid = server.createProject(std::move(spec), std::move(ctrl));
 
     auto& client = dep.addClient("cli", server, core::links::wideArea());

@@ -9,6 +9,11 @@ namespace {
 
 constexpr std::size_t kDedupWindow = 8192;
 
+/// Nagle deadline of a queued ack, the standalone-ack latency bound: a
+/// lone ack flushes in the tick it was generated, pulling any data queued
+/// for the same destination forward with it.
+constexpr double kAckFlushDelay = 0.0;
+
 } // namespace
 
 std::optional<AnyPayload> decodePayload(const net::Message& msg) {
@@ -121,10 +126,9 @@ void Endpoint::enqueue(net::Message msg, bool isAck) {
         flush(dest, FlushReason::Bytes);
         return;
     }
-    // Arm (or tighten) the Nagle timer. Acks may use a shorter deadline —
-    // the standalone-ack latency bound — which pulls any queued data
-    // forward with them; a data envelope never loosens a pending deadline.
-    const double delay = isAck ? batch_.ackFlushDelay : batch_.flushDelay;
+    // Arm (or tighten) the Nagle timer. Acks use the shorter ack deadline;
+    // a data envelope never loosens a pending deadline.
+    const double delay = isAck ? kAckFlushDelay : batch_.flushDelay;
     const double deadline = net_->loop().now() + delay;
     if (q.timer != 0) {
         if (deadline >= q.deadline) return;

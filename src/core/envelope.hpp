@@ -60,16 +60,14 @@ struct RetryPolicy {
 /// destination and flushed as one Batch frame when the queue crosses a
 /// count/size threshold or a short timer fires. Acks (and any other
 /// control payload queued in the same window — LeaseRenew, heartbeats)
-/// piggyback on the next flush instead of paying their own frame; the
-/// separate ack delay bounds ack latency on otherwise idle links (the
-/// default 0 flushes a lone ack in the same event-loop tick it was
-/// generated, so sparse-load ack latency is unchanged).
+/// piggyback on the next flush instead of paying their own frame; a lone
+/// ack is flushed in the same event-loop tick it was generated, so
+/// sparse-load ack latency is unchanged.
 struct BatchPolicy {
     bool enabled = true;
     std::size_t maxEnvelopes = 16;  ///< flush when this many are queued
     std::size_t maxBytes = 16384;   ///< flush when payload bytes exceed this
     double flushDelay = 0.02;       ///< seconds a queued envelope may wait
-    double ackFlushDelay = 0.0;     ///< standalone-ack latency bound
 };
 
 struct EndpointStats {
@@ -131,7 +129,6 @@ public:
     /// retransmit and flush timers are cancelled; queued envelopes die
     /// with the node.
     void shutdown();
-    bool isShutdown() const { return down_; }
 
     /// Crash-and-restart semantics: drops every retransmit entry, queued
     /// envelope and the dedup window (all volatile state a process loses),

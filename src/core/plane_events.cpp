@@ -10,15 +10,13 @@ namespace {
 /// Checkpoint blobs dominate WAL volume, so they ride the log as codec
 /// frames (util::encode). The Stored fallback caps the cost of an
 /// incompressible blob at the 18-byte frame header; decode bounds the
-/// inflation below before allocating.
-constexpr std::size_t kMaxWalBlobBytes = std::size_t(1) << 30;
-
+/// inflation by kMaxBlobBytes before allocating.
 void writeBlob(BinaryWriter& w, const SharedBytes& blob) {
     w.writeBytes(util::encode(blob).frame);
 }
 
 SharedBytes readBlob(BinaryReader& r) {
-    return SharedBytes(util::decode(r.readBytes(), kMaxWalBlobBytes));
+    return SharedBytes(util::decode(r.readBytes(), kMaxBlobBytes));
 }
 
 void writeIds(BinaryWriter& w, std::span<const CommandId> ids) {

@@ -224,26 +224,6 @@ void CommandQueue::updateCheckpoint(CommandId id, SharedBytes checkpoint) {
     }
 }
 
-void CommandQueue::updateCheckpoint(
-    CommandId id, const std::vector<std::uint8_t>& checkpoint) {
-    auto it = inFlight_.find(id);
-    if (it == inFlight_.end()) {
-        ++stats_.checkpointsUnknownId;
-        COP_LOG_DEBUG("queue")
-            << "dropping checkpoint for unknown command " << id << " ("
-            << checkpoint.size() << " bytes): not in flight";
-        return;
-    }
-    ++stats_.checkpointUpdates;
-    ++stats_.checkpointDeepCopies;
-    if (vault_ != nullptr) {
-        vault_->stash(id, SharedBytes(checkpoint));
-        it->second.spec.input = SharedBytes{};
-    } else {
-        it->second.spec.input = SharedBytes(checkpoint);
-    }
-}
-
 std::optional<net::NodeId> CommandQueue::holderOf(CommandId id) const {
     auto it = inFlight_.find(id);
     if (it == inFlight_.end()) return std::nullopt;
@@ -289,7 +269,6 @@ void CommandQueue::serialize(BinaryWriter& w) const {
     w.write(stats_.hasWorkProbes);
     w.write(stats_.checkpointUpdates);
     w.write(stats_.checkpointBytesShared);
-    w.write(stats_.checkpointDeepCopies);
     w.write(stats_.checkpointsUnknownId);
 }
 
@@ -326,7 +305,6 @@ void CommandQueue::restore(BinaryReader& r) {
     stats_.hasWorkProbes = r.read<std::uint64_t>();
     stats_.checkpointUpdates = r.read<std::uint64_t>();
     stats_.checkpointBytesShared = r.read<std::uint64_t>();
-    stats_.checkpointDeepCopies = r.read<std::uint64_t>();
     stats_.checkpointsUnknownId = r.read<std::uint64_t>();
 }
 

@@ -57,9 +57,6 @@ struct SchedulerStats {
     std::uint64_t checkpointUpdates = 0;
     /// Payload bytes adopted by reference instead of duplicated.
     std::uint64_t checkpointBytesShared = 0;
-    /// Payload buffers the queue had to deep-copy. Stays 0 on the
-    /// heartbeat -> checkpoint -> lease-renew path; asserted in tests.
-    std::uint64_t checkpointDeepCopies = 0;
     /// Checkpoints dropped because the command is not in flight.
     std::uint64_t checkpointsUnknownId = 0;
 };
@@ -108,11 +105,6 @@ public:
     /// command so a requeue resumes from it rather than from scratch.
     /// The buffer is adopted by reference — zero bytes copied.
     void updateCheckpoint(CommandId id, SharedBytes checkpoint);
-    /// Legacy-compatible overload: wraps the lvalue vector by deep copy
-    /// and counts it in SchedulerStats::checkpointDeepCopies. Hot paths
-    /// must use the SharedBytes overload.
-    void updateCheckpoint(CommandId id,
-                          const std::vector<std::uint8_t>& checkpoint);
 
     /// Worker currently holding a command, if any.
     std::optional<net::NodeId> holderOf(CommandId id) const;

@@ -14,6 +14,10 @@ namespace {
 /// arrives), but the burst it can cash in at once stays bounded.
 constexpr double kDeficitCap = 1024.0;
 
+/// DRR quantum: each service round tops a tenant's deficit up by
+/// kQuantum * weight cores.
+constexpr double kQuantum = 1.0;
+
 } // namespace
 
 void ShardedScheduler::addTenant(ProjectId id, TenantConfig config) {
@@ -35,8 +39,6 @@ void ShardedScheduler::addTenant(ProjectId id, TenantConfig config) {
 const TenantConfig& ShardedScheduler::tenantConfig(ProjectId id) const {
     return shards_.at(id).config;
 }
-
-std::vector<ProjectId> ShardedScheduler::tenantIds() const { return ring_; }
 
 AdmissionDecision ShardedScheduler::admit(ProjectId tenant,
                                           const CommandSpec& cmd) const {
@@ -140,7 +142,7 @@ std::vector<CommandSpec> ShardedScheduler::claim(
             }
             ++live;
             s.deficit =
-                std::min(s.deficit + quantum_ * s.config.weight, kDeficitCap);
+                std::min(s.deficit + kQuantum * s.config.weight, kDeficitCap);
             const int budget = std::min(remaining, int(s.deficit));
             if (budget <= 0) continue; // credit below one core so far
             auto claimed = s.queue.claim(executables, budget, worker,
@@ -281,7 +283,6 @@ const SchedulerStats& ShardedScheduler::stats() const {
         aggregate_.hasWorkProbes += q.hasWorkProbes;
         aggregate_.checkpointUpdates += q.checkpointUpdates;
         aggregate_.checkpointBytesShared += q.checkpointBytesShared;
-        aggregate_.checkpointDeepCopies += q.checkpointDeepCopies;
         aggregate_.checkpointsUnknownId += q.checkpointsUnknownId;
     }
     aggregate_.checkpointsUnknownId += orphanCheckpoints_;
@@ -290,11 +291,6 @@ const SchedulerStats& ShardedScheduler::stats() const {
 
 const TenantCounters& ShardedScheduler::tenantStats(ProjectId tenant) const {
     return shards_.at(tenant).counters;
-}
-
-void ShardedScheduler::setQuantum(double coresPerRound) {
-    COP_REQUIRE(coresPerRound > 0.0, "DRR quantum must be positive");
-    quantum_ = coresPerRound;
 }
 
 void ShardedScheduler::setVault(BlobVault* vault) {
@@ -346,7 +342,6 @@ void ShardedScheduler::serialize(BinaryWriter& w) const {
     // ring_ is always the sorted tenant-id order (rebuilt by addTenant),
     // so only the service cursor needs to travel.
     w.write(std::uint64_t(cursor_));
-    w.write(quantum_);
     w.write(orphanCheckpoints_);
 }
 
@@ -391,8 +386,6 @@ void ShardedScheduler::restore(BinaryReader& r) {
     cursor_ = std::size_t(r.read<std::uint64_t>());
     COP_IO_CHECK(ring_.empty() ? cursor_ == 0 : cursor_ < ring_.size(),
                  "scheduler restore: cursor out of range");
-    quantum_ = r.read<double>();
-    COP_IO_CHECK(quantum_ > 0.0, "scheduler restore: bad quantum");
     orphanCheckpoints_ = r.read<std::uint64_t>();
 }
 

@@ -73,8 +73,6 @@ public:
     void addTenant(ProjectId id, TenantConfig config);
     bool hasTenant(ProjectId id) const { return shards_.count(id) > 0; }
     const TenantConfig& tenantConfig(ProjectId id) const;
-    std::size_t tenantCount() const { return shards_.size(); }
-    std::vector<ProjectId> tenantIds() const;
 
     /// Checks a submission against the tenant's admission quotas without
     /// queueing anything.
@@ -117,11 +115,6 @@ public:
     const SchedulerStats& stats() const;
     const TenantCounters& tenantStats(ProjectId tenant) const;
 
-    /// DRR quantum: deficit added per service round is quantum * weight
-    /// cores. Smaller = finer-grained fairness, more rounds per claim.
-    void setQuantum(double coresPerRound);
-    double quantum() const { return quantum_; }
-
     /// Attaches a payload vault, propagated to every shard queue (existing
     /// and future tenants). Must be attached before commands are queued.
     void setVault(BlobVault* vault);
@@ -157,7 +150,6 @@ private:
     /// Ring order for DRR service; rebuilt when tenants are added.
     std::vector<ProjectId> ring_;
     std::size_t cursor_ = 0; ///< next ring position to start service from
-    double quantum_ = 1.0;
     BlobVault* vault_ = nullptr; ///< optional tiered payload store
     /// Checkpoints for ids no shard knows (late arrivals after completion).
     std::uint64_t orphanCheckpoints_ = 0;

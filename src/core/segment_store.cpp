@@ -103,7 +103,7 @@ std::vector<std::uint8_t> SegmentStore::readFrame(const SegmentRef& ref) {
                         (ref.offset - mapStart);
     std::vector<std::uint8_t> raw;
     try {
-        raw = util::decode({bytes, ref.frameLen}, cfg_.maxBlobBytes);
+        raw = util::decode({bytes, ref.frameLen}, kMaxBlobBytes);
     } catch (...) {
         ::munmap(map, mapLen);
         throw;
@@ -151,10 +151,7 @@ void SegmentStore::dropHot(std::uint64_t key, Entry& e) {
 
 void SegmentStore::spill(std::uint64_t key, Entry& e) {
     if (!e.cold) {
-        const util::EncodeResult enc =
-            cfg_.compress
-                ? util::encode(e.hot)
-                : util::encode(e.hot, util::CodecFilter::None, false);
+        const util::EncodeResult enc = util::encode(e.hot);
         e.cold = appendFrame(enc.frame, std::uint32_t(e.hot.size()));
         ++stats_.spills;
         if (e.everSpilled) ++stats_.recompressions;

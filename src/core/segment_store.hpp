@@ -41,13 +41,8 @@ struct StoreConfig {
     /// Spill directory. Empty with a nonzero cap = a per-store directory
     /// under the system temp dir, created lazily on first spill.
     std::string dir;
-    /// Pre-filter + LZ compression on spilled blobs (codec falls back to
-    /// stored frames for incompressible input either way).
-    bool compress = true;
     /// Roll to a new segment file beyond this many bytes.
     std::size_t maxSegmentBytes = std::size_t(64) << 20;
-    /// Decode-allocation cap for cold fetches (hostile-frame guard).
-    std::size_t maxBlobBytes = std::size_t(1) << 30;
 };
 
 struct StoreStats {

@@ -8,6 +8,28 @@ namespace cop::core {
 
 namespace {
 
+// Failure handling hangs off the one heartbeat interval H (paper §2.3).
+/// A worker silent for more than this many intervals is declared dead.
+constexpr double kFailureMultiplier = 2.0;
+/// A command's lease lasts this many intervals: longer than failure
+/// detection, so the cheap path (closest-server detection + WorkerFailed
+/// handoff) fires first and lease expiry only catches what it misses
+/// (lost signals, partitions).
+constexpr double kLeaseMultiplier = 3.0;
+/// Renewals towards remote project servers are aggregated into one
+/// HeartbeatSummary per server every H / kSummariesPerInterval.
+constexpr double kSummariesPerInterval = 4.0;
+static_assert(kLeaseMultiplier > kFailureMultiplier,
+              "a lease must outlast failure detection");
+static_assert(1.0 / kSummariesPerInterval <= (kLeaseMultiplier - 1.0) / 4.0,
+              "the summary window must stay well under (lease - 1) "
+              "intervals, or remote leases expire while their renewals "
+              "sit in the buffer");
+
+/// Snapshot format version. Bump it with every layout change, so that an
+/// image of an older layout fails with IoError instead of misparsing.
+constexpr std::uint32_t kSnapshotVersion = 2;
+
 /// ServerStats in snapshot order. The counters apply() owns are durable;
 /// the rest are process-local, so their snapshot slots are written but
 /// recovery neither restores nor resets them.
@@ -109,11 +131,9 @@ private:
 Server::Server(net::OverlayNetwork& network, std::string name,
                net::KeyPair keys, ServerConfig config)
     : network_(&network), node_(network, std::move(name), keys),
-      endpoint_(network, node_, config.rpc, config.batch), config_(config) {
+      endpoint_(network, node_, wire::RetryPolicy{}, config.batch),
+      config_(config) {
     COP_REQUIRE(config.heartbeatInterval > 0.0, "bad heartbeat interval");
-    COP_REQUIRE(config.failureMultiplier >= 1.0, "bad failure multiplier");
-    COP_REQUIRE(config.leaseMultiplier >= 1.0, "bad lease multiplier");
-    COP_REQUIRE(config.summaryWindow >= 0.0, "bad summary window");
     endpoint_.onEnvelope(
         [this](const wire::Envelope& env, const net::Message& msg) {
             handleEnvelope(env, msg);
@@ -124,7 +144,6 @@ Server::Server(net::OverlayNetwork& network, std::string name,
     StoreConfig storeCfg;
     storeCfg.ramBytes = config_.durability.storeRamBytes;
     storeCfg.dir = config_.durability.storeDir;
-    storeCfg.compress = config_.durability.compressSpill;
     store_ = std::make_unique<SegmentStore>(storeCfg);
     inputVault_.store = store_.get();
     scheduler_.setVault(&inputVault_);
@@ -151,13 +170,7 @@ ProjectId Server::createProject(ProjectSpec spec,
                                 std::unique_ptr<Controller> controller) {
     COP_REQUIRE(controller != nullptr, "project needs a controller");
     const ProjectId id = nextProjectId_;
-    TenantConfig tenant;
-    tenant.weight = spec.weight;
-    tenant.claimPolicy = spec.claimPolicy.value_or(config_.claimPolicy);
-    tenant.maxPendingCommands = spec.maxPendingCommands;
-    tenant.maxPendingBytes = spec.maxPendingBytes;
-    tenant.admissionRetryAfter = spec.admissionRetryAfter;
-    commit(event::TenantAdd{id, tenant, spec.name});
+    commit(event::TenantAdd{id, spec.tenant, spec.name});
     ProjectEntry entry;
     entry.name = std::move(spec.name);
     entry.controller = std::move(controller);
@@ -289,7 +302,7 @@ void Server::handleWorkloadRequest(const WorkloadRequestPayload& request,
         endpoint_.send(peer, fwd);
         return;
     }
-    if (config_.parkRequests && hostsUnfinishedProject()) {
+    if (hostsUnfinishedProject()) {
         // Park-queue backpressure: a worker that already holds a parked
         // slot may always refresh it, but beyond the cap new workers are
         // bounced with an explicit retry-after instead of growing the
@@ -432,8 +445,9 @@ void Server::bufferLeaseRenewals(net::NodeId projectServer,
 void Server::ensureSummaryFlushScheduled() {
     if (summaryFlushScheduled_ || summaryBuffers_.empty()) return;
     summaryFlushScheduled_ = true;
-    network_->loop().schedule(summaryWindow(),
-                              [this] { flushHeartbeatSummaries(); });
+    network_->loop().schedule(
+        config_.heartbeatInterval / kSummariesPerInterval,
+        [this] { flushHeartbeatSummaries(); });
 }
 
 void Server::flushHeartbeatSummaries() {
@@ -477,7 +491,6 @@ void Server::handleLeaseRenew(const LeaseRenewPayload& payload) {
 }
 
 void Server::handleCheckpoint(const CheckpointPayload& cp) {
-    if (!config_.cacheCheckpoints) return;
     // If we host the project ourselves, feed the checkpoint straight into
     // the in-flight record; otherwise cache it for failure handoff. Either
     // way the blob lands in the tiered store (via the queue's vault or
@@ -559,6 +572,10 @@ void Server::handleDeliveryFailure(const net::Message& failed) {
     if (requeued > 0) scheduleServiceWaiting();
 }
 
+double Server::leaseDuration() const {
+    return kLeaseMultiplier * config_.heartbeatInterval;
+}
+
 void Server::ensureLeaseSweepScheduled() {
     if (leaseSweepScheduled_ || leases_.empty()) return;
     leaseSweepScheduled_ = true;
@@ -592,8 +609,7 @@ void Server::ensureSweepScheduled() {
 void Server::sweepWorkers() {
     sweepScheduled_ = false;
     const double now = network_->loop().now();
-    const double deadline =
-        config_.failureMultiplier * config_.heartbeatInterval;
+    const double deadline = kFailureMultiplier * config_.heartbeatInterval;
     for (auto it = workers_.begin(); it != workers_.end();) {
         const net::NodeId dead = it->first;
         const bool silent = now - it->second.lastHeartbeat > deadline;
@@ -850,7 +866,7 @@ void Server::maybeSnapshot() {
 
 std::vector<std::uint8_t> Server::snapshotState() {
     BinaryWriter w;
-    w.writeHeader("CPSS", 1);
+    w.writeHeader("CPSS", kSnapshotVersion);
     w.write(std::uint64_t(commandCounter_));
     w.write(std::uint64_t(nextProjectId_));
     scheduler_.serialize(w);
@@ -885,7 +901,8 @@ std::vector<std::uint8_t> Server::snapshotState() {
 void Server::restoreSnapshot(std::span<const std::uint8_t> bytes) {
     BinaryReader r(bytes);
     const auto version = r.readHeader("CPSS");
-    COP_IO_CHECK(version == 1, "snapshot: unsupported version");
+    COP_IO_CHECK(version == kSnapshotVersion,
+                 "snapshot: unsupported version");
     commandCounter_ = r.read<std::uint64_t>();
     nextProjectId_ = ProjectId(r.read<std::uint64_t>());
     scheduler_.restore(r);

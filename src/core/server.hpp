@@ -13,6 +13,9 @@
 ///   - applies per-tenant admission control: submissions over a project's
 ///     pending-depth or byte quota are rejected with a retry-after hint
 ///     instead of growing the backlog without bound,
+///   - parks workload requests nobody can satisfy while it hosts unfinished
+///     projects, and answers them as soon as commands are queued (long
+///     polling; elsewhere the worker falls back to polling),
 ///   - monitors worker heartbeats and signals failures to project servers,
 ///   - caches worker checkpoints so commands can transparently continue on
 ///     another worker after a failure,
@@ -65,67 +68,30 @@ struct DurabilityConfig {
     std::size_t storeRamBytes = 0;
     /// Cold-tier directory; empty = per-store temp dir, created lazily.
     std::string storeDir;
-    /// Compress spilled blobs (delta/XOR pre-filter + LZ byte codec).
-    bool compressSpill = true;
 };
 
 struct ServerConfig {
-    /// Expected worker heartbeat interval (paper default: 120 s).
+    /// Expected worker heartbeat interval H (paper default: 120 s). Failure
+    /// detection, lease length and the renewal-summary window are fixed
+    /// multiples of it (server.cpp).
     double heartbeatInterval = 120.0;
-    /// A worker is declared dead after this many missed intervals.
-    double failureMultiplier = 2.0;
-    /// A command's lease lasts this many heartbeat intervals. Larger than
-    /// failureMultiplier so the cheap path (closest-server failure
-    /// detection + WorkerFailed handoff) fires first; lease expiry only
-    /// catches what that path misses (lost signals, partitions).
-    double leaseMultiplier = 3.0;
-    /// Cache worker checkpoints for failure handoff.
-    bool cacheCheckpoints = true;
-    /// Park unsatisfiable workload requests and answer them as soon as new
-    /// commands are queued (long polling), instead of bouncing
-    /// NoWorkAvailable and having the worker poll. Requests are parked only
-    /// on servers hosting unfinished projects; elsewhere the worker falls
-    /// back to polling.
-    bool parkRequests = true;
-    /// Backpressure on the park queue: beyond this many parked workers new
-    /// requests are answered NoWork with `parkRetryAfter` instead of
-    /// parked. 0 = unlimited.
+    /// Backpressure on the long-poll park queue: beyond this many parked
+    /// workers new requests are answered NoWork with `parkRetryAfter`
+    /// instead of parked. 0 = unlimited.
     std::size_t maxParkedRequests = 0;
     /// Suggested worker backoff when the park queue rejects a request.
     double parkRetryAfter = 15.0;
-    /// Per-tenant *default* claim policy: projects created without an
-    /// explicit ProjectSpec::claimPolicy inherit this. FirstFit preserves
-    /// strict arrival order within a priority level; LargestFit bin-packs
-    /// the worker's core offer (largest request first).
-    ClaimPolicy claimPolicy = ClaimPolicy::FirstFit;
-    /// Window over which lease renewals towards remote project servers are
-    /// aggregated into one HeartbeatSummary digest per server (paper §2.3
-    /// pushed further: heartbeats are summarized, never forwarded).
-    /// 0 = heartbeatInterval / 4. Must stay well under
-    /// (leaseMultiplier - 1) heartbeat intervals or remote leases would
-    /// expire while their renewals sit in the buffer.
-    double summaryWindow = 0.0;
-    /// Ack/retransmit policy for reliable sends.
-    wire::RetryPolicy rpc;
     /// Transmit coalescing + ack piggybacking (enabled by default).
     wire::BatchPolicy batch;
     /// WAL + tiered-store knobs (defaults: disabled/unbounded).
     DurabilityConfig durability;
 };
 
-/// Scheduling contract of one hosted project (satellite of the tenant
-/// plane): everything createProject needs beyond the controller itself.
+/// One hosted project: its name and its scheduling contract (weight,
+/// claim policy, admission quotas).
 struct ProjectSpec {
     std::string name;
-    /// Fair-share weight across this server's tenants (DRR).
-    double weight = 1.0;
-    /// Per-tenant claim policy; unset = ServerConfig::claimPolicy.
-    std::optional<ClaimPolicy> claimPolicy = std::nullopt;
-    /// Admission quotas (0 = unlimited), and the retry-after hint handed
-    /// to rejected submitters.
-    std::size_t maxPendingCommands = 0;
-    std::size_t maxPendingBytes = 0;
-    double admissionRetryAfter = 30.0;
+    TenantConfig tenant{};
 };
 
 /// Server counters. Those Server::apply() owns, from commandsAssigned to
@@ -313,9 +279,7 @@ private:
 
     void ensureLeaseSweepScheduled();
     void sweepLeases();
-    double leaseDuration() const {
-        return config_.leaseMultiplier * config_.heartbeatInterval;
-    }
+    double leaseDuration() const;
 
     void ensureSweepScheduled();
     void sweepWorkers();
@@ -330,10 +294,6 @@ private:
                              std::vector<CommandId> commands);
     void ensureSummaryFlushScheduled();
     void flushHeartbeatSummaries();
-    double summaryWindow() const {
-        return config_.summaryWindow > 0.0 ? config_.summaryWindow
-                                           : config_.heartbeatInterval / 4.0;
-    }
 
     /// The id the next Push will carry (apply() advances the counter).
     CommandId nextCommandId() const;

@@ -10,6 +10,7 @@
 /// — writers always build a fresh vector and wrap it — so sharing is
 /// safe without synchronization in the single-threaded event loop.
 
+#include <cstddef>
 #include <cstdint>
 #include <initializer_list>
 #include <memory>
@@ -17,6 +18,11 @@
 #include <vector>
 
 namespace cop::core {
+
+/// Decode-allocation cap for every codec frame the server decodes (cold
+/// blob-store fetches, checkpoint blobs in WAL records): a hostile frame
+/// cannot make the decoder allocate more than this.
+inline constexpr std::size_t kMaxBlobBytes = std::size_t(1) << 30;
 
 class SharedBytes {
 public:
@@ -33,9 +39,8 @@ public:
                     : std::make_shared<const std::vector<std::uint8_t>>(
                           std::move(bytes))) {}
 
-    /// Deep-copies an lvalue buffer. Kept deliberately explicit-looking at
-    /// call sites (pass std::move or a temporary to share instead); the
-    /// scheduler counts these via SchedulerStats::checkpointDeepCopies.
+    /// Deep-copies an lvalue buffer (pass std::move or a temporary to
+    /// share instead).
     SharedBytes(const std::vector<std::uint8_t>& bytes)
         : data_(bytes.empty()
                     ? nullptr

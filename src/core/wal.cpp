@@ -23,6 +23,14 @@ namespace {
 constexpr char kLogName[] = "wal.log";
 constexpr char kSnapshotName[] = "snapshot.bin";
 constexpr std::array<std::uint8_t, 4> kSnapMagic = {'C', 'P', 'W', 'S'};
+/// Replay guard: a longer record (or snapshot) is hostile, not torn.
+constexpr std::size_t kMaxRecordBytes = std::size_t(64) << 20;
+/// Log-file preallocation chunk. Appends go into fallocate()d space via
+/// pwrite, so fdatasync never waits on an ext4 metadata-journal commit for
+/// file growth — that commit, not the data write, dominates small-batch
+/// sync latency. The unwritten tail reads back as zeros; a zero record
+/// length marks it at replay.
+constexpr std::size_t kPreallocBytes = std::size_t(1) << 20;
 
 std::vector<std::uint8_t> readWholeFile(const std::string& path) {
     std::vector<std::uint8_t> bytes;
@@ -85,7 +93,7 @@ void Wal::openLog(bool truncate) {
         std::uint32_t len = 0, crc = 0;
         std::memcpy(&len, bytes.data() + pos, 4);
         std::memcpy(&crc, bytes.data() + pos + 4, 4);
-        if (len < 1 || len > cfg_.maxRecordBytes ||
+        if (len < 1 || len > kMaxRecordBytes ||
             bytes.size() - pos - 8 < len)
             break;
         const auto body = std::span(bytes).subspan(pos + 8, len);
@@ -99,8 +107,8 @@ void Wal::openLog(bool truncate) {
 void Wal::ensureCapacity(std::size_t bytes) {
     if (preallocEnd_ < writeOff_) preallocEnd_ = writeOff_;
     const std::size_t end = writeOff_ + bytes;
-    if (end <= preallocEnd_ || cfg_.preallocBytes == 0) return;
-    const std::size_t chunk = std::max(cfg_.preallocBytes, end - preallocEnd_);
+    if (end <= preallocEnd_) return;
+    const std::size_t chunk = std::max(kPreallocBytes, end - preallocEnd_);
     COP_IO_CHECK(::posix_fallocate(fd_, off_t(preallocEnd_),
                                    off_t(chunk)) == 0,
                  "wal: preallocation failed");
@@ -209,7 +217,7 @@ std::vector<std::uint8_t> Wal::loadSnapshot() {
     const std::string path = (fs::path(cfg_.dir) / kSnapshotName).string();
     const std::vector<std::uint8_t> bytes = readWholeFile(path);
     if (bytes.empty()) return {};
-    return parseSnapshot(bytes, cfg_.maxRecordBytes);
+    return parseSnapshot(bytes, kMaxRecordBytes);
 }
 
 std::vector<std::uint8_t>
@@ -282,7 +290,7 @@ void Wal::replay(const ReplayHandler& handler) {
                  ++replayed;
                  handler(t, body);
              },
-             cfg_.maxRecordBytes, &torn);
+             kMaxRecordBytes, &torn);
     stats_.replayedRecords += replayed;
     stats_.corruptTailBytes += torn;
 }

@@ -58,13 +58,6 @@ struct WalConfig {
     net::EventLoop* loop = nullptr; ///< arms the group-commit timer
     double flushDelay = 0.0;        ///< flush-window length (sim seconds)
     std::size_t flushBytes = std::size_t(1) << 20; ///< early-flush bound
-    std::size_t maxRecordBytes = std::size_t(64) << 20; ///< replay guard
-    /// Log-file preallocation chunk (0 disables). Appends go into
-    /// fallocate()d space via pwrite, so fdatasync never waits on an
-    /// ext4 metadata-journal commit for file growth — that commit, not
-    /// the data write, dominates small-batch sync latency. The unwritten
-    /// tail reads back as zeros; a zero record length marks it at replay.
-    std::size_t preallocBytes = std::size_t(1) << 20;
 };
 
 struct WalStats {

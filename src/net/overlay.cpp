@@ -4,6 +4,7 @@
 #include <bit>
 #include <functional>
 #include <limits>
+#include <memory>
 
 #include "util/logging.hpp"
 #include "util/random.hpp"
@@ -327,12 +328,16 @@ void OverlayNetwork::setFaultPlan(const FaultPlan& plan) {
             loop_->scheduleAt(cut.heal, [this, cut] { healLink(cut.a, cut.b); });
     }
     for (const auto& part : plan_.partitions) {
-        loop_->scheduleAt(part.at, [this, island = part.island] {
-            applyPartition(island, +1);
+        // The heal restores exactly the links the partition cut, in the
+        // same order: a link connected across the island mid-partition
+        // was never cut, so it is not healed either.
+        auto cut = std::make_shared<std::vector<LinkKey>>();
+        loop_->scheduleAt(part.at, [this, island = part.island, cut] {
+            *cut = cutPartition(island);
         });
         if (part.heal >= part.at)
-            loop_->scheduleAt(part.heal, [this, island = part.island] {
-                applyPartition(island, -1);
+            loop_->scheduleAt(part.heal, [this, cut] {
+                for (const auto& [a, b] : *cut) healLink(a, b);
             });
     }
     for (const auto& crash : plan_.crashes) {
@@ -359,18 +364,18 @@ void OverlayNetwork::healLink(NodeId a, NodeId b) {
     traceEvent(kTraceLinkUp, std::uint64_t(a), std::uint64_t(b), 0);
 }
 
-void OverlayNetwork::applyPartition(const std::vector<NodeId>& island,
-                                    int direction) {
+std::vector<OverlayNetwork::LinkKey>
+OverlayNetwork::cutPartition(const std::vector<NodeId>& island) {
     const std::set<NodeId> inIsland(island.begin(), island.end());
+    std::vector<LinkKey> cut;
     for (const auto& [key, link] : links_) {
         const bool aIn = inIsland.count(key.first) > 0;
         const bool bIn = inIsland.count(key.second) > 0;
         if (aIn == bIn) continue; // link does not cross the boundary
-        if (direction > 0)
-            cutLink(key.first, key.second);
-        else
-            healLink(key.first, key.second);
+        cutLink(key.first, key.second);
+        cut.push_back(key);
     }
+    return cut;
 }
 
 void OverlayNetwork::crashNode(NodeId id) {

@@ -153,8 +153,9 @@ public:
     // --- Fault injection ------------------------------------------------
 
     /// Installs a fault plan: seeds the chaos RNG and schedules the plan's
-    /// structural events on the event loop. Call after the topology is
-    /// built (partitions resolve their crossing links at fire time).
+    /// structural events on the event loop. A partition cuts the links
+    /// crossing its island when it fires, and its heal restores exactly
+    /// those links.
     void setFaultPlan(const FaultPlan& plan);
     const FaultStats& faultStats() const { return faultStats_; }
 
@@ -202,7 +203,9 @@ private:
     void forward(Message msg, NodeId at);
     void deadLetter(const Message& msg, DeadLetterReason reason);
     const FaultProfile& profileFor(const LinkKey& key) const;
-    void applyPartition(const std::vector<NodeId>& island, int direction);
+    /// Cuts every link crossing the island's boundary; returns them in
+    /// cut order, for the partition's heal.
+    std::vector<LinkKey> cutPartition(const std::vector<NodeId>& island);
     void traceEvent(std::uint64_t kind, std::uint64_t a, std::uint64_t b,
                     std::uint64_t c);
 

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
+
 #include "core/backends.hpp"
 #include "core/copernicus.hpp"
 
@@ -435,6 +438,171 @@ TEST(Framework, MixedCoreWorkloadPacksWorker) {
     dep.loop().runUntil(100.0);
     EXPECT_EQ(worker.runningCommands(), 2u);
     EXPECT_TRUE(dep.runUntilDone(1e7));
+}
+
+// --- Timings derived from the heartbeat interval H ------------------------
+
+/// One-way latency of a scripted worker's link; its bandwidth is so high
+/// that a frame arrives exactly kHop after it leaves.
+constexpr double kHop = 0.25;
+
+/// A bare node + endpoint standing in for a worker. It sends exactly the
+/// messages a test scripts, unbatched, so their arrival times at the
+/// server are known to the bit.
+struct ScriptedWorker {
+    net::Node node;
+    wire::Endpoint endpoint;
+    std::vector<CommandId> assigned;
+
+    ScriptedWorker(Deployment& dep, Server& server, std::uint64_t key)
+        : node(dep.network(), "scripted" + std::to_string(key),
+               net::KeyPair::generate(key)),
+          endpoint(dep.network(), node, {},
+                   wire::BatchPolicy{.enabled = false}) {
+        node.trust(server.node().publicKey());
+        server.node().trust(node.publicKey());
+        dep.network().connect(node.id(), server.id(),
+                              net::LinkProperties{kHop, 1e300});
+        endpoint.onEnvelope(
+            [this](const wire::Envelope& env, const net::Message&) {
+                if (const auto* a =
+                        std::get_if<WorkloadAssignPayload>(&env.payload))
+                    for (const auto& cmd : a->commands)
+                        assigned.push_back(cmd.id);
+            });
+    }
+    // The endpoint's handler and the scheduled sends hold `this`.
+    ScriptedWorker(const ScriptedWorker&) = delete;
+    ScriptedWorker& operator=(const ScriptedWorker&) = delete;
+
+    /// Sends a heartbeat at `t` reporting `running` (all hosted by
+    /// `projectServer`); an empty list keeps the worker alive without
+    /// renewing any lease.
+    void heartbeatAt(net::EventLoop& loop, double t, net::NodeId to,
+                     std::vector<CommandId> running = {},
+                     net::NodeId projectServer = net::kInvalidNode) {
+        loop.scheduleAt(t, [=, this] {
+            HeartbeatPayload hb;
+            hb.worker = node.id();
+            hb.running = running;
+            hb.projectServers.assign(running.size(), projectServer);
+            endpoint.send(to, hb, /*reliable=*/false);
+        });
+    }
+
+    /// Asks `to` for one core's worth of "echo" work at `t`.
+    void requestAt(net::EventLoop& loop, double t, net::NodeId to) {
+        loop.scheduleAt(t, [=, this] {
+            WorkloadRequestPayload req;
+            req.worker = node.id();
+            req.cores = 1;
+            req.executables = {"echo"};
+            endpoint.send(to, req);
+        });
+    }
+};
+
+/// Runs the loop through the last of `times`, reading `value` at each.
+std::vector<std::uint64_t> sampleAt(net::EventLoop& loop,
+                                    const std::vector<double>& times,
+                                    std::function<std::uint64_t()> value) {
+    std::vector<std::uint64_t> out;
+    for (double t : times)
+        loop.scheduleAt(t, [&] { out.push_back(value()); });
+    loop.runUntil(times.back());
+    return out;
+}
+
+TEST(DerivedTimings, SilentWorkerFailsTwoIntervalsAfterItsLastHeartbeat) {
+    const double H = 10.0;
+    Deployment dep(21);
+    ServerConfig sc;
+    sc.heartbeatInterval = H;
+    auto& server = dep.addServer("s0", sc);
+    ScriptedWorker late(dep, server, 901), early(dep, server, 902);
+    auto& loop = dep.loop();
+    // The liveness sweep runs every H from the first arrival, at kHop.
+    for (double t : {0.0, H, 2 * H}) {
+        late.heartbeatAt(loop, t, server.id());
+        early.heartbeatAt(loop, t, server.id());
+    }
+    // Last heartbeats land H/20 after / before the sweep at 3H + kHop, so
+    // the sweep at 5H + kHop is 2H - H/20 after `late`'s (still alive)
+    // and 2H + H/20 after `early`'s (dead), and the one at 6H + kHop is
+    // the first sweep more than 2H after `late`'s.
+    late.heartbeatAt(loop, 3 * H + H / 20, server.id());
+    early.heartbeatAt(loop, 3 * H - H / 20, server.id());
+    const double eps = H / 100;
+    const double sweep5 = 5 * H + kHop, sweep6 = 6 * H + kHop;
+    const auto failed = sampleAt(
+        loop, {sweep5 - eps, sweep5 + eps, sweep6 - eps, sweep6 + eps},
+        [&] { return server.stats().workersFailed; });
+    EXPECT_EQ(failed, (std::vector<std::uint64_t>{0, 1, 1, 2}));
+}
+
+TEST(DerivedTimings, LeaseGrantedAtTLastsThreeIntervals) {
+    const double H = 10.0;
+    Deployment dep(22);
+    ServerConfig sc;
+    sc.heartbeatInterval = H;
+    auto& server = dep.addServer("s0", sc);
+    server.createProject({.name = "leases"},
+                         std::make_unique<FixedController>(3));
+    ScriptedWorker w(dep, server, 903);
+    auto& loop = dep.loop();
+    // Alive throughout, but never reports running anything: no renewal.
+    for (double t = 0.0; t <= 6 * H; t += H / 2)
+        w.heartbeatAt(loop, t, server.id());
+    // Grants at kHop (arms the lease sweep: every H from kHop), at
+    // kHop + H/20 and at kHop + H - H/20.
+    w.requestAt(loop, 0.0, server.id());
+    w.requestAt(loop, H / 20, server.id());
+    w.requestAt(loop, H - H / 20, server.id());
+    const double eps = H / 100;
+    const double sweep3 = 3 * H + kHop, sweep4 = 4 * H + kHop;
+    const auto expired = sampleAt(
+        loop, {sweep3 - eps, sweep3 + eps, sweep4 - eps, sweep4 + eps},
+        [&] { return server.stats().leasesExpired; });
+    EXPECT_EQ(w.assigned.size(), 3u);
+    // The sweep at exactly t + 3H expires the first lease; the second,
+    // H/20 younger, survives it; both it and the third (3H - H/20 old by
+    // then) are gone at the next sweep.
+    EXPECT_EQ(expired, (std::vector<std::uint64_t>{0, 1, 1, 3}));
+}
+
+TEST(DerivedTimings, RemoteRenewalReachesProjectServerWithinAQuarterInterval) {
+    const double H = 8.0;
+    Deployment dep(23);
+    ServerConfig sc;
+    sc.heartbeatInterval = H;
+    auto& project = dep.addServer("project", sc);
+    auto& relay = dep.addServer("relay", sc);
+    dep.connectServers(project, relay, net::LinkProperties{kHop, 1e300});
+    project.createProject({.name = "remote"},
+                          std::make_unique<FixedController>(1));
+    ScriptedWorker w(dep, relay, 904);
+    auto& loop = dep.loop();
+    // The relay forwards the request; the project server grants the lease.
+    w.requestAt(loop, 0.0, relay.id());
+    loop.runUntil(2.0);
+    ASSERT_EQ(w.assigned.size(), 1u);
+    for (double t = 2.0; t < 10 * H; t += H)
+        w.heartbeatAt(loop, t, relay.id(), w.assigned, project.id());
+    // The first heartbeat reaches the relay at 2 + kHop; its renewal
+    // leaves in a summary H/4 later and arrives a hop (plus the relay's
+    // 20 ms transmit-coalescing window) after that.
+    const double eps = H / 100;
+    const double window = 2.0 + kHop + H / 4;
+    const auto sent = sampleAt(loop, {window - eps, window + eps}, [&] {
+        return relay.stats().heartbeatSummariesSent;
+    });
+    EXPECT_EQ(sent, (std::vector<std::uint64_t>{0, 1}));
+    loop.runUntil(window + kHop + 0.05);
+    EXPECT_EQ(project.stats().heartbeatSummariesReceived, 1u);
+    // Renewed every H through the relay, the lease (3H) never expires.
+    loop.runUntil(10 * H);
+    EXPECT_EQ(project.stats().leasesExpired, 0u);
+    EXPECT_EQ(project.stats().heartbeatSummariesReceived, 10u);
 }
 
 } // namespace

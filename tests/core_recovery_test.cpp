@@ -241,6 +241,57 @@ TEST(Recovery, SurvivesRepeatedCrashes) {
     EXPECT_EQ(msm->history().size(), 2u);
 }
 
+/// A server snapshot of an empty plane, in the layout of format
+/// `version`: v1 also carried the DRR quantum (and, per tenant shard, a
+/// checkpoint deep-copy counter, absent here with no tenants).
+std::vector<std::uint8_t> emptyPlaneSnapshot(std::uint32_t version) {
+    BinaryWriter w;
+    w.writeHeader("CPSS", version);
+    w.write(std::uint64_t(0)); // command counter
+    w.write(std::uint64_t(1)); // next project id
+    w.write(std::uint64_t(0)); // scheduler: tenants
+    w.write(std::uint64_t(0)); // scheduler: DRR cursor
+    if (version == 1) w.write(1.0); // scheduler: quantum
+    w.write(std::uint64_t(0)); // scheduler: orphan checkpoints
+    for (int i = 0; i < 5; ++i) // completed, leases, workers, parked,
+        w.write(std::uint64_t(0)); // unpark cursor
+    w.write(std::uint64_t(0)); // cached checkpoints
+    for (int i = 0; i < 16; ++i) w.write(std::uint64_t(0)); // ServerStats
+    return w.takeBuffer();
+}
+
+/// Recovering from a snapshot written in the previous format fails loudly
+/// with IoError instead of misparsing it; the same plane in the current
+/// format recovers.
+TEST(Recovery, RejectsVersionOneSnapshot) {
+    for (std::uint32_t version : {1u, 2u}) {
+        TempDir tmp("snapshot_v" + std::to_string(version));
+        {
+            WalConfig cfg;
+            cfg.dir = tmp.path.string();
+            Wal(cfg).writeSnapshot(emptyPlaneSnapshot(version));
+        }
+        Deployment dep(9);
+        ServerConfig sc;
+        sc.durability.walEnabled = true;
+        sc.durability.walDir = tmp.path.string();
+        auto& server = dep.addServer("s0", sc);
+        if (version == 1) {
+            try {
+                server.recoverFromWal();
+                ADD_FAILURE() << "a v1 snapshot was accepted";
+            } catch (const IoError& e) {
+                EXPECT_NE(std::string(e.what()).find("unsupported version"),
+                          std::string::npos)
+                    << e.what();
+            }
+        } else {
+            EXPECT_EQ(server.recoverFromWal(), 0u);
+            EXPECT_EQ(server.metricsSnapshot().recoveries, 1u);
+        }
+    }
+}
+
 /// The WAL-disabled default is unchanged seed behavior: no log, no store
 /// spills unless a cap is set, and metrics report zeroes.
 TEST(Recovery, WalDisabledByDefault) {

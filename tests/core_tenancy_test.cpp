@@ -281,32 +281,32 @@ private:
 
 TEST(Tenancy, ProjectSpecControlsShardConfigAndOldOverloadKeepsDefaults) {
     Deployment dep(3);
-    ServerConfig sc;
-    sc.claimPolicy = ClaimPolicy::LargestFit;
-    auto& server = dep.addServer("s0", sc);
+    auto& server = dep.addServer("s0");
 
     const auto legacy =
         server.createProject({.name = "legacy"},
                              std::make_unique<GreedyController>(0));
     ProjectSpec spec;
     spec.name = "tuned";
-    spec.weight = 3.0;
-    spec.claimPolicy = ClaimPolicy::FirstFit;
-    spec.maxPendingCommands = 5;
-    spec.maxPendingBytes = 1 << 20;
-    spec.admissionRetryAfter = 9.0;
+    spec.tenant.weight = 3.0;
+    spec.tenant.claimPolicy = ClaimPolicy::LargestFit;
+    spec.tenant.maxPendingCommands = 5;
+    spec.tenant.maxPendingBytes = 1 << 20;
+    spec.tenant.admissionRetryAfter = 9.0;
     const auto tuned = server.createProject(
         std::move(spec), std::make_unique<GreedyController>(0));
 
     const auto& legacyCfg = server.scheduler().tenantConfig(legacy);
     EXPECT_DOUBLE_EQ(legacyCfg.weight, 1.0);
-    EXPECT_EQ(legacyCfg.claimPolicy, ClaimPolicy::LargestFit); // server default
+    EXPECT_EQ(legacyCfg.claimPolicy, ClaimPolicy::FirstFit); // the default
     EXPECT_EQ(legacyCfg.maxPendingCommands, 0u);
+    EXPECT_DOUBLE_EQ(legacyCfg.admissionRetryAfter, 30.0);
 
     const auto& tunedCfg = server.scheduler().tenantConfig(tuned);
     EXPECT_DOUBLE_EQ(tunedCfg.weight, 3.0);
-    EXPECT_EQ(tunedCfg.claimPolicy, ClaimPolicy::FirstFit); // explicit override
+    EXPECT_EQ(tunedCfg.claimPolicy, ClaimPolicy::LargestFit);
     EXPECT_EQ(tunedCfg.maxPendingCommands, 5u);
+    EXPECT_EQ(tunedCfg.maxPendingBytes, std::size_t(1) << 20);
     EXPECT_DOUBLE_EQ(tunedCfg.admissionRetryAfter, 9.0);
 }
 
@@ -324,8 +324,8 @@ TEST(Tenancy, AdmissionRejectionsResolveThroughCompletions) {
     auto* greedy = ctrl.get();
     ProjectSpec spec;
     spec.name = "quota";
-    spec.maxPendingCommands = 4;
-    spec.admissionRetryAfter = 7.5;
+    spec.tenant.maxPendingCommands = 4;
+    spec.tenant.admissionRetryAfter = 7.5;
     const auto pid = server.createProject(std::move(spec), std::move(ctrl));
 
     EXPECT_TRUE(dep.runUntilDone(1e6));
@@ -354,8 +354,8 @@ TEST(Tenancy, ClientControlCommandShedWithRetryAfterWhileOverQuota) {
     auto ctrl = std::make_unique<GreedyController>(10);
     ProjectSpec spec;
     spec.name = "quota";
-    spec.maxPendingCommands = 2;
-    spec.admissionRetryAfter = 30.0;
+    spec.tenant.maxPendingCommands = 2;
+    spec.tenant.admissionRetryAfter = 30.0;
     const auto pid = server.createProject(std::move(spec), std::move(ctrl));
 
     auto& client = dep.addClient("cli", server, links::dataCenter());
@@ -479,7 +479,7 @@ TEST(Tenancy, MetricsSnapshotAggregatesMatchLegacyViews) {
 
     ProjectSpec a;
     a.name = "alpha";
-    a.weight = 2.0;
+    a.tenant.weight = 2.0;
     server.createProject(std::move(a), std::make_unique<GreedyController>(6));
     ProjectSpec b;
     b.name = "beta";
@@ -563,8 +563,8 @@ TEST(Tenancy, ChaosSeedSweepCompletesEveryTenant) {
             ctrls.push_back(ctrl.get());
             ProjectSpec spec;
             spec.name = "tenant" + std::to_string(p);
-            spec.weight = double(p + 1);
-            spec.maxPendingCommands = 10;
+            spec.tenant.weight = double(p + 1);
+            spec.tenant.maxPendingCommands = 10;
             server.createProject(std::move(spec), std::move(ctrl));
         }
 

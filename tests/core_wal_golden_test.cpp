@@ -144,9 +144,9 @@ std::vector<ServerLog> tenantsScenario() {
         server.createProject(named("chain"),
                              std::make_unique<ChainController>(6, 2, false));
         ProjectSpec quota = named("quota");
-        quota.weight = 2.0;
-        quota.claimPolicy = ClaimPolicy::LargestFit;
-        quota.maxPendingCommands = 1;
+        quota.tenant.weight = 2.0;
+        quota.tenant.claimPolicy = ClaimPolicy::LargestFit;
+        quota.tenant.maxPendingCommands = 1;
         server.createProject(std::move(quota),
                              std::make_unique<ChainController>(6, 3, true));
         for (int i = 0; i < 6; ++i)

@@ -398,10 +398,9 @@ TEST(Chaos, CheckpointHandoffUnderLossyLinks) {
     ASSERT_TRUE(dep.runUntilDone(1e6));
     EXPECT_GE(server.stats().commandsRequeued, 1u);
     // The streamed checkpoints travelled the handoff path as shared
-    // buffers: the scheduler adopted bytes by reference, never copying.
+    // buffers: the scheduler adopted bytes by reference.
     EXPECT_GT(server.schedulerStats().checkpointUpdates, 0u);
     EXPECT_GT(server.schedulerStats().checkpointBytesShared, 0u);
-    EXPECT_EQ(server.schedulerStats().checkpointDeepCopies, 0u);
     for (const auto& [id, traj] : msm->trajectories()) {
         for (std::size_t f = 1; f < traj.numFrames(); ++f)
             EXPECT_EQ(traj.frame(f).step - traj.frame(f - 1).step, 50)

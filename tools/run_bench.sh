@@ -3,7 +3,10 @@
 # BENCH_micro_md.json, BENCH_micro_msm.json and BENCH_micro_sched.json in
 # the repo root so the perf trajectory — kernel flavors x SIMD ISAs x
 # thread counts, MSM rebuild modes, scheduler flavors x queue depths — is
-# tracked PR over PR.
+# tracked PR over PR. Then runs the macro benches and, last, the
+# end-to-end suite (bench/e2e/run.sh, into build-e2e/BENCH_e2e.json),
+# which bench/e2e/bench_diff.py compares with the committed
+# bench/e2e/BENCH_e2e.json: a regression exits nonzero.
 #
 # Usage:
 #   tools/run_bench.sh                 # full sweep
@@ -274,3 +277,8 @@ for op in ("Claim", "Requeue", "Checkpoint"):
                   f"({old / new:.1f}x)")
 EOF
 fi
+
+# End-to-end adaptive pipeline (bench/e2e, 5-8 min), compared with the
+# committed baseline; bench_diff.py exits nonzero on any regression.
+bench/e2e/run.sh --out build-e2e/BENCH_e2e.json
+python3 bench/e2e/bench_diff.py bench/e2e/BENCH_e2e.json build-e2e/BENCH_e2e.json
