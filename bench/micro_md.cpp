@@ -152,9 +152,12 @@ BENCHMARK(BM_NonbondedKernelCharged)
     ->ArgNames({"atoms", "flavor"});
 
 /// Single-thread ISA sweep registered at startup for every compiled-in,
-/// runnable kernel set, plus the width-1 "soa" baseline — the headline
-/// SIMD-vs-Soa comparison lives here. Pinning params.simdIsa (rather
-/// than COPERNICUS_SIMD) means the sweep is immune to the environment.
+/// runnable kernel set, plus the Soa flavor ("soa") — the headline
+/// SIMD-vs-Soa comparison lives here. The Soa flavor runs the width-1
+/// "scalar" set, so its row and isa:scalar time the same kernels; the
+/// soa row names the default engine's cost. Pinning params.simdIsa
+/// (rather than COPERNICUS_SIMD) means the sweep is immune to the
+/// environment.
 void runNonbondedIsa(benchmark::State& state, SimdIsa isa,
                      bool soaBaseline) {
     const bool charged = state.range(1) != 0;

@@ -22,7 +22,7 @@ std::vector<std::uint8_t> MdrunOutput::encode() const {
 MdrunOutput MdrunOutput::decode(std::span<const std::uint8_t> data) {
     BinaryReader r(data);
     const auto version = r.readHeader("MOUT");
-    COP_REQUIRE(version == 1, "unsupported mdrun output version");
+    COP_IO_CHECK(version == 1, "unsupported mdrun output version");
     MdrunOutput out;
     out.segment = md::Trajectory::deserialize(r);
     out.checkpoint = r.readBytes();
@@ -86,7 +86,7 @@ std::vector<std::uint8_t> FeSampleInput::encode() const {
 FeSampleInput FeSampleInput::decode(std::span<const std::uint8_t> data) {
     BinaryReader r(data);
     const auto version = r.readHeader("FEIN");
-    COP_REQUIRE(version == 1, "unsupported fe input version");
+    COP_IO_CHECK(version == 1, "unsupported fe input version");
     FeSampleInput in;
     in.sampled.k = r.read<double>();
     in.sampled.x0 = r.read<double>();

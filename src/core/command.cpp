@@ -26,7 +26,7 @@ std::size_t CommandSpec::encodedSize() const {
 
 CommandSpec CommandSpec::deserialize(BinaryReader& r) {
     const auto version = r.readHeader("CCMD");
-    COP_REQUIRE(version == 1, "unsupported command version");
+    COP_IO_CHECK(version == 1, "unsupported command version");
     CommandSpec c;
     c.id = r.read<std::uint64_t>();
     c.projectId = r.read<std::uint64_t>();
@@ -64,7 +64,7 @@ std::size_t CommandResult::encodedSize() const {
 
 CommandResult CommandResult::deserialize(BinaryReader& r) {
     const auto version = r.readHeader("CRES");
-    COP_REQUIRE(version == 1, "unsupported result version");
+    COP_IO_CHECK(version == 1, "unsupported result version");
     CommandResult c;
     c.commandId = r.read<std::uint64_t>();
     c.projectId = r.read<std::uint64_t>();

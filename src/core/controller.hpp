@@ -57,6 +57,9 @@ public:
     virtual ~Controller() = default;
 
     virtual void onProjectStart(ProjectContext& ctx) = 0;
+    /// `result.output` is untrusted: an implementation that cannot decode
+    /// it throws IoError before changing any state, and the server then
+    /// calls onCommandFailed for the command instead.
     virtual void onCommandFinished(ProjectContext& ctx,
                                    const CommandResult& result) = 0;
     /// Default: resubmit nothing; concrete controllers may respawn.

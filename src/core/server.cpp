@@ -32,7 +32,8 @@ constexpr std::uint32_t kSnapshotVersion = 2;
 
 /// ServerStats in snapshot order. The counters apply() owns are durable;
 /// the rest are process-local, so their snapshot slots are written but
-/// recovery neither restores nor resets them.
+/// recovery neither restores nor resets them. undecodableResults has no
+/// slot: it is process-local and not part of the snapshot format.
 struct CounterSlot {
     std::uint64_t ServerStats::*field;
     bool durable;
@@ -61,6 +62,7 @@ constexpr CounterSlot kCounterSlots[] = {
 template <typename Event>
 decltype(auto) Server::commit(Event&& e) {
     using E = std::decay_t<Event>;
+    ++commitsStarted_;
     const auto append = [&] {
         if (!wal_) return;
         walScratch_.clear();
@@ -398,10 +400,22 @@ void Server::dispatchResult(CommandResult result) {
     if (duplicate) return;
     auto& entry = projects_.at(result.projectId);
     entry.outstanding.erase(result.commandId);
-    if (result.success)
-        entry.controller->onCommandFinished(*entry.context, result);
-    else if (spec)
-        entry.controller->onCommandFailed(*entry.context, *spec);
+    if (result.success) {
+        // Output the controller rejects with IoError before committing
+        // anything fails the command; a later IoError is the plane's own.
+        const auto commitsBefore = commitsStarted_;
+        try {
+            entry.controller->onCommandFinished(*entry.context, result);
+            return;
+        } catch (const IoError& err) {
+            if (commitsStarted_ != commitsBefore) throw;
+            ++stats_.undecodableResults;
+            COP_LOG_WARN("server") << name() << ": command "
+                                   << result.commandId
+                                   << " output rejected: " << err.what();
+        }
+    }
+    if (spec) entry.controller->onCommandFailed(*entry.context, *spec);
 }
 
 void Server::handleHeartbeat(const HeartbeatPayload& hb) {

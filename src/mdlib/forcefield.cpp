@@ -14,259 +14,15 @@
 
 namespace cop::md {
 
-namespace {
-
-// SoaParams moved to kernel_params.hpp: it is now the shared contract
-// between this file's scalar reference kernels and the per-ISA SIMD TUs
-// (kernels_*.cpp), all of which implement the NbPairKernelFn signature.
-
-// The three SoA kernels below stream the bucketed pair indices (and shift
-// codes / charge products) as flat channels while reading positions and
-// accumulating forces in xyz-interleaved triplets: the j-side access
-// pattern is a scatter, and a packed triplet costs one or two cache lines
-// where split x/y/z arrays cost three (measured ~12% of kernel time at
-// N=10000).
-//
-// They also share a shape: per-pair minimum image,
-// branch-free in/out selection (cutoff and r^2 > 0 folded into one `keep`
-// multiplier, with the excluded distance replaced by cut2 so no division
-// blows up), scatter-accumulate of the force. Splitting the pair list by
-// interaction kind ahead of time is what removes the per-pair dispatch the
-// Scalar/Blocked4 kernels pay for.
-//
-// Shifted kernels (cell-built lists, width-1 sets) image with a table
-// lookup of the run's precomputed shift vector, folded into the i
-// position once per run — the inner loop then does no imaging work at
-// all, where the rounding-based loop pays three
-// multiply-round-multiply-subtract chains per pair (a scalar kernel's
-// single largest cost). Shift codes can live on runs because runs split
-// when the code changes; pairs are emitted cell-pair by cell-pair, so
-// such splits are rare. Unshifted kernels keep the per-pair rint minimum
-// image, which is correct for arbitrary positions; they serve the
-// brute-force lists (open boxes or boxes too small for cells) and ALL
-// lists under the wide SIMD sets, where the rounding chain is amortized
-// over W lanes and not splitting runs by code buys more than the table
-// lookup saves (one run per atom instead of one per (atom, code) — see
-// splitPairBuckets).
-//
-// The pair buckets preserve the cell-major emission order of the neighbour
-// list, so equal i indices arrive in consecutive runs, and the buckets
-// store the run boundaries explicitly (built once per list rebuild). Each
-// kernel iterates runs with a plain counted inner loop, keeping the
-// i-particle position and force in registers for the whole run: without
-// this, every pair re-executes a load-add-store on f[i] whose
-// store-to-load forwarding serializes the loop (the j side has distinct
-// indices within a run, so its scatter stores are independent), plus a
-// load-compare-branch just to detect the run boundary.
-//
-// SoaParams is passed by value on purpose: through a reference the
-// compiler must assume the force scatter stores (double* fx) may alias
-// the parameter block's doubles and reload every constant after each
-// store; a by-value copy's address never escapes the kernel, so the
-// constants stay in registers. The copy happens once per bucket slice,
-// the reloads would happen per pair.
-
-template <bool Shifted>
-void soaLjKernel(const int* runI, const int* runStart, const int* pj,
-                 const unsigned char* rs, const double* /*qq*/,
-                 std::size_t rLo, std::size_t rHi, const double* xyz,
-                 double* f, const SoaParams k, double& enbOut,
-                 double& /*ecoulOut*/, double& evirOut) {
-    double enb = 0.0, evir = 0.0;
-    for (std::size_t r = rLo; r < rHi; ++r) {
-        const std::size_t i3 = 3 * std::size_t(runI[r]);
-        double xi = xyz[i3], yi = xyz[i3 + 1], zi = xyz[i3 + 2];
-        if constexpr (Shifted) {
-            const unsigned c = rs[r];
-            xi += k.tabX[c];
-            yi += k.tabY[c];
-            zi += k.tabZ[c];
-        }
-        double fxi = 0.0, fyi = 0.0, fzi = 0.0;
-        const std::size_t pEnd = std::size_t(runStart[r + 1]);
-        for (std::size_t p = std::size_t(runStart[r]); p < pEnd; ++p) {
-            const std::size_t j3 = 3 * std::size_t(pj[p]);
-            double dx = xi - xyz[j3], dy = yi - xyz[j3 + 1],
-                   dz = zi - xyz[j3 + 2];
-            if constexpr (!Shifted) {
-                dx -= k.Lx * std::rint(dx * k.iLx);
-                dy -= k.Ly * std::rint(dy * k.iLy);
-                dz -= k.Lz * std::rint(dz * k.iLz);
-            }
-            const double r2 = dx * dx + dy * dy + dz * dz;
-            const bool in = r2 <= k.cut2 && r2 >= k.minR2;
-            const double keep = in ? 1.0 : 0.0;
-            const double r2s = in ? r2 : k.cut2;
-            const double inv2 = 1.0 / r2s;
-            const double s2 = k.sig2 * inv2;
-            const double s6 = s2 * s2 * s2;
-            const double s12 = s6 * s6;
-            enb += keep * (k.eps4 * (s12 - s6) - k.ljShift);
-            const double fOverR = keep * k.eps24 * (2.0 * s12 - s6) * inv2;
-            evir += fOverR * r2s;
-            const double fxp = dx * fOverR, fyp = dy * fOverR,
-                         fzp = dz * fOverR;
-            fxi += fxp;
-            fyi += fyp;
-            fzi += fzp;
-            f[j3] -= fxp;
-            f[j3 + 1] -= fyp;
-            f[j3 + 2] -= fzp;
-        }
-        f[i3] += fxi;
-        f[i3 + 1] += fyi;
-        f[i3 + 2] += fzi;
-    }
-    enbOut += enb;
-    evirOut += evir;
-}
-
-template <bool Shifted>
-void soaLjCoulKernel(const int* runI, const int* runStart, const int* pj,
-                     const unsigned char* rs, const double* qq,
-                     std::size_t rLo, std::size_t rHi, const double* xyz,
-                     double* f, const SoaParams k, double& enbOut,
-                     double& ecoulOut, double& evirOut) {
-    double enb = 0.0, ecoul = 0.0, evir = 0.0;
-    for (std::size_t r = rLo; r < rHi; ++r) {
-        const std::size_t i3 = 3 * std::size_t(runI[r]);
-        double xi = xyz[i3], yi = xyz[i3 + 1], zi = xyz[i3 + 2];
-        if constexpr (Shifted) {
-            const unsigned c = rs[r];
-            xi += k.tabX[c];
-            yi += k.tabY[c];
-            zi += k.tabZ[c];
-        }
-        double fxi = 0.0, fyi = 0.0, fzi = 0.0;
-        const std::size_t pEnd = std::size_t(runStart[r + 1]);
-        for (std::size_t p = std::size_t(runStart[r]); p < pEnd; ++p) {
-            const std::size_t j3 = 3 * std::size_t(pj[p]);
-            double dx = xi - xyz[j3], dy = yi - xyz[j3 + 1],
-                   dz = zi - xyz[j3 + 2];
-            if constexpr (!Shifted) {
-                dx -= k.Lx * std::rint(dx * k.iLx);
-                dy -= k.Ly * std::rint(dy * k.iLy);
-                dz -= k.Lz * std::rint(dz * k.iLz);
-            }
-            const double r2 = dx * dx + dy * dy + dz * dz;
-            const bool in = r2 <= k.cut2 && r2 >= k.minR2;
-            const double keep = in ? 1.0 : 0.0;
-            const double r2s = in ? r2 : k.cut2;
-            const double inv2 = 1.0 / r2s;
-            const double s2 = k.sig2 * inv2;
-            const double s6 = s2 * s2 * s2;
-            const double s12 = s6 * s6;
-            const double invR = 1.0 / std::sqrt(r2s);
-            enb += keep * (k.eps4 * (s12 - s6) - k.ljShift);
-            ecoul += keep * qq[p] * (invR + k.kRF * r2s - k.cRF);
-            const double fOverR =
-                keep * (k.eps24 * (2.0 * s12 - s6) * inv2 +
-                        qq[p] * (invR * inv2 - 2.0 * k.kRF));
-            evir += fOverR * r2s;
-            const double fxp = dx * fOverR, fyp = dy * fOverR,
-                         fzp = dz * fOverR;
-            fxi += fxp;
-            fyi += fyp;
-            fzi += fzp;
-            f[j3] -= fxp;
-            f[j3 + 1] -= fyp;
-            f[j3 + 2] -= fzp;
-        }
-        f[i3] += fxi;
-        f[i3 + 1] += fyi;
-        f[i3 + 2] += fzi;
-    }
-    enbOut += enb;
-    ecoulOut += ecoul;
-    evirOut += evir;
-}
-
-template <bool Shifted>
-void soaGoKernel(const int* runI, const int* runStart, const int* pj,
-                 const unsigned char* rs, const double* /*qq*/,
-                 std::size_t rLo, std::size_t rHi, const double* xyz,
-                 double* f, const SoaParams k, double& enbOut,
-                 double& /*ecoulOut*/, double& evirOut) {
-    double enb = 0.0, evir = 0.0;
-    for (std::size_t r = rLo; r < rHi; ++r) {
-        const std::size_t i3 = 3 * std::size_t(runI[r]);
-        double xi = xyz[i3], yi = xyz[i3 + 1], zi = xyz[i3 + 2];
-        if constexpr (Shifted) {
-            const unsigned c = rs[r];
-            xi += k.tabX[c];
-            yi += k.tabY[c];
-            zi += k.tabZ[c];
-        }
-        double fxi = 0.0, fyi = 0.0, fzi = 0.0;
-        const std::size_t pEnd = std::size_t(runStart[r + 1]);
-        for (std::size_t p = std::size_t(runStart[r]); p < pEnd; ++p) {
-            const std::size_t j3 = 3 * std::size_t(pj[p]);
-            double dx = xi - xyz[j3], dy = yi - xyz[j3 + 1],
-                   dz = zi - xyz[j3 + 2];
-            if constexpr (!Shifted) {
-                dx -= k.Lx * std::rint(dx * k.iLx);
-                dy -= k.Ly * std::rint(dy * k.iLy);
-                dz -= k.Lz * std::rint(dz * k.iLz);
-            }
-            const double r2 = dx * dx + dy * dy + dz * dz;
-            const bool in = r2 <= k.cut2 && r2 >= k.minR2;
-            const double keep = in ? 1.0 : 0.0;
-            const double r2s = in ? r2 : k.cut2;
-            const double inv2 = 1.0 / r2s;
-            const double s2 = k.repSig2 * inv2;
-            const double s6 = s2 * s2 * s2;
-            const double s12 = s6 * s6;
-            enb += keep * k.repEps * s12;
-            const double fOverR = keep * 12.0 * k.repEps * s12 * inv2;
-            evir += fOverR * r2s;
-            const double fxp = dx * fOverR, fyp = dy * fOverR,
-                         fzp = dz * fOverR;
-            fxi += fxp;
-            fyi += fyp;
-            fzi += fzp;
-            f[j3] -= fxp;
-            f[j3 + 1] -= fyp;
-            f[j3 + 2] -= fzp;
-        }
-        f[i3] += fxi;
-        f[i3 + 1] += fyi;
-        f[i3 + 2] += fzi;
-    }
-    enbOut += enb;
-    evirOut += evir;
-}
-
-/// The scalar reference kernels above, packaged as a width-1 kernel
-/// table — the Soa flavor goes through the same dispatch seam as the
-/// SIMD sets, so there is exactly one engine (computeNonbondedSoa) and
-/// the flavors differ only in the table they install.
-NonbondedKernelSet soaKernelSet() {
-    NonbondedKernelSet s;
-    s.name = "soa";
-    s.width = 1;
-    s.lj[0] = &soaLjKernel<false>;
-    s.lj[1] = &soaLjKernel<true>;
-    s.ljCoul[0] = &soaLjCoulKernel<false>;
-    s.ljCoul[1] = &soaLjCoulKernel<true>;
-    s.go[0] = &soaGoKernel<false>;
-    s.go[1] = &soaGoKernel<true>;
-    return s;
-}
-
-} // namespace
-
 ForceField::ForceField(const Topology& top, const Box& box,
                        ForceFieldParams params, ThreadPool* pool)
     : top_(top), box_(box), params_(params), pool_(pool),
       neighborList_(params.cutoff, params.neighborSkin) {
     COP_REQUIRE(top.finalized(), "topology must be finalized");
     COP_REQUIRE(params.cutoff > 0.0, "cutoff must be positive");
-    if (params_.flavor == KernelFlavor::SimdAuto) {
+    if (params_.flavor == KernelFlavor::SimdAuto)
         activeIsa_ = resolveSimdIsa(params_.simdIsa);
-        kernels_ = kernelSetFor(activeIsa_);
-    } else {
-        kernels_ = soaKernelSet();
-    }
+    kernels_ = kernelSetFor(activeIsa_);
 }
 
 Energies ForceField::compute(const std::vector<Vec3>& positions,

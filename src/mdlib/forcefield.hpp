@@ -10,17 +10,20 @@
 ///     lists against textbook behaviour, mirroring the paper's use of a
 ///     reaction field for villin electrostatics.
 ///
-/// Forces are accumulated through one of four kernels (the "SIMD level" of
-/// the paper's Fig. 6): a scalar reference loop, a 4-wide blocked loop,
-/// the default structure-of-arrays engine (branch-free kind-split pair
-/// buckets, stored as same-i runs with precomputed periodic shifts, over
-/// cache-aligned xyz-interleaved coordinate triplets, with a striped
-/// zero-allocation threaded reduction), or the SoA engine driven by
-/// runtime-dispatched SIMD kernels (SSE2/AVX2/AVX-512F/NEON selected at
-/// startup via simd_dispatch.hpp; same buckets, width-templated inner
-/// loops). Scalar/Blocked4/Soa are required by tests to agree within
-/// 1e-10; the SIMD flavors within 1e-9 (vector accumulators change only
-/// the summation order).
+/// Forces are accumulated through one of four flavors (the "SIMD level" of
+/// the paper's Fig. 6). Scalar is the reference loop over the pair list;
+/// Blocked4 is the same loop in blocks of 4 and gives identical results.
+/// Soa and SimdAuto share one structure-of-arrays engine: branch-free
+/// kind-split pair buckets, stored as same-i runs over cache-aligned
+/// xyz-interleaved coordinate triplets, with a striped zero-allocation
+/// threaded reduction. Its inner loops are the width-templated kernels of
+/// simd_kernels_impl.hpp, written once: Soa runs them at width 1 (the
+/// portable "scalar" set, with precomputed per-run periodic shifts), and
+/// SimdAuto runs the set simd_dispatch.hpp picks at startup
+/// (SSE2/AVX2/AVX-512F/NEON, or the same "scalar" set). Tests require Soa
+/// to agree with Scalar within 1e-10, the wide sets within 1e-9 (vector
+/// accumulators change only the summation order), and SimdAuto with
+/// SimdIsa::Scalar to equal Soa exactly.
 
 #include <cstddef>
 #include <vector>
@@ -70,12 +73,13 @@ enum class NonbondedKind {
 enum class KernelFlavor {
     Scalar,   ///< straightforward reference loop
     Blocked4, ///< 4-wide blocked loop, auto-vectorizer friendly
-    Soa,      ///< structure-of-arrays kernel over kind-split pair buckets:
-              ///< branch-free inner loops, precomputed charge products,
-              ///< striped zero-allocation threaded reduction
-    SimdAuto, ///< the Soa engine with explicit-SIMD inner loops, ISA
-              ///< picked at startup (ForceFieldParams::simdIsa override >
-              ///< COPERNICUS_SIMD env var > CPU detection)
+    Soa,      ///< structure-of-arrays engine over kind-split pair buckets
+              ///< running the portable width-1 kernel set: branch-free
+              ///< inner loops, precomputed charge products, striped
+              ///< zero-allocation threaded reduction
+    SimdAuto, ///< the Soa engine with the kernel set picked at startup
+              ///< (ForceFieldParams::simdIsa override > COPERNICUS_SIMD
+              ///< env var > CPU detection)
 };
 
 struct ForceFieldParams {
@@ -83,8 +87,9 @@ struct ForceFieldParams {
     /// Soa (not SimdAuto) on purpose: the default must produce identical
     /// trajectories on every host, and checkpoints migrate across
     /// heterogeneous workers — ISA-dependent rounding in the default
-    /// kernel would make both host-dependent. Opting into SimdAuto is a
-    /// per-project throughput decision (see DESIGN.md).
+    /// kernel would make both host-dependent. Soa always runs the
+    /// portable width-1 set. Opting into SimdAuto is a per-project
+    /// throughput decision (see DESIGN.md).
     KernelFlavor flavor = KernelFlavor::Soa;
     /// Which SIMD kernel set SimdAuto uses; Auto defers to the
     /// COPERNICUS_SIMD env var and then CPU detection. Ignored by the
@@ -138,10 +143,11 @@ public:
 
     /// The ISA the nonbonded kernel table was resolved to at
     /// construction: the dispatch result for SimdAuto, SimdIsa::Scalar
-    /// for every other flavor (they run width-1 scalar kernels).
+    /// for every other flavor.
     SimdIsa activeSimdIsa() const { return activeIsa_; }
-    /// The kernel table the SoA engine calls through (width 1 for the
-    /// Soa flavor's scalar reference set).
+    /// The kernel table the SoA engine calls through:
+    /// kernelSetFor(activeSimdIsa()), so the Soa flavor and SimdAuto
+    /// resolved to Scalar install the same width-1 "scalar" set.
     const NonbondedKernelSet& kernelSet() const { return kernels_; }
 
     /// Replaces the box (barostat rescale); invalidates the neighbour

@@ -5,11 +5,11 @@
 /// the constant block every kernel consumes (SoaParams) and the
 /// function-pointer table a kernel implementation exports
 /// (NonbondedKernelSet). This header is included both by forcefield.cpp
-/// (the scalar SoA kernels and the engine that slices buckets across
-/// threads) and by the per-ISA SIMD translation units, so it must stay
-/// plain data: no inline functions, no templates — anything with code in
-/// it would be compiled under different -m flags in different TUs and
-/// tripped over by the linker's pick-one rule.
+/// (the engine that slices buckets across threads) and by the per-ISA
+/// kernel translation units, so it must stay plain data: no inline
+/// functions, no templates — anything with code in it would be compiled
+/// under different -m flags in different TUs and tripped over by the
+/// linker's pick-one rule.
 
 #include <cstddef>
 
@@ -50,7 +50,7 @@ using NbPairKernelFn = void (*)(const int* runI, const int* runStart,
 /// The six inner loops one kernel implementation provides:
 /// {LJ, LJ+Coulomb-RF, Gō-repulsive} x {unshifted, shifted}, indexed by
 /// family field and `shifted ? 1 : 0`. `width` is the SIMD lane count the
-/// implementation was compiled for (1 for the scalar SoA reference set);
+/// implementation was compiled for (1 for the portable "scalar" set);
 /// `name` matches the COPERNICUS_SIMD spelling of the ISA.
 struct NonbondedKernelSet {
     const char* name = "";

@@ -1,9 +1,9 @@
-/// Portable kernel TU: the width-4 lane-loop SimdPack fallback, compiled
-/// with the project's baseline flags only. This is the COPERNICUS_SIMD=
-/// "scalar" dispatch target and the set every host can run.
+/// Portable kernel TU: the width-templated kernels at width 1, compiled
+/// with the project's baseline flags only. Every host can run it: the
+/// Soa flavor installs it, and it is the COPERNICUS_SIMD="scalar" target.
 
 #define COP_SIMD_ARCH_NS arch_generic
-#define COP_SIMD_WIDTH 4
+#define COP_SIMD_WIDTH 1
 
 #include "mdlib/simd_kernels_impl.hpp"
 

@@ -14,8 +14,9 @@
 ///      (__builtin_cpu_supports on x86-64; NEON is baseline on AArch64).
 /// Requesting an ISA that is not compiled in or not runnable throws
 /// InvalidArgument — a silent downgrade would invalidate any benchmark
-/// claiming that ISA. "scalar" (the portable width-4 pack) is always
-/// compiled and always runnable, so resolution cannot fail.
+/// claiming that ISA. "scalar" (the portable width-1 set the Soa flavor
+/// also runs) is always compiled and always runnable, so resolution
+/// cannot fail.
 
 #include <string>
 #include <vector>
@@ -26,7 +27,7 @@ namespace cop::md {
 
 enum class SimdIsa {
     Auto,   ///< resolve via COPERNICUS_SIMD, then CPU detection
-    Scalar, ///< portable width-4 lane-loop pack (always available)
+    Scalar, ///< portable width-1 set, the Soa flavor's (always available)
     Sse2,
     Avx2,
     Avx512,

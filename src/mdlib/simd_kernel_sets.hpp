@@ -11,7 +11,8 @@
 
 namespace cop::md::simd {
 
-/// Portable width-4 lane-loop pack; compiles everywhere, no -m flags.
+/// Portable width-1 set (the Soa flavor's and COPERNICUS_SIMD=scalar's);
+/// compiles everywhere, no -m flags.
 NonbondedKernelSet genericKernels();
 #ifdef COPERNICUS_SIMD_HAVE_SSE2
 NonbondedKernelSet sse2Kernels();

@@ -161,7 +161,7 @@ std::vector<std::uint8_t> Simulation::checkpoint() const {
 Simulation Simulation::restore(std::span<const std::uint8_t> blob) {
     BinaryReader r(blob);
     const auto version = r.readHeader("CSIM");
-    COP_REQUIRE(version == 1, "unsupported checkpoint version");
+    COP_IO_CHECK(version == 1, "unsupported checkpoint version");
     Topology top = Topology::deserialize(r);
     Box box;
     box.periodic = r.read<std::uint8_t>() != 0;

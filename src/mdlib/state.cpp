@@ -21,7 +21,7 @@ void State::serialize(BinaryWriter& w) const {
 
 State State::deserialize(BinaryReader& r) {
     const auto version = r.readHeader("CSTA");
-    COP_REQUIRE(version == 1, "unsupported state version");
+    COP_IO_CHECK(version == 1, "unsupported state version");
     State s;
     s.positions = r.readVec3Vector();
     s.velocities = r.readVec3Vector();

@@ -144,7 +144,7 @@ void Topology::serialize(BinaryWriter& w) const {
 
 Topology Topology::deserialize(BinaryReader& r) {
     const auto version = r.readHeader("CTOP");
-    COP_REQUIRE(version == 1, "unsupported topology version");
+    COP_IO_CHECK(version == 1, "unsupported topology version");
     Topology t;
     t.masses_ = r.readVector<double>();
     t.charges_ = r.readVector<double>();

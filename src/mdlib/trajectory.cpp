@@ -52,7 +52,7 @@ void Trajectory::serialize(BinaryWriter& w) const {
 
 Trajectory Trajectory::deserialize(BinaryReader& r) {
     const auto version = r.readHeader("CTRJ");
-    COP_REQUIRE(version == 1, "unsupported trajectory version");
+    COP_IO_CHECK(version == 1, "unsupported trajectory version");
     Trajectory t;
     const auto n = r.read<std::uint64_t>();
     for (std::uint64_t i = 0; i < n; ++i) {

@@ -292,6 +292,43 @@ TEST(Recovery, RejectsVersionOneSnapshot) {
     }
 }
 
+/// A CRC-valid logged Push whose CommandSpec names an unknown version is
+/// untrusted input like any other malformed record: recovery fails with
+/// IoError.
+TEST(Recovery, RejectsUnknownCommandSpecVersion) {
+    TempDir tmp("spec_version");
+    {
+        CommandSpec spec;
+        spec.projectId = 1;
+        spec.executable = "mdrun";
+        BinaryWriter w;
+        w.write(std::uint64_t(1)); // tenant
+        w.write(std::uint8_t(0));  // force
+        const std::size_t header = w.buffer().size();
+        spec.serialize(w);
+        auto body = w.takeBuffer();
+        body[header + 4] = 2; // "CCMD", then the little-endian version
+        WalConfig cfg;
+        cfg.dir = tmp.path.string();
+        Wal wal(cfg);
+        wal.append(WalRecordType::Push, body);
+        wal.flush();
+    }
+    Deployment dep(9);
+    ServerConfig sc;
+    sc.durability.walEnabled = true;
+    sc.durability.walDir = tmp.path.string();
+    auto& server = dep.addServer("s0", sc);
+    try {
+        server.recoverFromWal();
+        ADD_FAILURE() << "a version-2 command spec was accepted";
+    } catch (const IoError& e) {
+        EXPECT_NE(std::string(e.what()).find("unsupported command version"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
 /// The WAL-disabled default is unchanged seed behavior: no log, no store
 /// spills unless a cap is set, and metrics report zeroes.
 TEST(Recovery, WalDisabledByDefault) {

@@ -113,6 +113,26 @@ TEST(LintConfig, RejectsUnknownDirective) {
     EXPECT_NE(err.find(":2"), std::string::npos);
 }
 
+TEST(LintConfig, RejectsPathsMissingUnderRoot) {
+    Config good;
+    std::string err;
+    ASSERT_TRUE(parseConfig(slurp(kFixtureDir / "lint_config"), good, err))
+        << err;
+    EXPECT_TRUE(checkConfigPaths(good, kFixtureDir, err)) << err;
+
+    for (const char* line : {"untrusted-file core/no_such_decode.cpp\n",
+                             "blocking-allow core/no_such_decode.cpp flush\n",
+                             "switch-enum Fruit core/no_such_decode.cpp\n"}) {
+        SCOPED_TRACE(line);
+        Config cfg;
+        err.clear();
+        ASSERT_TRUE(parseConfig(line, cfg, err)) << err;
+        EXPECT_FALSE(checkConfigPaths(cfg, kFixtureDir, err));
+        EXPECT_NE(err.find("core/no_such_decode.cpp"), std::string::npos)
+            << err;
+    }
+}
+
 TEST(LintConfig, ParsesAllDirectives) {
     Config cfg;
     std::string err;

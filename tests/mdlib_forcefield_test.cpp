@@ -101,13 +101,16 @@ void expectFlavorsAgree(const LjSystem& sys, double tol = 1e-10) {
     const auto eS = runFlavor(sys, KernelFlavor::Scalar, fScalar);
     const auto eB = runFlavor(sys, KernelFlavor::Blocked4, fBlocked);
     const auto eA = runFlavor(sys, KernelFlavor::Soa, fSoa);
-    EXPECT_NEAR(eS.nonbonded, eB.nonbonded, tol);
+    // Blocked4 evaluates the same pairTerm and scatters in the same pair
+    // order as Scalar: an exact duplicate, not a rounding-level variant.
+    EXPECT_EQ(eS.nonbonded, eB.nonbonded);
     EXPECT_NEAR(eS.nonbonded, eA.nonbonded, tol);
-    EXPECT_NEAR(eS.coulomb, eB.coulomb, tol);
+    EXPECT_EQ(eS.coulomb, eB.coulomb);
     EXPECT_NEAR(eS.coulomb, eA.coulomb, tol);
+    EXPECT_EQ(eS.pairVirial, eB.pairVirial);
     EXPECT_NEAR(eS.pairVirial, eA.pairVirial, 1e-8);
     for (std::size_t i = 0; i < fScalar.size(); ++i) {
-        EXPECT_NEAR(norm(fScalar[i] - fBlocked[i]), 0.0, tol);
+        for (int d = 0; d < 3; ++d) EXPECT_EQ(fScalar[i][d], fBlocked[i][d]);
         EXPECT_NEAR(norm(fScalar[i] - fSoa[i]), 0.0, tol);
     }
 }
@@ -184,10 +187,12 @@ TEST(ForceField, ScalarAndBlockedKernelsAgree) {
     std::vector<Vec3> fs, fb;
     const auto es = ffS.compute(sys.positions, fs);
     const auto eb = ffB.compute(sys.positions, fb);
-    EXPECT_NEAR(es.nonbonded, eb.nonbonded, 1e-10);
-    EXPECT_NEAR(es.coulomb, eb.coulomb, 1e-10);
+    // Same pairTerm, same scatter order: bit-identical.
+    EXPECT_EQ(es.nonbonded, eb.nonbonded);
+    EXPECT_EQ(es.coulomb, eb.coulomb);
+    EXPECT_EQ(es.pairVirial, eb.pairVirial);
     for (std::size_t i = 0; i < fs.size(); ++i)
-        EXPECT_NEAR(norm(fs[i] - fb[i]), 0.0, 1e-10);
+        for (int d = 0; d < 3; ++d) EXPECT_EQ(fs[i][d], fb[i][d]);
 }
 
 TEST(ForceField, ThreadedForcesMatchSerial) {

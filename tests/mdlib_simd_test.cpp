@@ -5,7 +5,9 @@
 /// periodic), unshifted-periodic (brute-force rint) and open-box pair
 /// lists, with ragged run lengths so every width's remainder-lane tail
 /// executes. The documented tolerance for SIMD flavors is 1e-9 (vector
-/// accumulators change summation order only); see DESIGN.md.
+/// accumulators change summation order only); see DESIGN.md. The
+/// portable "scalar" set is the one the Soa flavor runs, so SimdAuto
+/// pinned to SimdIsa::Scalar must equal Soa bit for bit.
 
 #include <cstdlib>
 
@@ -101,6 +103,18 @@ Energies runWith(const LjSystem& sys, KernelFlavor flavor, SimdIsa isa,
     return ff.compute(sys.positions, forces);
 }
 
+/// Every energy and force component of `a` equals `b`'s exactly.
+void expectIdentical(const Energies& ea, const std::vector<Vec3>& fa,
+                     const Energies& eb, const std::vector<Vec3>& fb) {
+    EXPECT_EQ(ea.nonbonded, eb.nonbonded);
+    EXPECT_EQ(ea.coulomb, eb.coulomb);
+    EXPECT_EQ(ea.pairVirial, eb.pairVirial);
+    ASSERT_EQ(fa.size(), fb.size());
+    for (std::size_t i = 0; i < fa.size(); ++i)
+        for (int d = 0; d < 3; ++d)
+            EXPECT_EQ(fa[i][d], fb[i][d]) << "particle " << i << " dim " << d;
+}
+
 void expectIsaMatchesScalar(const LjSystem& sys, SimdIsa isa) {
     SCOPED_TRACE(std::string("isa=") + simdIsaName(isa));
     std::vector<Vec3> fRef, fSimd;
@@ -112,6 +126,12 @@ void expectIsaMatchesScalar(const LjSystem& sys, SimdIsa isa) {
     ASSERT_EQ(fRef.size(), fSimd.size());
     for (std::size_t i = 0; i < fRef.size(); ++i)
         EXPECT_NEAR(norm(fRef[i] - fSimd[i]), 0.0, kSimdTol);
+    if (isa == SimdIsa::Scalar) {
+        std::vector<Vec3> fSoa;
+        const auto eSoa =
+            runWith(sys, KernelFlavor::Soa, SimdIsa::Auto, fSoa);
+        expectIdentical(eSoa, fSoa, eSimd, fSimd);
+    }
 }
 
 // ---- parity sweeps: every runnable ISA x both kinds x list shapes ----
@@ -159,6 +179,14 @@ TEST(SimdKernels, MatchScalarOnGoRepulsiveOpenBox) {
         EXPECT_NEAR(eRef.pairVirial, e.pairVirial, 1e-7);
         for (std::size_t i = 0; i < fRef.size(); ++i)
             EXPECT_NEAR(norm(fRef[i] - f[i]), 0.0, kSimdTol);
+        if (isa == SimdIsa::Scalar) {
+            auto soaParams = model.forceFieldParams();
+            soaParams.flavor = KernelFlavor::Soa;
+            ForceField ffSoa(model.topology, Box::open(), soaParams);
+            std::vector<Vec3> fSoa;
+            const auto eSoa = ffSoa.compute(pos, fSoa);
+            expectIdentical(eSoa, fSoa, e, f);
+        }
     }
 }
 
@@ -192,6 +220,15 @@ TEST(SimdKernels, ThreadedSimdAutoMatchesSerial) {
     EXPECT_NEAR(e1.coulomb, e2.coulomb, kSimdTol);
     for (std::size_t i = 0; i < fSerial.size(); ++i)
         EXPECT_NEAR(norm(fSerial[i] - fThreaded[i]), 0.0, kSimdTol);
+
+    // The threaded Soa engine and SimdAuto pinned to the portable set
+    // slice the same width-1 kernels identically.
+    std::vector<Vec3> fSoa, fScalar;
+    const auto eSoa =
+        runWith(sys, KernelFlavor::Soa, SimdIsa::Auto, fSoa, &pool);
+    const auto eScalar =
+        runWith(sys, KernelFlavor::SimdAuto, SimdIsa::Scalar, fScalar, &pool);
+    expectIdentical(eSoa, fSoa, eScalar, fScalar);
 }
 
 // ---- dispatch policy ----
@@ -299,7 +336,14 @@ TEST(SimdDispatch, NonSimdFlavorsUseScalarWidthOneSet) {
     ForceField ff(sys.top, sys.box, sys.params); // default flavor: Soa
     EXPECT_EQ(ff.activeSimdIsa(), SimdIsa::Scalar);
     EXPECT_EQ(ff.kernelSet().width, 1);
-    EXPECT_STREQ(ff.kernelSet().name, "soa");
+    EXPECT_STREQ(ff.kernelSet().name, "scalar");
+    // The very table SimdAuto installs for SimdIsa::Scalar.
+    const auto& scalar = kernelSetFor(SimdIsa::Scalar);
+    for (int sh = 0; sh < 2; ++sh) {
+        EXPECT_EQ(ff.kernelSet().lj[sh], scalar.lj[sh]);
+        EXPECT_EQ(ff.kernelSet().ljCoul[sh], scalar.ljCoul[sh]);
+        EXPECT_EQ(ff.kernelSet().go[sh], scalar.go[sh]);
+    }
 }
 
 } // namespace

@@ -74,6 +74,23 @@ bool parseConfig(const std::string& text, Config& out, std::string& error) {
     return true;
 }
 
+bool checkConfigPaths(const Config& cfg, const std::filesystem::path& root,
+                      std::string& error) {
+    auto missing = [&](const char* directive, const std::string& path) {
+        if (std::filesystem::is_regular_file(root / path)) return false;
+        error = std::string("lint_config: ") + directive + " " + path +
+                ": no such file under " + root.string();
+        return true;
+    };
+    for (const auto& path : cfg.untrustedFiles)
+        if (missing("untrusted-file", path)) return false;
+    for (const auto& entry : cfg.blockingAllow)
+        if (missing("blocking-allow", entry.first)) return false;
+    for (const auto& entry : cfg.switchEnums)
+        if (missing("switch-enum", entry.second)) return false;
+    return true;
+}
+
 // ---------------------------------------------------------------------------
 // Shared token helpers
 // ---------------------------------------------------------------------------

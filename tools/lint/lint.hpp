@@ -42,6 +42,7 @@
 /// line grammar); checks are data-driven so the fixture suite can run
 /// them against synthetic trees.
 
+#include <filesystem>
 #include <map>
 #include <set>
 #include <string>
@@ -83,6 +84,12 @@ struct Config {
 /// Parses the config text; returns false and sets `error` on a malformed
 /// line (unknown directive or missing operand).
 bool parseConfig(const std::string& text, Config& out, std::string& error);
+
+/// Returns false and sets `error` when an untrusted-file, blocking-allow
+/// or switch-enum path names no file under `root`: a stale entry would
+/// otherwise silently scope its check to nothing.
+bool checkConfigPaths(const Config& cfg, const std::filesystem::path& root,
+                      std::string& error);
 
 /// An enum class definition recovered from a header.
 struct EnumDef {

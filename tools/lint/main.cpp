@@ -104,7 +104,8 @@ int main(int argc, char** argv) {
     }
     Config cfg;
     std::string err;
-    if (!parseConfig(configText, cfg, err)) {
+    if (!parseConfig(configText, cfg, err) ||
+        !checkConfigPaths(cfg, root, err)) {
         std::cerr << "copernicus_lint: " << configPath.string() << ": " << err
                   << "\n";
         return 2;
