@@ -39,6 +39,10 @@ public:
     void onProjectStart(ProjectContext& ctx) override;
     void onCommandFinished(ProjectContext& ctx,
                            const CommandResult& result) override;
+    /// Resubmits the failed window command unchanged (same seed), so a
+    /// round never loses a command and refinement still runs.
+    void onCommandFailed(ProjectContext& ctx,
+                         const CommandSpec& spec) override;
     bool isDone(const ProjectContext& ctx) const override;
     std::string statusReport(const ProjectContext& ctx) const override;
 
