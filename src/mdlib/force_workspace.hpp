@@ -15,15 +15,13 @@
 ///   - the pair list split by interaction kind (LJ-only / LJ+Coulomb-RF /
 ///     Gō-repulsive) with per-pair charge products and periodic shift codes
 ///     precomputed, so the SoA inner loops are branch-free;
-///   - AoS per-chunk buffers and energy slots for the legacy Scalar/Blocked4
-///     threaded path.
+///   - per-chunk energy slots for the threaded path.
 
 #include <cstddef>
 #include <limits>
 #include <vector>
 
 #include "util/aligned_buffer.hpp"
-#include "util/vec3.hpp"
 
 namespace cop::md {
 
@@ -134,8 +132,6 @@ struct ForceWorkspace {
     // changes; capacity persists across rebuilds.
     AlignedVector<int> pairKey, pairOrder, keyOffset;
 
-    // Legacy AoS per-chunk buffers (Scalar / Blocked4 threaded path).
-    std::vector<std::vector<Vec3>> aosBuffers;
     // Per-chunk energy slots: nonbonded, coulomb, virial.
     std::vector<double> enb, ecoul, evir;
 
@@ -158,7 +154,6 @@ struct ForceWorkspace {
             f3.resize(3 * padded);
             stride = padded;
             nStripes = 0;     // force stripe re-size below
-            aosBuffers.clear();
         }
         if (nStripes < chunks) {
             nStripes = chunks;
@@ -167,9 +162,6 @@ struct ForceWorkspace {
             ecoul.resize(nStripes);
             evir.resize(nStripes);
         }
-        if (aosBuffers.size() < chunks) aosBuffers.resize(chunks);
-        for (auto& b : aosBuffers)
-            if (b.size() < n) b.resize(n);
     }
 };
 

@@ -125,76 +125,28 @@ void ForceField::computeNonbonded(const std::vector<Vec3>& positions,
 
     // The Blocked4 flavor processes the pair list in blocks of 4,
     // accumulating into small fixed arrays the compiler can keep in vector
-    // registers; the Scalar flavor is the obvious loop. Results agree to
-    // rounding. With a thread pool, the pair range is chunked with
-    // per-thread force buffers and reduced (the paper's "thread" tier).
-    auto processRange = [&](std::size_t lo, std::size_t hi,
-                            std::vector<Vec3>& fbuf, double& enb,
-                            double& ecoul, double& evir) {
-        if (params_.flavor == KernelFlavor::Blocked4) {
-            std::size_t p = lo;
-            for (; p + 4 <= hi; p += 4) {
-                Vec3 fs[4];
-                for (int u = 0; u < 4; ++u)
-                    fs[u] = pairTerm(pairs[p + std::size_t(u)].i,
-                                     pairs[p + std::size_t(u)].j, enb, ecoul,
-                                     evir);
-                for (int u = 0; u < 4; ++u) {
-                    fbuf[std::size_t(pairs[p + std::size_t(u)].i)] += fs[u];
-                    fbuf[std::size_t(pairs[p + std::size_t(u)].j)] -= fs[u];
-                }
-            }
-            for (; p < hi; ++p) {
-                const Vec3 f =
-                    pairTerm(pairs[p].i, pairs[p].j, enb, ecoul, evir);
-                fbuf[std::size_t(pairs[p].i)] += f;
-                fbuf[std::size_t(pairs[p].j)] -= f;
-            }
-        } else {
-            for (std::size_t p = lo; p < hi; ++p) {
-                const Vec3 f =
-                    pairTerm(pairs[p].i, pairs[p].j, enb, ecoul, evir);
-                fbuf[std::size_t(pairs[p].i)] += f;
-                fbuf[std::size_t(pairs[p].j)] -= f;
+    // registers; the Scalar flavor is the obvious loop. Results agree
+    // exactly. Both are serial: the thread tier runs on the SoA engine.
+    const std::size_t nPairs = pairs.size();
+    std::size_t p = 0;
+    if (params_.flavor == KernelFlavor::Blocked4) {
+        for (; p + 4 <= nPairs; p += 4) {
+            Vec3 fs[4];
+            for (int u = 0; u < 4; ++u)
+                fs[u] = pairTerm(pairs[p + std::size_t(u)].i,
+                                 pairs[p + std::size_t(u)].j, e.nonbonded,
+                                 e.coulomb, e.pairVirial);
+            for (int u = 0; u < 4; ++u) {
+                forces[std::size_t(pairs[p + std::size_t(u)].i)] += fs[u];
+                forces[std::size_t(pairs[p + std::size_t(u)].j)] -= fs[u];
             }
         }
-    };
-
-    if (pool_ != nullptr && pairs.size() >= 1024 && pool_->size() > 1) {
-        // Per-chunk accumulation into persistent workspace buffers, then a
-        // striped parallel reduction: each stripe of particle indices is
-        // summed across all chunk buffers by one thread, so the reduction
-        // is O(N) wall-clock instead of O(chunks * N) serial.
-        const std::size_t nChunks = pool_->size() + 1;
-        ws_.ensure(positions.size(), nChunks);
-        const std::size_t chunk = (pairs.size() + nChunks - 1) / nChunks;
-        pool_->forChunks(0, nChunks, [&](std::size_t, std::size_t cLo,
-                                         std::size_t cHi) {
-            for (std::size_t c = cLo; c < cHi; ++c) {
-                auto& fbuf = ws_.aosBuffers[c];
-                std::fill(fbuf.begin(), fbuf.end(), Vec3{});
-                ws_.enb[c] = ws_.ecoul[c] = ws_.evir[c] = 0.0;
-                const std::size_t lo = c * chunk;
-                const std::size_t hi = std::min(lo + chunk, pairs.size());
-                if (lo < hi)
-                    processRange(lo, hi, fbuf, ws_.enb[c], ws_.ecoul[c],
-                                 ws_.evir[c]);
-            }
-        });
-        pool_->forChunks(0, forces.size(), [&](std::size_t, std::size_t lo,
-                                               std::size_t hi) {
-            for (std::size_t i = lo; i < hi; ++i)
-                for (std::size_t c = 0; c < nChunks; ++c)
-                    forces[i] += ws_.aosBuffers[c][i];
-        });
-        for (std::size_t c = 0; c < nChunks; ++c) {
-            e.nonbonded += ws_.enb[c];
-            e.coulomb += ws_.ecoul[c];
-            e.pairVirial += ws_.evir[c];
-        }
-    } else {
-        processRange(0, pairs.size(), forces, e.nonbonded, e.coulomb,
-                     e.pairVirial);
+    }
+    for (; p < nPairs; ++p) {
+        const Vec3 f = pairTerm(pairs[p].i, pairs[p].j, e.nonbonded,
+                                e.coulomb, e.pairVirial);
+        forces[std::size_t(pairs[p].i)] += f;
+        forces[std::size_t(pairs[p].j)] -= f;
     }
 }
 

@@ -13,6 +13,7 @@
 /// Forces are accumulated through one of four flavors (the "SIMD level" of
 /// the paper's Fig. 6). Scalar is the reference loop over the pair list;
 /// Blocked4 is the same loop in blocks of 4 and gives identical results.
+/// Both are serial and ignore the thread pool.
 /// Soa and SimdAuto share one structure-of-arrays engine: branch-free
 /// kind-split pair buckets, stored as same-i runs over cache-aligned
 /// xyz-interleaved coordinate triplets, with a striped zero-allocation
@@ -133,7 +134,8 @@ public:
     const Box& box() const { return box_; }
 
     /// Attaches (or detaches, with nullptr) the thread pool used for the
-    /// nonbonded loop and the neighbour-list displacement scan.
+    /// Soa/SimdAuto nonbonded loop and the neighbour-list displacement
+    /// scan.
     void setPool(ThreadPool* pool) { pool_ = pool; }
     ThreadPool* pool() const { return pool_; }
 
@@ -149,13 +151,6 @@ public:
     /// kernelSetFor(activeSimdIsa()), so the Soa flavor and SimdAuto
     /// resolved to Scalar install the same width-1 "scalar" set.
     const NonbondedKernelSet& kernelSet() const { return kernels_; }
-
-    /// Replaces the box (barostat rescale); invalidates the neighbour
-    /// list so the next compute() rebuilds it.
-    void setBox(const Box& box) {
-        box_ = box;
-        neighborList_.invalidate();
-    }
 
 private:
     Energies computeBonded(const std::vector<Vec3>& positions,

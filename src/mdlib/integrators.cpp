@@ -63,8 +63,6 @@ void Integrator::run(State& state, std::int64_t nSteps) {
         case IntegratorKind::Leapfrog: stepLeapfrog(state); break;
         case IntegratorKind::LangevinBAOAB: stepLangevinBAOAB(state); break;
         }
-        if (params_.barostat == BarostatKind::Berendsen)
-            applyBerendsenBarostat(state);
         ++state.step;
         state.time += params_.dt;
     }
@@ -85,12 +83,8 @@ void Integrator::stepVelocityVerlet(State& state) {
     for (std::size_t i = 0; i < state.numParticles(); ++i)
         state.velocities[i] += state.forces[i] * (0.5 * dt / top.mass(i));
 
-    switch (params_.thermostat) {
-    case ThermostatKind::NoseHoover: applyNoseHooverHalf(state, 0.5 * dt); break;
-    case ThermostatKind::VRescale: applyVRescale(state); break;
-    case ThermostatKind::Berendsen: applyBerendsen(state); break;
-    case ThermostatKind::None: break;
-    }
+    if (params_.thermostat == ThermostatKind::NoseHoover)
+        applyNoseHooverHalf(state, 0.5 * dt);
 }
 
 void Integrator::stepLeapfrog(State& state) {
@@ -104,15 +98,10 @@ void Integrator::stepLeapfrog(State& state) {
         state.positions[i] += state.velocities[i] * dt;
     }
     lastEnergies_ = ff_.compute(state.positions, state.forces);
-    switch (params_.thermostat) {
-    case ThermostatKind::VRescale: applyVRescale(state); break;
-    case ThermostatKind::Berendsen: applyBerendsen(state); break;
-    case ThermostatKind::NoseHoover:
-        // Leapfrog + NH needs an implicit solve; we support NH only with
-        // velocity Verlet, matching how tests use it.
+    // Leapfrog + NH needs an implicit solve; we support NH only with
+    // velocity Verlet, matching how tests use it.
+    if (params_.thermostat == ThermostatKind::NoseHoover)
         throw InvalidArgument("Nosé-Hoover requires VelocityVerlet");
-    case ThermostatKind::None: break;
-    }
 }
 
 void Integrator::stepLangevinBAOAB(State& state) {
@@ -162,51 +151,6 @@ void Integrator::applyNoseHooverHalf(State& state, double halfDt) {
     state.nhXi += g * 0.5 * halfDt;
 }
 
-void Integrator::applyVRescale(State& state) {
-    // Bussi-Donadio-Parrinello stochastic velocity rescaling.
-    const auto& top = ff_.topology();
-    const double nf = 3.0 * double(state.numParticles()) - 3.0;
-    const double kCur = kineticEnergy(top, state);
-    if (kCur <= 0.0) return;
-    const double kBar = 0.5 * nf * params_.temperature;
-    const double c = std::exp(-params_.dt / params_.tauT);
-    const double r1 = rng_.gaussian();
-    double sumSq = 0.0;
-    for (int i = 1; i < int(nf); ++i) {
-        const double r = rng_.gaussian();
-        sumSq += r * r;
-    }
-    const double kNew =
-        kCur * c + kBar / nf * (1.0 - c) * (r1 * r1 + sumSq) +
-        2.0 * r1 * std::sqrt(c * (1.0 - c) * kCur * kBar / nf);
-    const double lambda = std::sqrt(std::max(0.0, kNew / kCur));
-    for (auto& v : state.velocities) v *= lambda;
-}
-
-void Integrator::applyBerendsen(State& state) {
-    const auto& top = ff_.topology();
-    const double tCur = instantaneousTemperature(top, state);
-    if (tCur <= 0.0) return;
-    const double lambda = std::sqrt(
-        1.0 + params_.dt / params_.tauT * (params_.temperature / tCur - 1.0));
-    for (auto& v : state.velocities) v *= lambda;
-}
-
-void Integrator::applyBerendsenBarostat(State& state) {
-    const Box& box = ff_.box();
-    COP_REQUIRE(box.periodic, "barostat needs a periodic box");
-    const double p = pressure(state);
-    // Berendsen weak coupling: mu = [1 - kappa dt/tauP (P0 - P)]^(1/3).
-    const double arg = 1.0 - params_.compressibility * params_.dt /
-                                 params_.tauP * (params_.pressure - p);
-    const double mu = std::cbrt(std::clamp(arg, 0.9, 1.1));
-    if (mu == 1.0) return;
-    Box scaled = box;
-    scaled.lengths *= mu;
-    ff_.setBox(scaled);
-    for (auto& x : state.positions) x *= mu;
-}
-
 double Integrator::pressure(const State& state) const {
     COP_REQUIRE(ff_.box().periodic, "pressure needs a periodic box");
     return pairPressure(lastEnergies_,
@@ -224,88 +168,6 @@ double Integrator::conservedQuantity(const State& state) const {
              nf * params_.temperature * state.nhEta;
     }
     return e;
-}
-
-FireResult fireMinimize(ForceField& ff, std::vector<Vec3>& positions,
-                        const FireParams& p) {
-    COP_REQUIRE(p.dtInit > 0.0 && p.dtMax >= p.dtInit,
-                "FIRE time steps must satisfy 0 < dtInit <= dtMax");
-    COP_REQUIRE(p.forceTol > 0.0, "FIRE force tolerance must be positive");
-    COP_REQUIRE(p.fDec > 0.0 && p.fDec < 1.0 && p.fInc > 1.0,
-                "FIRE requires 0 < fDec < 1 < fInc");
-
-    const std::size_t n = positions.size();
-    std::vector<Vec3> forces, velocities(n, Vec3{});
-
-    FireResult result;
-    result.energies = ff.compute(positions, forces);
-
-    auto maxForce = [&] {
-        double m = 0.0;
-        for (const auto& f : forces) m = std::max(m, norm(f));
-        return m;
-    };
-
-    double dt = p.dtInit;
-    double alpha = p.alphaStart;
-    int nPos = 0;
-
-    for (result.steps = 0; result.steps < p.maxSteps; ++result.steps) {
-        result.maxForce = maxForce();
-        if (result.maxForce < p.forceTol) {
-            result.converged = true;
-            return result;
-        }
-
-        // F1: the power decides whether we are still going downhill.
-        double power = 0.0, v2 = 0.0, f2 = 0.0;
-        for (std::size_t i = 0; i < n; ++i) {
-            power += dot(forces[i], velocities[i]);
-            v2 += norm2(velocities[i]);
-            f2 += norm2(forces[i]);
-        }
-        if (power > 0.0) {
-            // F3: after nMin downhill steps, accelerate and trust the
-            // dynamics more (decay the steering).
-            if (++nPos > p.nMin) {
-                dt = std::min(dt * p.fInc, p.dtMax);
-                alpha *= p.fAlpha;
-            }
-        } else {
-            // F4: uphill — stop, shrink the step, steer hard again.
-            nPos = 0;
-            dt *= p.fDec;
-            alpha = p.alphaStart;
-            for (auto& v : velocities) v = Vec3{};
-            v2 = 0.0;
-        }
-
-        // F2: mix the velocity toward the force direction,
-        // v <- (1 - alpha) v + alpha |v| F-hat (no-op right after a
-        // reset, where |v| = 0).
-        if (f2 > 0.0 && v2 > 0.0) {
-            const double mix = alpha * std::sqrt(v2 / f2);
-            for (std::size_t i = 0; i < n; ++i)
-                velocities[i] =
-                    velocities[i] * (1.0 - alpha) + forces[i] * mix;
-        }
-
-        // Semi-implicit Euler with unit masses, with the per-atom
-        // displacement clamped so overlapping starting structures (the
-        // whole point of a relaxation integrator) cannot explode on the
-        // first steps.
-        for (std::size_t i = 0; i < n; ++i) {
-            velocities[i] += forces[i] * dt;
-            Vec3 dx = velocities[i] * dt;
-            const double len = norm(dx);
-            if (len > p.maxDisp) dx = dx * (p.maxDisp / len);
-            positions[i] += dx;
-        }
-        result.energies = ff.compute(positions, forces);
-    }
-    result.maxForce = maxForce();
-    result.converged = result.maxForce < p.forceTol;
-    return result;
 }
 
 } // namespace cop::md

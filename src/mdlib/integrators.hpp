@@ -1,9 +1,9 @@
 #pragma once
 
 /// \file integrators.hpp
-/// Time integration: velocity Verlet and leapfrog for NVE/NVT, BAOAB
-/// Langevin dynamics for the Gō model, and three thermostats (Nosé-Hoover,
-/// Bussi v-rescale, Berendsen). The paper's villin runs used a Nosé-Hoover
+/// Time integration: velocity Verlet and leapfrog for NVE, velocity
+/// Verlet with a Nosé-Hoover thermostat for NVT, and BAOAB Langevin
+/// dynamics for the Gō model. The paper's villin runs used a Nosé-Hoover
 /// thermostat with a 0.5 ps oscillation period; our reproductions default
 /// to Langevin for the coarse-grained model (standard for Gō potentials)
 /// and exercise Nosé-Hoover in tests and the generic LJ engine.
@@ -17,8 +17,7 @@
 namespace cop::md {
 
 enum class IntegratorKind { VelocityVerlet, Leapfrog, LangevinBAOAB };
-enum class ThermostatKind { None, NoseHoover, VRescale, Berendsen };
-enum class BarostatKind { None, Berendsen };
+enum class ThermostatKind { None, NoseHoover };
 
 struct IntegratorParams {
     IntegratorKind kind = IntegratorKind::LangevinBAOAB;
@@ -32,13 +31,6 @@ struct IntegratorParams {
 
     // Langevin friction (gamma, inverse time units).
     double friction = 0.5;
-
-    // Berendsen pressure coupling (requires a periodic box; pressure is
-    // computed from the pair virial).
-    BarostatKind barostat = BarostatKind::None;
-    double pressure = 1.0;        ///< target pressure, reduced units
-    double tauP = 2.0;            ///< pressure coupling time
-    double compressibility = 0.05;///< isothermal compressibility kappa
 };
 
 /// Kinetic energy sum(0.5 m v^2).
@@ -58,40 +50,6 @@ void removeCenterOfMassMotion(const Topology& top, State& state);
 /// drift.
 void assignVelocities(const Topology& top, State& state, double temperature,
                       Rng& rng);
-
-/// FIRE (Fast Inertial Relaxation Engine, Bitzek et al., PRL 97 170201)
-/// energy minimization: damped dynamics with unit masses where the
-/// velocity is steered toward the force direction, the time step grows
-/// while the system keeps moving downhill (P = F·v > 0) and is cut with
-/// velocities zeroed the moment it moves uphill. Used to relax hostile
-/// starting structures server-side before production MD (bad contacts
-/// from modelled or perturbed inputs make the first steps explode).
-struct FireParams {
-    double dtInit = 0.002;  ///< initial (and post-reset) time step
-    double dtMax = 0.02;    ///< F3 growth cap
-    double forceTol = 1e-4; ///< converged when max_i |F_i| < forceTol
-    std::int64_t maxSteps = 100000;
-    int nMin = 5;            ///< downhill steps before dt may grow
-    double fInc = 1.1;       ///< dt growth factor
-    double fDec = 0.5;       ///< dt cut factor on uphill
-    double alphaStart = 0.1; ///< steering mix after a reset
-    double fAlpha = 0.99;    ///< steering decay per downhill step
-    double maxDisp = 0.1;    ///< per-step displacement clamp (per atom)
-};
-
-struct FireResult {
-    bool converged = false;
-    std::int64_t steps = 0;   ///< force evaluations beyond the initial one
-    double maxForce = 0.0;    ///< max_i |F_i| at exit
-    Energies energies;        ///< energies at the final positions
-};
-
-/// Minimizes the potential in place; `positions` holds the relaxed
-/// structure on return. The displacement clamp keeps the very first
-/// steps of an overlapping structure finite, where the raw forces can
-/// be astronomically large.
-FireResult fireMinimize(ForceField& ff, std::vector<Vec3>& positions,
-                        const FireParams& params = {});
 
 class Integrator {
 public:
@@ -119,9 +77,6 @@ private:
     void stepLeapfrog(State& state);
     void stepLangevinBAOAB(State& state);
     void applyNoseHooverHalf(State& state, double halfDt);
-    void applyBerendsenBarostat(State& state);
-    void applyVRescale(State& state);
-    void applyBerendsen(State& state);
 
     ForceField& ff_;
     IntegratorParams params_;

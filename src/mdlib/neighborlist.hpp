@@ -62,9 +62,6 @@ public:
     /// lines per cell instead of one line per particle.
     const std::vector<int>& cellOrder() const { return order_; }
 
-    /// Forces the next update() to rebuild (e.g. after a box rescale).
-    void invalidate() { referencePositions_.clear(); }
-
 private:
     void buildCellList(const Topology& top, const Box& box,
                        const std::vector<Vec3>& positions);

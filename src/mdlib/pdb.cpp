@@ -3,7 +3,6 @@
 #include <cstdio>
 
 #include "mdlib/units.hpp"
-#include "util/serialize.hpp"
 
 namespace cop::md {
 
@@ -43,14 +42,6 @@ std::string pdbString(const std::vector<std::vector<Vec3>>& models,
         appendModel(out, models[m], int(m + 1), multi);
     out += "END\n";
     return out;
-}
-
-void writePdb(const std::string& path, const std::vector<Vec3>& positions,
-              const std::string& title) {
-    const std::string content = pdbString(positions, title);
-    writeFile(path, std::span(
-                        reinterpret_cast<const std::uint8_t*>(content.data()),
-                        content.size()));
 }
 
 } // namespace cop::md

@@ -22,8 +22,4 @@ std::string pdbString(const std::vector<Vec3>& positions,
 std::string pdbString(const std::vector<std::vector<Vec3>>& models,
                       const std::string& title = "copernicus-cpp model");
 
-/// Writes a PDB file; throws cop::IoError on failure.
-void writePdb(const std::string& path, const std::vector<Vec3>& positions,
-              const std::string& title = "copernicus-cpp model");
-
 } // namespace cop::md

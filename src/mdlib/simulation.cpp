@@ -23,10 +23,23 @@ void serializeFFParams(BinaryWriter& w, const ForceFieldParams& p) {
     w.write(p.rfDielectric);
 }
 
+/// Reads an int32 enum tag and rejects values outside [0, last]: a
+/// checkpoint is untrusted bytes, and an out-of-range kind would fall
+/// through every dispatch on it (an integrator that never moves a bead,
+/// or the Scalar kernels in place of Soa).
+template <typename E>
+E readEnum(BinaryReader& r, E last, const char* what) {
+    const auto v = r.read<std::int32_t>();
+    COP_IO_CHECK(v >= 0 && v <= std::int32_t(last), what);
+    return E(v);
+}
+
 ForceFieldParams deserializeFFParams(BinaryReader& r) {
     ForceFieldParams p;
-    p.kind = NonbondedKind(r.read<std::int32_t>());
-    p.flavor = KernelFlavor(r.read<std::int32_t>());
+    p.kind = readEnum(r, NonbondedKind::LennardJonesRF,
+                      "checkpoint nonbonded kind out of range");
+    p.flavor = readEnum(r, KernelFlavor::SimdAuto,
+                        "checkpoint kernel flavor out of range");
     p.cutoff = r.read<double>();
     p.neighborSkin = r.read<double>();
     p.repEpsilon = r.read<double>();
@@ -51,9 +64,11 @@ void serializeIntegratorParams(BinaryWriter& w, const IntegratorParams& p) {
 
 IntegratorParams deserializeIntegratorParams(BinaryReader& r) {
     IntegratorParams p;
-    p.kind = IntegratorKind(r.read<std::int32_t>());
+    p.kind = readEnum(r, IntegratorKind::LangevinBAOAB,
+                      "checkpoint integrator kind out of range");
     p.dt = r.read<double>();
-    p.thermostat = ThermostatKind(r.read<std::int32_t>());
+    p.thermostat = readEnum(r, ThermostatKind::NoseHoover,
+                            "checkpoint thermostat kind out of range");
     p.temperature = r.read<double>();
     p.tauT = r.read<double>();
     p.friction = r.read<double>();
@@ -109,36 +124,6 @@ void Simulation::run(std::int64_t nSteps) {
     }
 }
 
-double Simulation::minimize(int maxIter, double stepSize) {
-    std::vector<Vec3> forces;
-    double e = forceField_->compute(state_.positions, forces).potential();
-    for (int it = 0; it < maxIter; ++it) {
-        double maxF = 0.0;
-        for (const auto& f : forces) maxF = std::max(maxF, norm(f));
-        if (maxF < 1e-8) break;
-        // Cap the displacement of any particle at 0.05 length units.
-        const double scale = std::min(stepSize, 0.05 / maxF);
-        std::vector<Vec3> trial = state_.positions;
-        for (std::size_t i = 0; i < trial.size(); ++i)
-            trial[i] += forces[i] * scale;
-        std::vector<Vec3> trialForces;
-        const double eTrial =
-            forceField_->compute(trial, trialForces).potential();
-        if (eTrial < e) {
-            state_.positions = std::move(trial);
-            forces = std::move(trialForces);
-            e = eTrial;
-            stepSize *= 1.2;
-        } else {
-            stepSize *= 0.5;
-            if (stepSize < 1e-12) break;
-        }
-    }
-    // Leave state_.forces consistent with the minimized positions.
-    forceField_->compute(state_.positions, state_.forces);
-    return e;
-}
-
 std::vector<std::uint8_t> Simulation::checkpoint() const {
     BinaryWriter w;
     w.writeHeader("CSIM", 1);
@@ -170,6 +155,8 @@ Simulation Simulation::restore(std::span<const std::uint8_t> blob) {
     SimulationConfig config;
     config.integrator = deserializeIntegratorParams(r);
     config.sampleInterval = r.read<std::int64_t>();
+    COP_IO_CHECK(config.sampleInterval > 0,
+                 "checkpoint sampleInterval must be positive");
     config.seed = r.read<std::uint64_t>();
     State state = State::deserialize(r);
     Trajectory traj = Trajectory::deserialize(r);

@@ -51,10 +51,6 @@ public:
     /// (and one at the very start of the run if the trajectory is empty).
     void run(std::int64_t nSteps);
 
-    /// Performs `maxIter` steepest-descent minimization steps (no
-    /// trajectory recording); returns the final potential energy.
-    double minimize(int maxIter = 500, double stepSize = 1e-3);
-
     const State& state() const { return state_; }
     State& mutableState() { return state_; }
     const Trajectory& trajectory() const { return trajectory_; }

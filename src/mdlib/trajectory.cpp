@@ -31,15 +31,6 @@ void Trajectory::extend(const Trajectory& other) {
     for (const auto& f : other.frames_) append(f);
 }
 
-Trajectory Trajectory::subsampled(std::size_t stride,
-                                  std::size_t offset) const {
-    COP_REQUIRE(stride > 0, "stride must be positive");
-    Trajectory out;
-    for (std::size_t i = offset; i < frames_.size(); i += stride)
-        out.append(frames_[i]);
-    return out;
-}
-
 void Trajectory::serialize(BinaryWriter& w) const {
     w.writeHeader("CTRJ", 1);
     w.write(std::uint64_t(frames_.size()));

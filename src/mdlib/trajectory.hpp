@@ -35,9 +35,6 @@ public:
     /// trajectory by another segment).
     void extend(const Trajectory& other);
 
-    /// Every `stride`-th frame, starting at `offset`.
-    Trajectory subsampled(std::size_t stride, std::size_t offset = 0) const;
-
     void clear() { frames_.clear(); }
 
     void serialize(BinaryWriter& w) const;

@@ -6,7 +6,6 @@
 #include <numeric>
 
 #include "util/error.hpp"
-#include "util/random.hpp"
 
 namespace cop {
 
@@ -23,27 +22,7 @@ void RunningStats::add(double x) {
     m2_ += delta * (x - mean_);
 }
 
-void RunningStats::merge(const RunningStats& other) {
-    if (other.n_ == 0) return;
-    if (n_ == 0) {
-        *this = other;
-        return;
-    }
-    const double delta = other.mean_ - mean_;
-    const std::size_t total = n_ + other.n_;
-    m2_ += other.m2_ +
-           delta * delta * double(n_) * double(other.n_) / double(total);
-    mean_ += delta * double(other.n_) / double(total);
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-    n_ = total;
-}
-
 void RunningStats::clear() { *this = RunningStats{}; }
-
-double RunningStats::variancePopulation() const {
-    return n_ > 0 ? m2_ / double(n_) : 0.0;
-}
 
 double RunningStats::variance() const {
     return n_ > 1 ? m2_ / double(n_ - 1) : 0.0;
@@ -72,78 +51,6 @@ double stddev(std::span<const double> xs) { return std::sqrt(variance(xs)); }
 double standardError(std::span<const double> xs) {
     if (xs.empty()) return 0.0;
     return stddev(xs) / std::sqrt(double(xs.size()));
-}
-
-double weightedMean(std::span<const double> xs, std::span<const double> ws) {
-    COP_REQUIRE(xs.size() == ws.size(), "size mismatch");
-    COP_REQUIRE(!xs.empty(), "weightedMean of empty range");
-    double sw = 0.0, swx = 0.0;
-    for (std::size_t i = 0; i < xs.size(); ++i) {
-        COP_REQUIRE(ws[i] >= 0.0, "negative weight");
-        sw += ws[i];
-        swx += ws[i] * xs[i];
-    }
-    COP_REQUIRE(sw > 0.0, "weights sum to zero");
-    return swx / sw;
-}
-
-double blockStandardError(std::span<const double> xs, std::size_t nBlocks) {
-    COP_REQUIRE(nBlocks >= 2, "need at least 2 blocks");
-    COP_REQUIRE(xs.size() >= nBlocks, "fewer samples than blocks");
-    const std::size_t blockLen = xs.size() / nBlocks;
-    RunningStats blockMeans;
-    for (std::size_t b = 0; b < nBlocks; ++b) {
-        double s = 0.0;
-        for (std::size_t i = b * blockLen; i < (b + 1) * blockLen; ++i)
-            s += xs[i];
-        blockMeans.add(s / double(blockLen));
-    }
-    return blockMeans.standardError();
-}
-
-double bootstrapStandardError(std::span<const double> xs,
-                              std::size_t nResamples, Rng& rng) {
-    COP_REQUIRE(!xs.empty(), "bootstrap of empty range");
-    COP_REQUIRE(nResamples >= 2, "need at least 2 resamples");
-    RunningStats resampleMeans;
-    for (std::size_t r = 0; r < nResamples; ++r) {
-        double s = 0.0;
-        for (std::size_t i = 0; i < xs.size(); ++i)
-            s += xs[rng.uniformInt(xs.size())];
-        resampleMeans.add(s / double(xs.size()));
-    }
-    return resampleMeans.stddev();
-}
-
-std::vector<double> autocorrelation(std::span<const double> xs,
-                                    std::size_t maxLag) {
-    COP_REQUIRE(xs.size() >= 2, "autocorrelation needs >= 2 samples");
-    COP_REQUIRE(maxLag < xs.size(), "maxLag must be < series length");
-    const double mu = mean(xs);
-    double c0 = 0.0;
-    for (double x : xs) c0 += (x - mu) * (x - mu);
-    std::vector<double> out(maxLag + 1, 0.0);
-    // Constant series (up to rounding noise in the mean subtraction):
-    // define C(k) = 0 rather than dividing by a denormal c0.
-    if (c0 <= 1e-12 * double(xs.size())) return out;
-    for (std::size_t k = 0; k <= maxLag; ++k) {
-        double ck = 0.0;
-        for (std::size_t i = 0; i + k < xs.size(); ++i)
-            ck += (xs[i] - mu) * (xs[i + k] - mu);
-        out[k] = ck / c0;
-    }
-    return out;
-}
-
-double integratedAutocorrelationTime(std::span<const double> xs,
-                                     std::size_t maxLag) {
-    const auto c = autocorrelation(xs, maxLag);
-    double tau = 1.0;
-    for (std::size_t k = 1; k <= maxLag; ++k) {
-        if (c[k] < 0.0) break;
-        tau += 2.0 * c[k];
-    }
-    return tau;
 }
 
 double percentile(std::vector<double> xs, double p) {

@@ -1,11 +1,10 @@
 #pragma once
 
 /// \file statistics.hpp
-/// Statistical estimators used throughout Copernicus: running moments,
-/// standard errors (naive, block-averaged, bootstrap), autocorrelation
-/// analysis, and weighted averages. The paper's stop criterion ("standard
-/// error estimate of the output result has reached a user-specified minimum
-/// value", §2) and Fig. 5's error bars are computed with these tools.
+/// Running moments (Welford's algorithm), sample mean/variance/standard
+/// error and percentiles. RunningStats accumulates the MSM controller's
+/// best-state RMSD score and the Fig. 5 bench's error bars; the tests use
+/// the rest to check sampled averages.
 
 #include <cstddef>
 #include <cstdint>
@@ -14,19 +13,14 @@
 
 namespace cop {
 
-class Rng;
-
 /// Numerically stable single-pass accumulator (Welford's algorithm).
 class RunningStats {
 public:
     void add(double x);
-    void merge(const RunningStats& other);
     void clear();
 
     std::size_t count() const { return n_; }
     double mean() const { return mean_; }
-    /// Population variance (divides by n). Zero for n < 1.
-    double variancePopulation() const;
     /// Sample variance (divides by n-1). Zero for n < 2.
     double variance() const;
     double stddev() const;
@@ -47,32 +41,6 @@ double mean(std::span<const double> xs);
 double variance(std::span<const double> xs);   ///< Sample variance (n-1).
 double stddev(std::span<const double> xs);
 double standardError(std::span<const double> xs);
-
-/// Weighted mean: sum(w*x)/sum(w). Weights must be non-negative with a
-/// positive sum.
-double weightedMean(std::span<const double> xs, std::span<const double> ws);
-
-/// Block-averaging standard error for correlated time series: splits the
-/// series into `nBlocks` contiguous blocks and computes the SEM of block
-/// means. The correct estimator for MD observables with unknown correlation
-/// time.
-double blockStandardError(std::span<const double> xs, std::size_t nBlocks);
-
-/// Bootstrap standard error of the mean with `nResamples` resamples.
-/// Deterministic given the RNG state.
-double bootstrapStandardError(std::span<const double> xs,
-                              std::size_t nResamples, Rng& rng);
-
-/// Normalized autocorrelation function C(k) for lags 0..maxLag (inclusive);
-/// C(0) == 1 by construction (unless the series is constant, where all lags
-/// return 0).
-std::vector<double> autocorrelation(std::span<const double> xs,
-                                    std::size_t maxLag);
-
-/// Integrated autocorrelation time: 1 + 2*sum_k C(k), summed until C(k)
-/// first drops below zero (initial-positive-sequence convention).
-double integratedAutocorrelationTime(std::span<const double> xs,
-                                     std::size_t maxLag);
 
 /// Simple percentile (linear interpolation between order statistics).
 /// p in [0, 100].

@@ -1,8 +1,6 @@
 #include "util/string_util.hpp"
 
-#include <algorithm>
 #include <cctype>
-#include <cmath>
 #include <cstdio>
 
 namespace cop {
@@ -30,20 +28,9 @@ std::string trim(const std::string& s) {
     return s.substr(b, e - b);
 }
 
-std::string toLower(std::string s) {
-    std::transform(s.begin(), s.end(), s.begin(),
-                   [](unsigned char c) { return char(std::tolower(c)); });
-    return s;
-}
-
 bool startsWith(const std::string& s, const std::string& prefix) {
     return s.size() >= prefix.size() &&
            s.compare(0, prefix.size(), prefix) == 0;
-}
-
-bool endsWith(const std::string& s, const std::string& suffix) {
-    return s.size() >= suffix.size() &&
-           s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
 
 std::string join(const std::vector<std::string>& parts,
@@ -60,23 +47,6 @@ std::string formatFixed(double v, int precision) {
     char buf[64];
     std::snprintf(buf, sizeof(buf), "%.*f", precision, v);
     return buf;
-}
-
-std::string formatEngineering(double v, int precision) {
-    const char* suffix = "";
-    double scaled = v;
-    const double av = std::fabs(v);
-    if (av >= 1e9) {
-        scaled = v / 1e9;
-        suffix = "G";
-    } else if (av >= 1e6) {
-        scaled = v / 1e6;
-        suffix = "M";
-    } else if (av >= 1e3) {
-        scaled = v / 1e3;
-        suffix = "k";
-    }
-    return formatFixed(scaled, precision) + suffix;
 }
 
 std::string formatHours(double hours) {

@@ -11,9 +11,7 @@ namespace cop {
 
 std::vector<std::string> split(const std::string& s, char delim);
 std::string trim(const std::string& s);
-std::string toLower(std::string s);
 bool startsWith(const std::string& s, const std::string& prefix);
-bool endsWith(const std::string& s, const std::string& suffix);
 
 /// Joins parts with `sep` between them.
 std::string join(const std::vector<std::string>& parts,
@@ -21,9 +19,6 @@ std::string join(const std::vector<std::string>& parts,
 
 /// Fixed-precision formatting (printf "%.*f").
 std::string formatFixed(double v, int precision);
-
-/// Human-friendly engineering formatting: 1234567 -> "1.23M".
-std::string formatEngineering(double v, int precision = 2);
 
 /// Formats a duration in hours as "Xd Yh", "Xh Ym" or "Xm" as appropriate.
 std::string formatHours(double hours);

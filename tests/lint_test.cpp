@@ -122,7 +122,8 @@ TEST(LintConfig, RejectsPathsMissingUnderRoot) {
 
     for (const char* line : {"untrusted-file core/no_such_decode.cpp\n",
                              "blocking-allow core/no_such_decode.cpp flush\n",
-                             "switch-enum Fruit core/no_such_decode.cpp\n"}) {
+                             "switch-enum Fruit core/no_such_decode.cpp\n",
+                             "test-only-allow core/no_such_decode.cpp\n"}) {
         SCOPED_TRACE(line);
         Config cfg;
         err.clear();
@@ -143,7 +144,10 @@ TEST(LintConfig, ParsesAllDirectives) {
                             "untrusted-file src/core/wal.cpp\n"
                             "blocking-allow src/core/wal.cpp flush\n"
                             "blocking-allow src/core/store.cpp *\n"
-                            "switch-enum Fruit fruit.hpp\n",
+                            "switch-enum Fruit fruit.hpp\n"
+                            "header-dir src/\n"
+                            "reach-dir bench\n"
+                            "test-only-allow src/mdlib/x.hpp\n",
                             cfg, err))
         << err;
     EXPECT_EQ(cfg.lintDirs, std::vector<std::string>{"src"});
@@ -151,6 +155,9 @@ TEST(LintConfig, ParsesAllDirectives) {
     EXPECT_EQ(cfg.blockingAllow[1].second, "*");
     ASSERT_EQ(cfg.switchEnums.size(), 1u);
     EXPECT_EQ(cfg.switchEnums[0].first, "Fruit");
+    EXPECT_EQ(cfg.headerDirs, std::vector<std::string>{"src/"});
+    EXPECT_EQ(cfg.reachDirs, std::vector<std::string>{"bench"});
+    EXPECT_EQ(cfg.testOnlyAllow, std::vector<std::string>{"src/mdlib/x.hpp"});
 }
 
 TEST(LintFunctions, QualifiedNamesAndDestructors) {
@@ -284,5 +291,62 @@ INSTANTIATE_TEST_SUITE_P(
             if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
         return name;
     });
+
+// ---------------------------------------------------------------------------
+// Test-only headers (tree-wide; fixture tree under lib/, app/ and unit/)
+// ---------------------------------------------------------------------------
+
+class LintTestOnlyHeader : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(LintTestOnlyHeader, MatchesExpectedFindings) {
+    const std::string rel = GetParam();
+
+    Config cfg;
+    std::string err;
+    ASSERT_TRUE(parseConfig(slurp(kFixtureDir / "lint_config"), cfg, err))
+        << err;
+
+    // Mirror the driver: every fixture header is a candidate, and every
+    // source under a reach-dir supplies includes.
+    std::vector<std::string> headers;
+    std::vector<LexedFile> reach;
+    for (const auto& ent :
+         std::filesystem::recursive_directory_iterator(kFixtureDir)) {
+        if (!ent.is_regular_file()) continue;
+        const std::string p =
+            std::filesystem::relative(ent.path(), kFixtureDir)
+                .generic_string();
+        const auto ext = ent.path().extension();
+        if (ext == ".hpp") headers.push_back(p);
+        if ((ext == ".hpp" || ext == ".cpp") && pathInAny(p, cfg.reachDirs))
+            reach.push_back(lex(slurp(ent.path()), p));
+    }
+    std::vector<Finding> findings;
+    checkTestOnlyHeaders(headers, reach, cfg, findings);
+    std::string got;
+    for (const auto& f : findings)
+        if (f.file == rel) got += f.render() + "\n";
+
+    EXPECT_EQ(got, slurp(kFixtureDir / (rel + ".expected")));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Fixtures, LintTestOnlyHeader,
+    ::testing::Values("lib/orphan.hpp", "lib/used.hpp", "lib/allowed.hpp"),
+    [](const ::testing::TestParamInfo<const char*>& paramInfo) {
+        std::string name = paramInfo.param;
+        for (char& c : name)
+            if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
+        return name;
+    });
+
+TEST(LintTestOnlyHeader, QuotedIncludesSkipAngleAndCommentedOut) {
+    const auto f = lex("#include <vector>\n"
+                       "#  include \"a/b.hpp\"\n"
+                       "// #include \"gone.hpp\"\n"
+                       "#define X \"not_an_include.hpp\"\n",
+                       "t.cpp");
+    EXPECT_EQ(quotedIncludes(f), std::vector<std::string>{"a/b.hpp"});
+}
 
 } // namespace

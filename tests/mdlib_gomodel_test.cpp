@@ -1,5 +1,6 @@
 // Gō-model builder and built-in protein structures.
 
+#include <cmath>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -8,10 +9,37 @@
 #include "mdlib/gomodel.hpp"
 #include "mdlib/observables.hpp"
 #include "mdlib/proteins.hpp"
+#include "mdlib/simulation.hpp"
 #include "mdlib/units.hpp"
 
 namespace cop::md {
 namespace {
+
+/// Per-bead root-mean-square fluctuation: superimpose every frame onto
+/// the first, average them, then superimpose onto that mean structure
+/// and accumulate the squared deviations.
+std::vector<double> rmsfAboutMean(const Trajectory& trajectory) {
+    const auto& ref = trajectory.frame(0).positions;
+    std::vector<std::vector<Vec3>> aligned;
+    for (const auto& frame : trajectory.frames()) {
+        auto pos = frame.positions;
+        superimpose(ref, pos);
+        aligned.push_back(std::move(pos));
+    }
+    std::vector<Vec3> mean(ref.size());
+    for (const auto& pos : aligned)
+        for (std::size_t i = 0; i < mean.size(); ++i) mean[i] += pos[i];
+    for (auto& m : mean) m /= double(aligned.size());
+
+    std::vector<double> out(ref.size(), 0.0);
+    for (auto& pos : aligned) {
+        superimpose(mean, pos);
+        for (std::size_t i = 0; i < out.size(); ++i)
+            out[i] += distance2(pos[i], mean[i]);
+    }
+    for (auto& v : out) v = std::sqrt(v / double(aligned.size()));
+    return out;
+}
 
 TEST(GoModel, NativeIsStationaryPoint) {
     const auto model = villinGoModel();
@@ -43,6 +71,27 @@ TEST(GoModel, ContactsRespectSequenceSeparationAndCutoff) {
 
 TEST(GoModel, RejectsTinyChains) {
     EXPECT_THROW(buildGoModel({{0, 0, 0}, {1, 0, 0}}), cop::InvalidArgument);
+}
+
+TEST(GoModel, TurnsFluctuateMoreThanHelixCores) {
+    const auto model = villinGoModel();
+    auto sim = Simulation::forGoModel(model, model.native,
+                                      villinSimulationConfig(11));
+    sim.initializeVelocities();
+    sim.run(20000);
+    const auto fluct = rmsfAboutMean(sim.trajectory());
+    ASSERT_EQ(fluct.size(), 35u);
+    // Chain termini and turn regions (residues 10-12, 22-24) move more
+    // than the buried middle of helix 2.
+    const double turnAvg = (fluct[10] + fluct[11] + fluct[12] + fluct[22] +
+                            fluct[23] + fluct[24]) /
+                           6.0;
+    const double coreAvg = (fluct[16] + fluct[17] + fluct[18]) / 3.0;
+    EXPECT_GT(turnAvg, coreAvg);
+    for (double v : fluct) {
+        EXPECT_GT(v, 0.0);
+        EXPECT_LT(v, 3.0);
+    }
 }
 
 TEST(Villin, HasThirtyFiveResiduesAndReasonableGeometry) {

@@ -92,6 +92,53 @@ TEST(Integrators, LangevinSamplesTargetTemperature) {
     EXPECT_NEAR(temp.mean(), p.temperature, 0.05);
 }
 
+TEST(Integrators, FreeLangevinParticleDiffusesAtEinsteinRate) {
+    // Free particles under BAOAB friction diffuse at D = T / (m gamma).
+    Topology top(64);
+    top.finalize();
+    ForceFieldParams fp;
+    fp.kind = NonbondedKind::GoRepulsive;
+    fp.repEpsilon = 0.0; // switch interactions off: ideal gas
+    ForceField ff(top, Box::open(), fp);
+    IntegratorParams ip;
+    ip.kind = IntegratorKind::LangevinBAOAB;
+    ip.dt = 0.01;
+    ip.temperature = 1.5;
+    ip.friction = 2.0;
+    Integrator integrator(ff, ip, cop::Rng(7));
+    State st;
+    st.resize(64);
+    cop::Rng rng(8);
+    for (auto& x : st.positions) x = rng.gaussianVec3(1.0);
+    assignVelocities(top, st, ip.temperature, rng);
+
+    integrator.run(st, 500); // velocity equilibration
+    std::vector<std::vector<Vec3>> frames;
+    for (int f = 0; f < 200; ++f) {
+        frames.push_back(st.positions);
+        integrator.run(st, 50);
+    }
+    // Einstein relation: least-squares slope of MSD(t) = 6 D t through
+    // the origin over lags of 5..40 frames, MSD averaged over particles
+    // and time origins.
+    const double timePerFrame = 50 * ip.dt;
+    double num = 0.0, den = 0.0;
+    for (std::size_t k = 5; k <= 40; ++k) {
+        double sum = 0.0;
+        std::size_t origins = 0;
+        for (std::size_t t = 0; t + k < frames.size(); ++t, ++origins)
+            for (std::size_t i = 0; i < frames[t].size(); ++i)
+                sum += distance2(frames[t][i], frames[t + k][i]);
+        const double msd = sum / (double(origins) * double(top.numParticles()));
+        const double time = double(k) * timePerFrame;
+        num += time * msd;
+        den += time * time;
+    }
+    const double d = num / den / 6.0;
+    const double expected = ip.temperature / ip.friction;
+    EXPECT_NEAR(d, expected, 0.25 * expected);
+}
+
 TEST(Integrators, NoseHooverControlsTemperatureAndConservesExtended) {
     TestSystem sys(0.02, 21);
     IntegratorParams p;
@@ -115,34 +162,6 @@ TEST(Integrators, NoseHooverControlsTemperatureAndConservesExtended) {
     EXPECT_NEAR(temp.mean(), p.temperature, 0.06);
     EXPECT_NEAR(c1, c0, 0.05 * std::max(1.0, std::abs(c0)));
 }
-
-class StochasticThermostats
-    : public ::testing::TestWithParam<ThermostatKind> {};
-
-TEST_P(StochasticThermostats, ControlsTemperature) {
-    TestSystem sys;
-    IntegratorParams p;
-    p.kind = IntegratorKind::VelocityVerlet;
-    p.dt = 0.005;
-    p.thermostat = GetParam();
-    p.temperature = 0.8;
-    p.tauT = 0.2;
-    Integrator integrator(sys.ff, p, cop::Rng(15));
-    cop::Rng rng(16);
-    assignVelocities(sys.model.topology, sys.state, 0.2, rng); // cold start
-
-    integrator.run(sys.state, 3000);
-    cop::RunningStats temp;
-    for (int i = 0; i < 400; ++i) {
-        integrator.run(sys.state, 20);
-        temp.add(instantaneousTemperature(sys.model.topology, sys.state));
-    }
-    EXPECT_NEAR(temp.mean(), p.temperature, 0.08);
-}
-
-INSTANTIATE_TEST_SUITE_P(Kinds, StochasticThermostats,
-                         ::testing::Values(ThermostatKind::VRescale,
-                                           ThermostatKind::Berendsen));
 
 TEST(Integrators, LeapfrogRejectsNoseHoover) {
     TestSystem sys;
@@ -189,99 +208,6 @@ TEST(Integrators, RejectsBadParameters) {
     p.dt = 0.01;
     p.tauT = 0.0;
     EXPECT_THROW(Integrator(sys.ff, p, cop::Rng(1)), cop::InvalidArgument);
-}
-
-TEST(Fire, ConvergesPerturbedGoStructure) {
-    // A hostile start: every residue displaced from native. FIRE must
-    // drive the max force below tolerance and end well below the
-    // starting energy (near the native basin floor).
-    TestSystem sys(/*perturb=*/0.12, /*seed=*/71);
-    std::vector<Vec3> scratch;
-    const double e0 =
-        sys.ff.compute(sys.state.positions, scratch).potential();
-
-    FireParams p;
-    p.maxSteps = 50000;
-    const auto r = fireMinimize(sys.ff, sys.state.positions, p);
-    EXPECT_TRUE(r.converged);
-    EXPECT_LT(r.maxForce, p.forceTol);
-    EXPECT_LT(r.energies.potential(), e0);
-    // The relaxed structure sits at (or below) a local minimum close to
-    // the native basin: bonded strain nearly gone, contacts near their
-    // -eps minima.
-    EXPECT_LT(r.energies.potential(),
-              -0.8 * double(sys.model.numContacts()));
-}
-
-TEST(Fire, LjDimerRelaxesToPotentialMinimum) {
-    Topology top(2);
-    top.finalize();
-    ForceFieldParams params;
-    params.kind = NonbondedKind::LennardJonesRF;
-    params.cutoff = 2.5;
-    params.shiftLJ = false;
-    ForceField ff(top, Box::open(), params);
-
-    std::vector<Vec3> pos{{0, 0, 0}, {1.5, 0, 0}};
-    FireParams p;
-    p.forceTol = 1e-8;
-    const auto r = fireMinimize(ff, pos, p);
-    EXPECT_TRUE(r.converged);
-    // LJ minimum at r = 2^(1/6) sigma.
-    EXPECT_NEAR(norm(pos[1] - pos[0]), std::pow(2.0, 1.0 / 6.0), 1e-6);
-}
-
-TEST(Fire, OverlappingStartDoesNotExplode) {
-    // Two nearly coincident particles: raw LJ force ~ 1e+26. The
-    // displacement clamp keeps the first steps finite and the dimer
-    // still relaxes to the minimum.
-    Topology top(2);
-    top.finalize();
-    ForceFieldParams params;
-    params.kind = NonbondedKind::LennardJonesRF;
-    params.cutoff = 2.5;
-    params.shiftLJ = false;
-    ForceField ff(top, Box::open(), params);
-
-    std::vector<Vec3> pos{{0, 0, 0}, {0.05, 0, 0}};
-    FireParams p;
-    p.forceTol = 1e-8;
-    const auto r = fireMinimize(ff, pos, p);
-    EXPECT_TRUE(r.converged);
-    EXPECT_NEAR(norm(pos[1] - pos[0]), std::pow(2.0, 1.0 / 6.0), 1e-6);
-    for (const auto& x : pos) EXPECT_TRUE(std::isfinite(norm(x)));
-}
-
-TEST(Fire, AlreadyMinimizedReturnsImmediately) {
-    Topology top(2);
-    top.finalize();
-    ForceFieldParams params;
-    params.kind = NonbondedKind::LennardJonesRF;
-    params.cutoff = 2.5;
-    params.shiftLJ = false;
-    ForceField ff(top, Box::open(), params);
-    std::vector<Vec3> pos{{0, 0, 0}, {std::pow(2.0, 1.0 / 6.0), 0, 0}};
-    FireParams p;
-    p.forceTol = 1e-6;
-    const auto r = fireMinimize(ff, pos, p);
-    EXPECT_TRUE(r.converged);
-    EXPECT_EQ(r.steps, 0);
-}
-
-TEST(Fire, RejectsBadParameters) {
-    TestSystem sys;
-    FireParams p;
-    p.dtInit = 0.0;
-    EXPECT_THROW(fireMinimize(sys.ff, sys.state.positions, p),
-                 cop::InvalidArgument);
-    p = FireParams{};
-    p.forceTol = -1.0;
-    EXPECT_THROW(fireMinimize(sys.ff, sys.state.positions, p),
-                 cop::InvalidArgument);
-    p = FireParams{};
-    p.fDec = 1.5;
-    EXPECT_THROW(fireMinimize(sys.ff, sys.state.positions, p),
-                 cop::InvalidArgument);
 }
 
 } // namespace

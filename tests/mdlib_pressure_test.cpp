@@ -1,4 +1,4 @@
-// Virial pressure and the Berendsen barostat on the LJ fluid.
+// Virial pressure on the LJ fluid.
 
 #include <gtest/gtest.h>
 
@@ -107,48 +107,6 @@ TEST(Pressure, VirialMatchesVolumeDerivative) {
         (energyAtScale(1.0 + h) - energyAtScale(1.0 - h)) / (2.0 * h);
     // dU/dV = dU/dmu / (3 V); W = -3 V dU/dV = -dU/dmu.
     EXPECT_NEAR(w, -dUdMu, 1e-2 * std::max(1.0, std::abs(w)));
-}
-
-TEST(Barostat, BerendsenDrivesPressureTowardsTarget) {
-    LjFluid sys(125, 6.0, 9);
-    ForceField ff(sys.top, sys.box, sys.params);
-    IntegratorParams p;
-    p.kind = IntegratorKind::LangevinBAOAB;
-    p.dt = 0.004;
-    p.temperature = 1.3;
-    p.friction = 1.0;
-    p.barostat = BarostatKind::Berendsen;
-    p.pressure = 0.5;
-    p.tauP = 0.5;
-    Integrator integrator(ff, p, cop::Rng(10));
-    cop::Rng rng(11);
-    assignVelocities(sys.top, sys.state, p.temperature, rng);
-
-    const double v0 = ff.box().volume();
-    integrator.run(sys.state, 4000);
-    cop::RunningStats pressure;
-    for (int i = 0; i < 300; ++i) {
-        integrator.run(sys.state, 10);
-        pressure.add(integrator.pressure(sys.state));
-    }
-    EXPECT_NEAR(pressure.mean(), p.pressure, 0.3);
-    // The box actually moved.
-    EXPECT_NE(ff.box().volume(), v0);
-}
-
-TEST(Barostat, RequiresPeriodicBox) {
-    Topology top(4);
-    top.finalize();
-    ForceFieldParams fp;
-    ForceField ff(top, Box::open(), fp);
-    IntegratorParams p;
-    p.kind = IntegratorKind::VelocityVerlet;
-    p.barostat = BarostatKind::Berendsen;
-    Integrator integrator(ff, p, cop::Rng(1));
-    State state;
-    state.resize(4);
-    state.positions = {{0, 0, 0}, {2, 0, 0}, {0, 2, 0}, {0, 0, 2}};
-    EXPECT_THROW(integrator.run(state, 1), cop::InvalidArgument);
 }
 
 } // namespace

@@ -137,7 +137,6 @@ TEST(ForceWorkspace, EnsureGrowsButNeverShrinks) {
     ws.ensure(200, 4); // larger: grows
     EXPECT_GE(ws.stride, 200u);
     EXPECT_EQ(ws.sf3.size(), 4 * 3 * ws.stride);
-    EXPECT_EQ(ws.aosBuffers.size(), 4u);
 }
 
 } // namespace

@@ -1,4 +1,4 @@
-// Tests for histogram, thread pool, serialization, strings and tables.
+// Tests for thread pool, serialization, strings and tables.
 
 #include <algorithm>
 #include <array>
@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include "util/cli.hpp"
-#include "util/histogram.hpp"
 #include "util/logging.hpp"
 #include "util/serialize.hpp"
 #include "util/string_util.hpp"
@@ -17,42 +16,6 @@
 
 namespace cop {
 namespace {
-
-TEST(Histogram, BinningAndOverflow) {
-    Histogram h(0.0, 10.0, 10);
-    h.add(0.5);
-    h.add(9.99);
-    h.add(-1.0);
-    h.add(10.0); // hi edge counts as overflow
-    EXPECT_EQ(h.count(0), 1.0);
-    EXPECT_EQ(h.count(9), 1.0);
-    EXPECT_EQ(h.underflow(), 1.0);
-    EXPECT_EQ(h.overflow(), 1.0);
-    EXPECT_EQ(h.totalWeight(), 4.0);
-    EXPECT_DOUBLE_EQ(h.binCenter(0), 0.5);
-}
-
-TEST(Histogram, WeightedDensityIntegratesToOne) {
-    Histogram h(0.0, 1.0, 4);
-    h.add(0.1, 2.0);
-    h.add(0.6, 6.0);
-    const auto d = h.density();
-    double integral = 0.0;
-    for (double v : d) integral += v * h.binWidth();
-    EXPECT_NEAR(integral, 1.0, 1e-12);
-}
-
-TEST(Histogram, FractionAbove) {
-    Histogram h(0.0, 10.0, 10);
-    for (int i = 0; i < 10; ++i) h.add(i + 0.5);
-    EXPECT_NEAR(h.fractionAbove(5.0), 0.5, 1e-12);
-    EXPECT_NEAR(h.fractionAbove(0.0), 1.0, 1e-12);
-}
-
-TEST(Histogram, RejectsBadConstruction) {
-    EXPECT_THROW(Histogram(1.0, 1.0, 4), InvalidArgument);
-    EXPECT_THROW(Histogram(0.0, 1.0, 0), InvalidArgument);
-}
 
 TEST(ThreadPool, SubmitReturnsResults) {
     ThreadPool pool(3);
@@ -256,17 +219,12 @@ TEST(StringUtil, SplitJoinTrim) {
     EXPECT_EQ(join({"a", "b", "c"}, "-"), "a-b-c");
     EXPECT_EQ(trim("  hi \t\n"), "hi");
     EXPECT_EQ(trim(""), "");
-    EXPECT_EQ(toLower("MiXeD"), "mixed");
     EXPECT_TRUE(startsWith("copernicus", "cop"));
     EXPECT_FALSE(startsWith("co", "cop"));
-    EXPECT_TRUE(endsWith("file.txt", ".txt"));
 }
 
 TEST(StringUtil, Formatting) {
     EXPECT_EQ(formatFixed(3.14159, 2), "3.14");
-    EXPECT_EQ(formatEngineering(1234567.0, 2), "1.23M");
-    EXPECT_EQ(formatEngineering(999.0, 1), "999.0");
-    EXPECT_EQ(formatEngineering(2500.0, 1), "2.5k");
     EXPECT_EQ(formatHours(0.5), "30.0m");
     EXPECT_EQ(formatHours(1.5), "1h 30m");
     EXPECT_EQ(formatHours(72.0), "3d 0.0h");

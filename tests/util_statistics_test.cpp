@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include "util/error.hpp"
-#include "util/random.hpp"
 
 namespace cop {
 namespace {
@@ -16,37 +15,9 @@ TEST(RunningStats, BasicMoments) {
     for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
     EXPECT_EQ(s.count(), 8u);
     EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-    EXPECT_NEAR(s.variancePopulation(), 4.0, 1e-12);
     EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);
     EXPECT_EQ(s.min(), 2.0);
     EXPECT_EQ(s.max(), 9.0);
-}
-
-TEST(RunningStats, MergeMatchesSequential) {
-    Rng rng(3);
-    RunningStats all, a, b;
-    for (int i = 0; i < 1000; ++i) {
-        const double x = rng.gaussian();
-        all.add(x);
-        (i % 2 == 0 ? a : b).add(x);
-    }
-    a.merge(b);
-    EXPECT_EQ(a.count(), all.count());
-    EXPECT_NEAR(a.mean(), all.mean(), 1e-12);
-    EXPECT_NEAR(a.variance(), all.variance(), 1e-10);
-    EXPECT_EQ(a.min(), all.min());
-    EXPECT_EQ(a.max(), all.max());
-}
-
-TEST(RunningStats, MergeWithEmpty) {
-    RunningStats a, b;
-    a.add(1.0);
-    a.add(3.0);
-    a.merge(b);
-    EXPECT_EQ(a.count(), 2u);
-    b.merge(a);
-    EXPECT_EQ(b.count(), 2u);
-    EXPECT_DOUBLE_EQ(b.mean(), 2.0);
 }
 
 TEST(Statistics, MeanAndVariance) {
@@ -58,76 +29,6 @@ TEST(Statistics, MeanAndVariance) {
 
 TEST(Statistics, MeanOfEmptyThrows) {
     EXPECT_THROW(mean({}), InvalidArgument);
-}
-
-TEST(Statistics, WeightedMean) {
-    const std::vector<double> xs{1.0, 10.0};
-    const std::vector<double> ws{3.0, 1.0};
-    EXPECT_DOUBLE_EQ(weightedMean(xs, ws), 13.0 / 4.0);
-    const std::vector<double> tooShort{1.0};
-    const std::vector<double> zeros{0.0, 0.0};
-    EXPECT_THROW(weightedMean(xs, tooShort), InvalidArgument);
-    EXPECT_THROW(weightedMean(xs, zeros), InvalidArgument);
-}
-
-TEST(Statistics, BlockStandardErrorOnIidMatchesNaive) {
-    Rng rng(5);
-    std::vector<double> xs;
-    for (int i = 0; i < 10000; ++i) xs.push_back(rng.gaussian());
-    const double naive = standardError(xs);
-    const double block = blockStandardError(xs, 50);
-    EXPECT_NEAR(block, naive, 0.5 * naive);
-}
-
-TEST(Statistics, BlockStandardErrorGrowsForCorrelatedData) {
-    // Strongly autocorrelated AR(1) series: block SEM should exceed the
-    // naive SEM that assumes independence.
-    Rng rng(6);
-    std::vector<double> xs;
-    double x = 0.0;
-    for (int i = 0; i < 20000; ++i) {
-        x = 0.99 * x + rng.gaussian() * 0.1;
-        xs.push_back(x);
-    }
-    EXPECT_GT(blockStandardError(xs, 20), 2.0 * standardError(xs));
-}
-
-TEST(Statistics, BootstrapMatchesNaiveOnIid) {
-    Rng rng(7);
-    std::vector<double> xs;
-    for (int i = 0; i < 2000; ++i) xs.push_back(rng.gaussian());
-    Rng boot(8);
-    const double bse = bootstrapStandardError(xs, 200, boot);
-    EXPECT_NEAR(bse, standardError(xs), 0.3 * standardError(xs));
-}
-
-TEST(Statistics, AutocorrelationOfWhiteNoise) {
-    Rng rng(9);
-    std::vector<double> xs;
-    for (int i = 0; i < 20000; ++i) xs.push_back(rng.gaussian());
-    const auto c = autocorrelation(xs, 5);
-    EXPECT_DOUBLE_EQ(c[0], 1.0);
-    for (std::size_t k = 1; k < c.size(); ++k) EXPECT_NEAR(c[k], 0.0, 0.03);
-}
-
-TEST(Statistics, AutocorrelationOfConstantSeriesIsZero) {
-    const std::vector<double> xs(100, 3.14);
-    const auto c = autocorrelation(xs, 3);
-    for (double v : c) EXPECT_EQ(v, 0.0);
-}
-
-TEST(Statistics, IntegratedAutocorrelationTimeOfAr1) {
-    // AR(1) with coefficient rho has tau = (1+rho)/(1-rho).
-    const double rho = 0.8;
-    Rng rng(10);
-    std::vector<double> xs;
-    double x = 0.0;
-    for (int i = 0; i < 200000; ++i) {
-        x = rho * x + rng.gaussian();
-        xs.push_back(x);
-    }
-    const double tau = integratedAutocorrelationTime(xs, 200);
-    EXPECT_NEAR(tau, (1.0 + rho) / (1.0 - rho), 1.5);
 }
 
 TEST(Statistics, Percentile) {

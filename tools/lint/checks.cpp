@@ -1,6 +1,7 @@
 #include "lint.hpp"
 
 #include <algorithm>
+#include <filesystem>
 
 namespace coplint {
 
@@ -402,6 +403,64 @@ void checkBlocking(const LexedFile& f, const Config& cfg,
                 "event loop; route durability through the WAL group-commit "
                 "path or add a lint_config blocking-allow entry with a "
                 "justification"});
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Check 6: headers only tests reach
+// ---------------------------------------------------------------------------
+
+std::vector<std::string> quotedIncludes(const LexedFile& f) {
+    std::vector<std::string> out;
+    for (const auto& t : f.tokens) {
+        if (t.kind != TokKind::Preprocessor) continue;
+        const std::string& s = t.text; // starts at '#'
+        const auto p = s.find_first_not_of(" \t", 1);
+        if (p == std::string::npos || s.compare(p, 7, "include") != 0)
+            continue;
+        const auto open = s.find('"', p + 7);
+        const auto close =
+            open == std::string::npos ? open : s.find('"', open + 1);
+        if (close == std::string::npos) continue;
+        out.push_back(s.substr(open + 1, close - open - 1));
+    }
+    return out;
+}
+
+void checkTestOnlyHeaders(const std::vector<std::string>& headers,
+                          const std::vector<LexedFile>& reachFiles,
+                          const Config& cfg, std::vector<Finding>& out) {
+    namespace fs = std::filesystem;
+    const std::set<std::string> known(headers.begin(), headers.end());
+    std::set<std::string> reached;
+    for (const auto& f : reachFiles) {
+        const fs::path dir = fs::path(f.path).parent_path();
+        for (const auto& inc : quotedIncludes(f)) {
+            std::vector<fs::path> candidates{dir / inc};
+            for (const auto& root : cfg.headerDirs)
+                candidates.push_back(fs::path(root) / inc);
+            for (const auto& c : candidates) {
+                const std::string h = c.lexically_normal().generic_string();
+                if (known.count(h) == 0) continue;
+                // A header's own .cpp does not count as a use.
+                if (fs::path(h).replace_extension(".cpp").generic_string() !=
+                    f.path)
+                    reached.insert(h);
+                break;
+            }
+        }
+    }
+    for (const auto& h : headers) {
+        if (!pathInAny(h, cfg.headerDirs) || reached.count(h) > 0 ||
+            std::find(cfg.testOnlyAllow.begin(), cfg.testOnlyAllow.end(),
+                      h) != cfg.testOnlyAllow.end())
+            continue;
+        out.push_back(Finding{
+            h, 1, "copernicus-test-only-header",
+            "only tests and its own .cpp include this header — code stays "
+            "only if a pipeline, bench, example, the CLI or a paper_map "
+            "row reaches it; delete it with its tests, or add a "
+            "lint_config test-only-allow entry with the reason"});
     }
 }
 

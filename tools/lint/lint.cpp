@@ -15,7 +15,8 @@ const std::vector<std::string>& allCheckNames() {
     static const std::vector<std::string> names = {
         "copernicus-bare-mutex",     "copernicus-nondeterminism",
         "copernicus-untrusted-length", "copernicus-switch-enum",
-        "copernicus-blocking",       "copernicus-nolint",
+        "copernicus-blocking",       "copernicus-test-only-header",
+        "copernicus-nolint",
     };
     return names;
 }
@@ -65,6 +66,15 @@ bool parseConfig(const std::string& text, Config& out, std::string& error) {
             if (!need(a, "an enum name") || !need(b, "a header path"))
                 return false;
             out.switchEnums.emplace_back(a, b);
+        } else if (directive == "header-dir") {
+            if (!need(a, "a path prefix")) return false;
+            out.headerDirs.push_back(a);
+        } else if (directive == "reach-dir") {
+            if (!need(a, "a path")) return false;
+            out.reachDirs.push_back(a);
+        } else if (directive == "test-only-allow") {
+            if (!need(a, "a file path")) return false;
+            out.testOnlyAllow.push_back(a);
         } else {
             error = "lint_config:" + std::to_string(lineNo) +
                     ": unknown directive '" + directive + "'";
@@ -88,6 +98,8 @@ bool checkConfigPaths(const Config& cfg, const std::filesystem::path& root,
         if (missing("blocking-allow", entry.first)) return false;
     for (const auto& entry : cfg.switchEnums)
         if (missing("switch-enum", entry.second)) return false;
+    for (const auto& path : cfg.testOnlyAllow)
+        if (missing("test-only-allow", path)) return false;
     return true;
 }
 

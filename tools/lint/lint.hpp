@@ -2,7 +2,8 @@
 
 /// \file lint.hpp
 /// copernicus_lint — repo-invariant static analysis for the Copernicus
-/// tree. Five checks, each suppressible inline with a written reason:
+/// tree. Six checks; the first five are suppressible inline with a
+/// written reason:
 ///
 ///   copernicus-bare-mutex        std::mutex / lock_guard / scoped_lock /
 ///                                condition_variable ... outside src/util/
@@ -25,6 +26,11 @@
 ///                                ::read / ::write etc. on event-loop
 ///                                reachable code outside the allow-listed
 ///                                WAL/segment-store paths
+///   copernicus-test-only-header  a header under a header-dir that no
+///                                reach-dir file includes except its own
+///                                .cpp, i.e. only tests reach it; a
+///                                tree-wide check, exempted per header by
+///                                a lint_config test-only-allow entry
 ///
 /// Suppression grammar (reason is mandatory — a reasonless NOLINT is
 /// itself a finding):
@@ -79,15 +85,22 @@ struct Config {
     std::vector<std::pair<std::string, std::string>> blockingAllow;
     /// (enum name, defining header) pairs for the switch check.
     std::vector<std::pair<std::string, std::string>> switchEnums;
+    /// Headers the test-only-header check covers; also the roots quoted
+    /// includes resolve against.
+    std::vector<std::string> headerDirs;
+    /// Trees whose quoted includes count as a use of a header.
+    std::vector<std::string> reachDirs;
+    /// Headers allowed to be reached from tests only.
+    std::vector<std::string> testOnlyAllow;
 };
 
 /// Parses the config text; returns false and sets `error` on a malformed
 /// line (unknown directive or missing operand).
 bool parseConfig(const std::string& text, Config& out, std::string& error);
 
-/// Returns false and sets `error` when an untrusted-file, blocking-allow
-/// or switch-enum path names no file under `root`: a stale entry would
-/// otherwise silently scope its check to nothing.
+/// Returns false and sets `error` when an untrusted-file, blocking-allow,
+/// switch-enum or test-only-allow path names no file under `root`: a
+/// stale entry would otherwise silently scope its check to nothing.
 bool checkConfigPaths(const Config& cfg, const std::filesystem::path& root,
                       std::string& error);
 
@@ -123,6 +136,17 @@ void checkSwitchEnum(const LexedFile& f, const TreeContext& tree,
                      std::vector<Finding>& out);
 void checkBlocking(const LexedFile& f, const Config& cfg,
                    std::vector<Finding>& out);
+
+/// Spellings of the `#include "..."` directives in `f`.
+std::vector<std::string> quotedIncludes(const LexedFile& f);
+
+/// Tree-wide check: flags each of `headers` (repo-relative) that lies
+/// under a header-dir, is not allow-listed, and is included by no file
+/// in `reachFiles` other than its own .cpp. A quoted include resolves
+/// against the including file's directory first, then each header-dir.
+void checkTestOnlyHeaders(const std::vector<std::string>& headers,
+                          const std::vector<LexedFile>& reachFiles,
+                          const Config& cfg, std::vector<Finding>& out);
 
 /// Runs every check on one file, then applies NOLINT suppressions.
 /// Reasonless suppressions surface as copernicus-nolint findings.

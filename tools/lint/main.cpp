@@ -4,7 +4,9 @@
 ///                   [--list-checks] [file...]
 ///
 /// With no positional files, walks the lint-dir roots from the config
-/// (skipping skip-dir subtrees) over .cpp/.cc/.hpp/.hh/.h sources. Emits
+/// (skipping skip-dir subtrees) over .cpp/.cc/.hpp/.hh/.h sources; the
+/// test-only-header check also reads every source under the reach-dir
+/// roots, to collect who includes each header. Emits
 /// `file:line: [check] message` per finding; exit 1 when any finding
 /// survives suppression, 2 on usage/config/IO errors.
 
@@ -31,10 +33,14 @@ bool readFile(const fs::path& p, std::string& out) {
     return true;
 }
 
+bool isHeader(const fs::path& p) {
+    const std::string ext = p.extension().string();
+    return ext == ".hpp" || ext == ".hh" || ext == ".h";
+}
+
 bool isSource(const fs::path& p) {
     const std::string ext = p.extension().string();
-    return ext == ".cpp" || ext == ".cc" || ext == ".hpp" || ext == ".hh" ||
-           ext == ".h";
+    return ext == ".cpp" || ext == ".cc" || isHeader(p);
 }
 
 std::string relPath(const fs::path& root, const fs::path& p) {
@@ -111,6 +117,17 @@ int main(int argc, char** argv) {
         return 2;
     }
 
+    // Repo-relative source files under `dir`, minus skip-dir subtrees.
+    auto walk = [&](const std::string& dir, std::vector<std::string>& out) {
+        const fs::path base = root / dir;
+        if (!fs::exists(base)) return;
+        for (const auto& ent : fs::recursive_directory_iterator(base)) {
+            if (!ent.is_regular_file() || !isSource(ent.path())) continue;
+            std::string rel = relPath(root, ent.path());
+            if (!pathInAny(rel, cfg.skipDirs)) out.push_back(std::move(rel));
+        }
+    };
+
     // Resolve the file set: explicit positional files (repo-relative or
     // absolute), else walk the configured roots.
     std::vector<std::string> rels;
@@ -124,16 +141,7 @@ int main(int argc, char** argv) {
             rels.push_back(relPath(root, p));
         }
     } else {
-        for (const auto& dir : cfg.lintDirs) {
-            fs::path base = root / dir;
-            if (!fs::exists(base)) continue;
-            for (const auto& ent : fs::recursive_directory_iterator(base)) {
-                if (!ent.is_regular_file() || !isSource(ent.path())) continue;
-                std::string rel = relPath(root, ent.path());
-                if (pathInAny(rel, cfg.skipDirs)) continue;
-                rels.push_back(rel);
-            }
-        }
+        for (const auto& dir : cfg.lintDirs) walk(dir, rels);
     }
     std::sort(rels.begin(), rels.end());
     rels.erase(std::unique(rels.begin(), rels.end()), rels.end());
@@ -190,6 +198,25 @@ int main(int argc, char** argv) {
     for (const auto& lf : lexed) {
         auto fs2 = lintFile(lf, cfg, tree);
         findings.insert(findings.end(), fs2.begin(), fs2.end());
+    }
+    // Tree-wide pass: headers in the file set that only tests include.
+    if (!cfg.headerDirs.empty()) {
+        std::vector<std::string> headers;
+        for (const auto& rel : rels)
+            if (isHeader(rel)) headers.push_back(rel);
+        std::vector<std::string> reachRels;
+        for (const auto& dir : cfg.reachDirs) walk(dir, reachRels);
+        std::vector<LexedFile> reach;
+        reach.reserve(reachRels.size());
+        for (const auto& rel : reachRels) {
+            std::string src;
+            if (!readFile(root / rel, src)) {
+                std::cerr << "copernicus_lint: cannot read " << rel << "\n";
+                return 2;
+            }
+            reach.push_back(lex(src, rel));
+        }
+        checkTestOnlyHeaders(headers, reach, cfg, findings);
     }
     if (!onlyChecks.empty()) {
         findings.erase(
