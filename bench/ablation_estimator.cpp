@@ -57,7 +57,7 @@ int main() {
         mp.lag = ctrl.params().pipeline.lag;
         mp.estimator = kind;
         const auto m =
-            msm::MarkovStateModel::fromCounts(msmResult.counts, mp);
+            msm::MarkovStateModel::fromCounts(msmResult.sparseCounts, mp);
         // Detailed-balance residual max |pi_i T_ij - pi_j T_ji|.
         const auto& pi = m.stationaryDistribution();
         double db = 0.0;

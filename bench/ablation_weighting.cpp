@@ -3,9 +3,11 @@
 /// compared to even weighting". We run matched villin studies under each
 /// scheme and compare exploration metrics at an equal command budget.
 
+#include <algorithm>
 #include <cstdio>
 
 #include "mdlib/observables.hpp"
+#include "msm/adaptive.hpp"
 #include "msm/spectral.hpp"
 #include "util/logging.hpp"
 #include "util/string_util.hpp"
@@ -65,14 +67,11 @@ AblationResult runScheme(msm::WeightingScheme scheme, std::uint64_t seed) {
 
     AblationResult res;
     const auto& msmResult = *c->lastMsm();
-    const auto& counts = msmResult.counts;
-    for (std::size_t i = 0; i < msmResult.populations.size(); ++i) {
-        if (msmResult.populations[i] == 0) continue;
-        ++res.statesDiscovered;
-        double out = 0.0;
-        for (std::size_t j = 0; j < counts.cols(); ++j) out += counts(i, j);
-        res.uncertaintyProxy += 1.0 / (out + 1.0);
-    }
+    const auto observed = msmResult.observedStates();
+    res.statesDiscovered =
+        std::size_t(std::count(observed.begin(), observed.end(), true));
+    for (double w : msm::adaptiveWeights(msmResult.sparseCounts, observed))
+        res.uncertaintyProxy += w;
 
     // Posterior spread of the equilibrium folded fraction over the
     // active-set count matrix.

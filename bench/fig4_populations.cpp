@@ -104,15 +104,15 @@ int main() {
     std::printf("implied-timescale lag sensitivity (slowest timescale, in "
                 "ns):\n");
     Table lagTable({"lag (ns)", "t1 (ns)", "CK error"});
-    for (std::size_t lag : {1, 2, 4, 8}) {
-        msm::MarkovModelParams mp;
-        mp.lag = lag;
-        const auto m = msm::MarkovStateModel::fromTrajectories(
-            msmResult.discrete, msmResult.clustering.numClusters(), mp);
-        const auto ts = m.impliedTimescales(1);
+    const std::vector<std::size_t> lags{1, 2, 4, 8};
+    const std::size_t numStates = msmResult.clustering.numClusters();
+    const auto timescales =
+        msm::impliedTimescaleSweep(msmResult.discrete, numStates, lags, 1);
+    for (std::size_t l = 0; l < lags.size(); ++l) {
+        const std::size_t lag = lags[l];
+        const auto& ts = timescales[l];
         const double ck = msm::chapmanKolmogorovError(
-            msmResult.discrete, msmResult.clustering.numClusters(), lag, 2,
-            mp);
+            msmResult.discrete, numStates, lag, 2, {});
         lagTable.addRow(
             {formatFixed(double(lag) * nsPerMsmStep, 1),
              ts.empty() ? "-" : formatFixed(ts[0] * nsPerMsmStep, 0),

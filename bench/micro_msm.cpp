@@ -68,8 +68,8 @@ std::vector<DiscreteTrajectory> randomDiscrete(std::size_t trajs,
 void BM_CountTransitions(benchmark::State& state) {
     const auto trajs = randomDiscrete(225, 200, 200, 5);
     for (auto _ : state) {
-        auto c = countTransitions(trajs, 200, 1);
-        benchmark::DoNotOptimize(c(0, 0));
+        auto c = countTransitionsSparse(trajs, 200, 1);
+        benchmark::DoNotOptimize(c.nonZeros());
     }
 }
 BENCHMARK(BM_CountTransitions);
@@ -77,7 +77,7 @@ BENCHMARK(BM_CountTransitions);
 void BM_EstimateModel(benchmark::State& state) {
     const auto trajs = randomDiscrete(50, 200, std::size_t(state.range(0)), 7);
     const auto counts =
-        countTransitions(trajs, std::size_t(state.range(0)), 1);
+        countTransitionsSparse(trajs, std::size_t(state.range(0)), 1);
     MarkovModelParams p;
     for (auto _ : state) {
         auto m = MarkovStateModel::fromCounts(counts, p);

@@ -1,7 +1,8 @@
 #include "core/msm_controller.hpp"
 
 #include <algorithm>
-#include <cstdlib>
+#include <charconv>
+#include <climits>
 #include <sstream>
 
 #include "core/backends.hpp"
@@ -26,6 +27,8 @@ MsmController::MsmController(MsmControllerParams params)
     if (params_.commandsPerGeneration <= 0)
         params_.commandsPerGeneration =
             int(params_.startingConformations.size()) * params_.tasksPerStart;
+    COP_REQUIRE(params_.commandsPerGeneration <= kMaxSeedsPerGeneration,
+                "commandsPerGeneration exceeds kMaxSeedsPerGeneration");
 }
 
 void MsmController::onProjectStart(ProjectContext& ctx) {
@@ -171,7 +174,7 @@ void MsmController::clusteringStep(ProjectContext& ctx) {
     ap.totalSeeds = params_.commandsPerGeneration;
     ap.seed = rng_.next();
     const auto plan =
-        msm::planAdaptiveSampling(msmResult.counts,
+        msm::planAdaptiveSampling(msmResult.sparseCounts,
                                   msmResult.observedStates(), ap);
     rec.seedsSpawned = plan.totalSeeds();
     history_.push_back(rec);
@@ -239,22 +242,40 @@ double MsmController::scoreBlindPrediction(
     return score.mean();
 }
 
+namespace {
+
+/// The whole token as a base-10 int in [lo, hi]; nullopt for trailing
+/// bytes, overflow or a value out of range. The token arrives over the
+/// wire, so nothing about it is trusted.
+std::optional<int> parseIntIn(const std::string& token, int lo, int hi) {
+    int value = 0;
+    const char* end = token.data() + token.size();
+    const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+    if (ec != std::errc{} || ptr != end || value < lo || value > hi)
+        return std::nullopt;
+    return value;
+}
+
+} // namespace
+
 std::string MsmController::handleClientCommand(ProjectContext& ctx,
                                                const std::string& command) {
     (void)ctx;
     const auto parts = split(trim(command), ' ');
     if (parts.size() == 3 && parts[0] == "set") {
         if (parts[1] == "clusters") {
-            const int n = std::atoi(parts[2].c_str());
-            if (n < 2) return "clusters must be >= 2";
-            params_.pipeline.numClusters = std::size_t(n);
+            const auto n = parseIntIn(parts[2], 2, INT_MAX);
+            if (!n) return "clusters must be an integer >= 2";
+            params_.pipeline.numClusters = std::size_t(*n);
             return "clusters set to " + parts[2] +
                    " (takes effect at the next clustering step)";
         }
         if (parts[1] == "seeds") {
-            const int n = std::atoi(parts[2].c_str());
-            if (n < 1) return "seeds must be >= 1";
-            params_.commandsPerGeneration = n;
+            const auto n = parseIntIn(parts[2], 1, kMaxSeedsPerGeneration);
+            if (!n)
+                return "seeds must be an integer in [1, " +
+                       std::to_string(kMaxSeedsPerGeneration) + "]";
+            params_.commandsPerGeneration = *n;
             return "seeds per generation set to " + parts[2];
         }
         if (parts[1] == "weighting") {

@@ -20,6 +20,13 @@
 
 namespace cop::core {
 
+/// Upper bound on the trajectories respawned per generation, whether set in
+/// MsmControllerParams or by a client's "set seeds <n>". Each seed costs a
+/// Simulation and a checkpoint before it is queued, so one unbounded
+/// request could exhaust the server's memory; 65536 is about 290 times the
+/// paper's 225 commands per generation.
+inline constexpr int kMaxSeedsPerGeneration = 65536;
+
 struct MsmControllerParams {
     md::GoModel model;
     /// Starting conformations (paper: nine unfolded villin structures).
@@ -28,7 +35,8 @@ struct MsmControllerParams {
     int tasksPerStart = 25;
     /// Steps per command segment (paper: 50 ns).
     std::int64_t segmentSteps = md::kSegmentSteps;
-    /// Results between clustering steps; defaults to the swarm size.
+    /// Results between clustering steps; defaults to the swarm size. At
+    /// most kMaxSeedsPerGeneration.
     int commandsPerGeneration = 0;
     /// Stop after this many clustering generations.
     int maxGenerations = 8;
@@ -82,7 +90,8 @@ public:
     /// the values to be changed dynamically, since the optimal settings
     /// depend on the available compute resources"). Supported:
     ///   "set clusters <n>"  — clusters per clustering step
-    ///   "set seeds <n>"     — trajectories respawned per generation
+    ///   "set seeds <n>"     — trajectories respawned per generation,
+    ///                         1..kMaxSeedsPerGeneration
     ///   "set weighting even|adaptive"
     std::string handleClientCommand(ProjectContext& ctx,
                                     const std::string& command) override;

@@ -12,24 +12,19 @@ int AdaptivePlan::totalSeeds() const {
     return std::accumulate(seedsPerState.begin(), seedsPerState.end(), 0);
 }
 
-std::vector<double> adaptiveWeights(const DenseMatrix& counts,
+std::vector<double> adaptiveWeights(const SparseCounts& counts,
                                     const std::vector<bool>& observed) {
-    COP_REQUIRE(counts.rows() == observed.size(), "size mismatch");
+    COP_REQUIRE(counts.numStates() == observed.size(), "size mismatch");
     std::vector<double> w(observed.size(), 0.0);
-    for (std::size_t i = 0; i < observed.size(); ++i) {
-        if (!observed[i]) continue;
-        double out = 0.0;
-        for (std::size_t j = 0; j < counts.cols(); ++j) out += counts(i, j);
-        w[i] = 1.0 / (out + 1.0);
-    }
+    for (std::size_t i = 0; i < observed.size(); ++i)
+        if (observed[i]) w[i] = 1.0 / (counts.rowSum(i) + 1.0);
     return w;
 }
 
-AdaptivePlan planAdaptiveSampling(const DenseMatrix& counts,
+AdaptivePlan planAdaptiveSampling(const SparseCounts& counts,
                                   const std::vector<bool>& observed,
                                   const AdaptiveParams& params) {
-    COP_REQUIRE(counts.rows() == counts.cols(), "counts must be square");
-    COP_REQUIRE(counts.rows() == observed.size(), "size mismatch");
+    COP_REQUIRE(counts.numStates() == observed.size(), "size mismatch");
     COP_REQUIRE(params.totalSeeds >= 0, "negative seed count");
 
     const std::size_t n = observed.size();

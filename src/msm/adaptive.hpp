@@ -19,7 +19,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "msm/linalg.hpp"
+#include "msm/transition_counts.hpp"
 
 namespace cop::msm {
 
@@ -41,17 +41,17 @@ struct AdaptiveParams {
     std::uint64_t seed = 0;
 };
 
-/// Computes per-state seed counts. `counts` is the (unrestricted) microstate
-/// count matrix; `observed` flags states with at least one assigned
-/// snapshot. Guarantees sum(seedsPerState) == totalSeeds when any state is
-/// observed.
-AdaptivePlan planAdaptiveSampling(const DenseMatrix& counts,
+/// Computes per-state seed counts. `counts` holds the (unrestricted)
+/// microstate transition counts; `observed` flags states with at least one
+/// assigned snapshot. Guarantees sum(seedsPerState) == totalSeeds when any
+/// state is observed.
+AdaptivePlan planAdaptiveSampling(const SparseCounts& counts,
                                   const std::vector<bool>& observed,
                                   const AdaptiveParams& params);
 
 /// The per-state weights used by the Adaptive scheme (exposed for tests and
 /// the ablation bench): w_i proportional to 1 / (totalOutCounts_i + 1).
-std::vector<double> adaptiveWeights(const DenseMatrix& counts,
+std::vector<double> adaptiveWeights(const SparseCounts& counts,
                                     const std::vector<bool>& observed);
 
 } // namespace cop::msm

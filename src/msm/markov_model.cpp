@@ -7,51 +7,34 @@
 
 namespace cop::msm {
 
-MarkovStateModel MarkovStateModel::fromCounts(const DenseMatrix& counts,
-                                              const MarkovModelParams& params) {
-    COP_REQUIRE(counts.rows() == counts.cols(), "counts must be square");
-    auto active = largestConnectedSet(counts);
-    COP_REQUIRE(!active.empty(), "no connected states");
-    auto restricted = restrictToStates(counts, active);
-    return fromActiveCounts(std::move(active), std::move(restricted),
-                            counts.rows(), params);
-}
+namespace {
+
+/// Fixed-point iteration budget and convergence threshold of the
+/// reversible MLE (the largest per-entry flow change between sweeps).
+constexpr int kMleIterations = 1000;
+constexpr double kMleTolerance = 1e-12;
+
+} // namespace
 
 MarkovStateModel MarkovStateModel::fromCounts(const SparseCounts& counts,
                                               const MarkovModelParams& params) {
-    auto active = largestConnectedSet(counts);
-    COP_REQUIRE(!active.empty(), "no connected states");
-    auto restricted = restrictToStates(counts, active);
-    return fromActiveCounts(std::move(active), std::move(restricted),
-                            counts.numStates(), params);
-}
-
-MarkovStateModel MarkovStateModel::fromActiveCounts(
-    std::vector<int> activeStates, DenseMatrix activeCounts,
-    std::size_t numMicrostates, const MarkovModelParams& params) {
     COP_REQUIRE(params.lag >= 1, "lag must be >= 1");
-
     MarkovStateModel model;
     model.params_ = params;
-    model.activeStates_ = std::move(activeStates);
-    model.activeCounts_ = std::move(activeCounts);
+    model.activeStates_ = largestConnectedSet(counts);
+    COP_REQUIRE(!model.activeStates_.empty(), "no connected states");
+    model.activeCounts_ = restrictToStates(counts, model.activeStates_);
 
-    model.toActive_.assign(numMicrostates, -1);
+    model.toActive_.assign(counts.numStates(), -1);
     for (std::size_t a = 0; a < model.activeStates_.size(); ++a)
         model.toActive_[std::size_t(model.activeStates_[a])] = int(a);
 
-    const std::size_t n = model.activeStates_.size();
-    DenseMatrix c = model.activeCounts_;
-    if (params.pseudocount > 0.0) {
-        for (std::size_t i = 0; i < n; ++i)
-            for (std::size_t j = 0; j < n; ++j)
-                if (c(i, j) > 0.0) c(i, j) += params.pseudocount;
-    }
     if (params.estimator == EstimatorKind::ReversibleMle) {
-        model.transition_ = estimateReversibleMle(c, params.mleIterations,
-                                                  params.mleTolerance);
+        model.transition_ = estimateReversibleMle(model.activeCounts_);
         return model;
     }
+    const std::size_t n = model.activeStates_.size();
+    DenseMatrix c = model.activeCounts_;
     if (params.estimator == EstimatorKind::Symmetrized) {
         for (std::size_t i = 0; i < n; ++i)
             for (std::size_t j = i + 1; j < n; ++j) {
@@ -73,8 +56,7 @@ MarkovStateModel MarkovStateModel::fromActiveCounts(
     return model;
 }
 
-DenseMatrix estimateReversibleMle(const DenseMatrix& counts,
-                                  int maxIterations, double tolerance) {
+DenseMatrix estimateReversibleMle(const DenseMatrix& counts) {
     // Standard fixed-point iteration for the reversible transition-matrix
     // MLE (Bowman et al. 2009 / the MSMBuilder "MLE" estimator): iterate
     //   x_ij <- (c_ij + c_ji) / (c_i / x_i + c_j / x_j)
@@ -94,7 +76,7 @@ DenseMatrix estimateReversibleMle(const DenseMatrix& counts,
             x(i, j) = counts(i, j) + counts(j, i);
 
     std::vector<double> xRow(n, 0.0);
-    for (int iter = 0; iter < maxIterations; ++iter) {
+    for (int iter = 0; iter < kMleIterations; ++iter) {
         std::fill(xRow.begin(), xRow.end(), 0.0);
         for (std::size_t i = 0; i < n; ++i)
             for (std::size_t j = 0; j < n; ++j) xRow[i] += x(i, j);
@@ -112,7 +94,7 @@ DenseMatrix estimateReversibleMle(const DenseMatrix& counts,
                 x(i, j) = x(j, i) = updated;
             }
         }
-        if (delta < tolerance) break;
+        if (delta < kMleTolerance) break;
     }
 
     std::fill(xRow.begin(), xRow.end(), 0.0);
@@ -133,7 +115,8 @@ DenseMatrix estimateReversibleMle(const DenseMatrix& counts,
 MarkovStateModel MarkovStateModel::fromTrajectories(
     const std::vector<DiscreteTrajectory>& trajs, std::size_t numStates,
     const MarkovModelParams& params) {
-    return fromCounts(countTransitions(trajs, numStates, params.lag), params);
+    return fromCounts(countTransitionsSparse(trajs, numStates, params.lag),
+                      params);
 }
 
 int MarkovStateModel::toActiveIndex(int microstate) const {
@@ -244,8 +227,12 @@ std::vector<double> MarkovStateModel::committor(
     const std::size_t n = numStates();
     COP_REQUIRE(!sourceA.empty() && !sinkB.empty(), "empty boundary set");
     std::vector<int> role(n, 0); // 0 = interior, 1 = A, 2 = B
-    for (int s : sourceA) role[std::size_t(s)] = 1;
+    for (int s : sourceA) {
+        COP_REQUIRE(s >= 0 && std::size_t(s) < n, "source out of range");
+        role[std::size_t(s)] = 1;
+    }
     for (int s : sinkB) {
+        COP_REQUIRE(s >= 0 && std::size_t(s) < n, "sink out of range");
         COP_REQUIRE(role[std::size_t(s)] != 1, "A and B overlap");
         role[std::size_t(s)] = 2;
     }

@@ -4,7 +4,9 @@
 /// Markov state model estimation and analysis: transition-matrix
 /// estimators, stationary distribution, propagation p(t+tau) = p(t) T(tau)
 /// (paper Eq. 1), implied timescales, mean first-passage times and
-/// committors.
+/// committors. The only settings are the lag and the estimator; counts
+/// enter unmodified (no pseudocount prior), and the reversible MLE's
+/// iteration budget and tolerance are fixed.
 
 #include <cstddef>
 #include <optional>
@@ -33,25 +35,14 @@ enum class EstimatorKind {
 struct MarkovModelParams {
     std::size_t lag = 1; ///< in snapshot intervals
     EstimatorKind estimator = EstimatorKind::ReversibleMle;
-    int mleIterations = 1000;
-    double mleTolerance = 1e-12;
-    /// Prior pseudocount added to observed transitions (not to unobserved
-    /// pairs), stabilizing rows with very few counts. 0 disables.
-    double pseudocount = 0.0;
 };
 
 /// A fully estimated MSM over the largest connected subset of the input.
 class MarkovStateModel {
 public:
-    /// Builds from a count matrix over all microstates; restricts to the
-    /// largest strongly connected set automatically.
-    static MarkovStateModel fromCounts(const DenseMatrix& counts,
-                                       const MarkovModelParams& params);
-
-    /// Sparse overload: restriction runs on the sparse counts (touching
-    /// only nonzeros); estimation then proceeds on the dense restricted
-    /// matrix exactly as the dense overload does, so the two produce
-    /// identical models for equal counts.
+    /// Builds from the counts over all microstates: restricts them to the
+    /// largest strongly connected set (touching only nonzeros), then runs
+    /// the estimator on the dense restricted matrix.
     static MarkovStateModel fromCounts(const SparseCounts& counts,
                                        const MarkovModelParams& params);
 
@@ -101,13 +92,6 @@ public:
                                   const std::vector<int>& sinkB) const;
 
 private:
-    /// Shared estimation tail of both fromCounts overloads: takes the
-    /// already-restricted active-set counts and runs the estimator.
-    static MarkovStateModel fromActiveCounts(std::vector<int> activeStates,
-                                             DenseMatrix activeCounts,
-                                             std::size_t numMicrostates,
-                                             const MarkovModelParams& params);
-
     DenseMatrix transition_;
     DenseMatrix activeCounts_;
     std::vector<int> activeStates_;
@@ -117,10 +101,9 @@ private:
 };
 
 /// Reversible transition-matrix MLE via the standard fixed-point iteration
-/// on the symmetric flow matrix; exposed for tests and direct use.
-DenseMatrix estimateReversibleMle(const DenseMatrix& counts,
-                                  int maxIterations = 1000,
-                                  double tolerance = 1e-12);
+/// on the symmetric flow matrix (at most 1000 sweeps, stopping once no
+/// flow changes by 1e-12); exposed for tests and direct use.
+DenseMatrix estimateReversibleMle(const DenseMatrix& counts);
 
 /// Chapman-Kolmogorov test: max |T(lag)^k - T(k*lag)| over entries, for a
 /// model re-estimated at lag k*lag from the same trajectories. Small values

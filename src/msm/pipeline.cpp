@@ -5,7 +5,6 @@
 #include <cstdio>
 
 #include "util/error.hpp"
-#include "util/thread_pool.hpp"
 
 namespace cop::msm {
 
@@ -21,14 +20,6 @@ double maxOf(const std::vector<double>& v) {
     double m = 0.0;
     for (double d : v) m = std::max(m, d);
     return m;
-}
-
-MarkovModelParams modelParams(const MsmPipelineParams& params) {
-    MarkovModelParams mp;
-    mp.lag = params.lag;
-    mp.estimator = params.estimator;
-    mp.pseudocount = params.pseudocount;
-    return mp;
 }
 
 } // namespace
@@ -58,75 +49,11 @@ std::vector<bool> MsmPipelineResult::observedStates() const {
 MsmPipelineResult buildMsm(const TrajectoryRefs& trajectories,
                            const MsmPipelineParams& params,
                            ThreadPool* pool) {
-    COP_REQUIRE(params.snapshotStride >= 1, "snapshotStride must be >= 1");
-    COP_REQUIRE(params.numClusters >= 2, "need at least 2 clusters");
-
-    // Gather snapshots, remembering which trajectory each came from.
-    ConformationSet snapshots;
-    std::vector<std::size_t> trajOf;
-    std::vector<std::size_t> snapshotsPerTraj(trajectories.size(), 0);
-    for (std::size_t t = 0; t < trajectories.size(); ++t) {
-        COP_REQUIRE(trajectories[t] != nullptr, "null trajectory");
-        const auto& traj = *trajectories[t];
-        for (std::size_t f = 0; f < traj.numFrames();
-             f += params.snapshotStride) {
-            snapshots.add(traj.frame(f).positions);
-            trajOf.push_back(t);
-            ++snapshotsPerTraj[t];
-        }
-    }
-    COP_REQUIRE(!snapshots.empty(), "no snapshots to cluster");
-
-    MsmPipelineResult result;
-    result.stats.fullRebuild = true;
-    result.stats.snapshotsTotal = snapshots.size();
-    result.stats.snapshotsNew = snapshots.size();
-
-    const auto tCluster = Clock::now();
-    KCentersParams kc;
-    kc.numClusters = params.numClusters;
-    kc.seed = params.seed;
-    kc.prune = params.prune;
-    result.clustering = kCenters(snapshots, kc, pool);
-    if (params.medoidSweeps > 0)
-        result.clustering = kMedoidsRefine(snapshots,
-                                           std::move(result.clustering),
-                                           params.medoidSweeps, params.seed);
-    result.stats.clusterSeconds = secondsSince(tCluster);
-    result.stats.rmsd = result.clustering.rmsd;
-    result.stats.clusterRadius = maxOf(result.clustering.distances);
-    result.stats.radiusAtFull = result.stats.clusterRadius;
-
-    const std::size_t k = result.clustering.numClusters();
-
-    // Split the flat assignment list back into per-trajectory discrete
-    // trajectories (snapshots were appended trajectory-major).
-    result.discrete.assign(trajectories.size(), {});
+    std::vector<std::pair<int, const md::Trajectory*>> keyed;
+    keyed.reserve(trajectories.size());
     for (std::size_t t = 0; t < trajectories.size(); ++t)
-        result.discrete[t].reserve(snapshotsPerTraj[t]);
-    for (std::size_t s = 0; s < snapshots.size(); ++s)
-        result.discrete[trajOf[s]].push_back(result.clustering.assignments[s]);
-
-    const auto tCount = Clock::now();
-    result.sparseCounts =
-        countTransitionsSparse(result.discrete, k, params.lag, pool);
-    result.counts = result.sparseCounts.toDense();
-    result.stats.countSeconds = secondsSince(tCount);
-
-    const auto tEstimate = Clock::now();
-    result.model =
-        MarkovStateModel::fromCounts(result.sparseCounts, modelParams(params));
-    result.stats.estimateSeconds = secondsSince(tEstimate);
-
-    result.centers.reserve(k);
-    for (std::size_t c = 0; c < k; ++c)
-        result.centers.push_back(snapshots[result.clustering.centers[c]]);
-
-    result.populations.assign(k, 0);
-    for (int a : result.clustering.assignments)
-        ++result.populations[std::size_t(a)];
-
-    return result;
+        keyed.emplace_back(int(t), trajectories[t]);
+    return IncrementalMsmBuilder({params}).update(keyed, pool);
 }
 
 MsmPipelineResult buildMsm(const std::vector<md::Trajectory>& trajectories,
@@ -140,8 +67,9 @@ MsmPipelineResult buildMsm(const std::vector<md::Trajectory>& trajectories,
 
 void IncrementalMsmBuilder::reorderTrajectoryMajor() {
     // Snapshots arrive generation-major; full rebuilds must see them
-    // trajectory-major to be bit-identical to buildMsm. Skip the copy when
-    // the store is already in order (e.g. the first build).
+    // trajectory-major to be bit-identical to a fresh builder's first
+    // update (buildMsm). Skip the copy when the store is already in order
+    // (e.g. the first build).
     bool ordered = true;
     std::size_t next = 0;
     for (const auto& st : states_) {
@@ -174,7 +102,6 @@ void IncrementalMsmBuilder::fullRebuild(MsmStats& stats, ThreadPool* pool) {
     KCentersParams kc;
     kc.numClusters = pp.numClusters;
     kc.seed = pp.seed;
-    kc.prune = pp.prune;
     ClusteringResult clustering = kCenters(snapshots_, kc, pool);
     if (pp.medoidSweeps > 0)
         clustering = kMedoidsRefine(snapshots_, std::move(clustering),
@@ -217,10 +144,10 @@ MsmPipelineResult IncrementalMsmBuilder::assembleResult(MsmStats stats) {
     result.discrete.reserve(states_.size());
     for (const auto& st : states_) result.discrete.push_back(st.discrete);
     result.sparseCounts = counts_;
-    result.counts = counts_.toDense();
 
     const auto tEstimate = Clock::now();
-    result.model = MarkovStateModel::fromCounts(counts_, modelParams(pp));
+    result.model =
+        MarkovStateModel::fromCounts(counts_, {pp.lag, pp.estimator});
     stats.estimateSeconds += secondsSince(tEstimate);
 
     result.centers.reserve(k);
@@ -276,14 +203,12 @@ MsmPipelineResult IncrementalMsmBuilder::update(
         // Assign only the new snapshots to the frozen centers, then check
         // whether coverage degraded past the rebuild threshold.
         const auto tAssign = Clock::now();
-        if (centerDist_.empty() && pp.prune) {
+        if (centerDist_.empty()) {
             RmsdCounters cc;
             centerDist_ =
                 centerDistanceMatrix(snapshots_, centers_, pool, &cc);
             stats.rmsd += cc;
         }
-        // centerDist_ is only ever built when pruning is on; when off it
-        // stays empty, which assignRangeToCenters treats as "no pruning".
         AssignResult assigned =
             assignRangeToCenters(snapshots_, oldFlat, snapshots_.size(),
                                  centers_, centerDist_, pool);

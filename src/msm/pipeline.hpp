@@ -7,15 +7,15 @@
 /// assign, count transitions, estimate the transition matrix on the largest
 /// connected subset.
 ///
-/// Two entry points build the same result:
-///  - buildMsm: the from-scratch pipeline over a full trajectory set;
-///  - IncrementalMsmBuilder: persists clustering state across adaptive
-///    generations, assigning only newly appended snapshots to the frozen
-///    centers and counting only the new transition windows, with a fallback
-///    to a full re-cluster when coverage degrades. The adaptive-sampling
-///    loop re-runs the MSM every generation over an ever-growing dataset;
-///    incrementality makes that rebuild cost proportional to the *new*
-///    data instead of the total.
+/// IncrementalMsmBuilder is the one build path: it persists clustering
+/// state across adaptive generations, assigning only newly appended
+/// snapshots to the frozen centers and counting only the new transition
+/// windows, with a fallback to a full re-cluster when coverage degrades.
+/// The adaptive-sampling loop re-runs the MSM every generation over an
+/// ever-growing dataset; incrementality makes that rebuild cost
+/// proportional to the *new* data instead of the total. buildMsm is one
+/// update of a fresh builder: the from-scratch pipeline over a full
+/// trajectory set.
 
 #include <cstdint>
 #include <string>
@@ -41,19 +41,15 @@ struct MsmPipelineParams {
     /// MSM lag time in snapshot intervals.
     std::size_t lag = 1;
     EstimatorKind estimator = EstimatorKind::ReversibleMle;
-    double pseudocount = 0.0;
     int medoidSweeps = 1;
     std::uint64_t seed = 0;
-    /// Triangle-inequality pruning of RMSD evaluations (never changes any
-    /// result; off exists for tests and benchmarks).
-    bool prune = true;
 };
 
 /// Per-build accounting: how much work one MSM construction (or one
 /// incremental generation) actually performed. Logged by the MSM controller
 /// each generation.
 struct MsmStats {
-    std::size_t generation = 0; ///< 1-based update index (0 for buildMsm)
+    std::size_t generation = 0; ///< 1-based update index (1 for buildMsm)
     bool fullRebuild = false;   ///< re-clustered from scratch this build
     std::size_t snapshotsTotal = 0;
     std::size_t snapshotsNew = 0; ///< snapshots first seen this build
@@ -80,11 +76,7 @@ struct MsmPipelineResult {
     ClusteringResult clustering;
     /// One discrete trajectory per input trajectory, over microstates.
     std::vector<DiscreteTrajectory> discrete;
-    /// Count matrix over all microstates (before SCC restriction). Kept
-    /// dense for downstream consumers; derived from `sparseCounts`.
-    DenseMatrix counts;
-    /// The same counts in sparse form (the representation the pipeline
-    /// actually maintains).
+    /// Transition counts over all microstates (before SCC restriction).
     SparseCounts sparseCounts;
     MarkovStateModel model;
     /// Representative conformation of each microstate.
@@ -104,10 +96,11 @@ struct MsmPipelineResult {
 /// every trajectory each generation.
 using TrajectoryRefs = std::vector<const md::Trajectory*>;
 
-/// Runs the full pipeline. Requires at least lag+1 snapshots in some
-/// trajectory and at least one non-empty trajectory. With a pool, the
-/// RMSD sweeps and transition counting are chunked across threads; the
-/// result is identical to the serial run.
+/// Runs the full pipeline as the first update of a fresh
+/// IncrementalMsmBuilder, keying each trajectory by its index. Requires at
+/// least one non-empty trajectory. With a pool, the RMSD sweeps and
+/// transition counting are chunked across threads; the result is identical
+/// to the serial run.
 MsmPipelineResult buildMsm(const TrajectoryRefs& trajectories,
                            const MsmPipelineParams& params,
                            ThreadPool* pool = nullptr);
@@ -133,8 +126,8 @@ MsmPipelineResult buildMsm(const std::vector<md::Trajectory>& trajectories,
 ///    sampled region).
 ///
 /// On a full rebuild the snapshot store is reordered trajectory-major
-/// first, so the rebuild is bit-identical to buildMsm over the same
-/// trajectories with the same parameters.
+/// first, so the rebuild is bit-identical to a fresh builder's first update
+/// (buildMsm) over the same trajectories with the same parameters.
 struct IncrementalMsmParams {
     MsmPipelineParams pipeline;
     /// Radius-degradation threshold for falling back to a full re-cluster.

@@ -56,39 +56,6 @@ void SparseCounts::addAll(const SparseCounts& other) {
         for (const auto& [j, w] : other.rows_[i]) add(int(i), j, w);
 }
 
-DenseMatrix SparseCounts::toDense() const {
-    DenseMatrix m(rows_.size(), rows_.size());
-    for (std::size_t i = 0; i < rows_.size(); ++i)
-        for (const auto& [j, w] : rows_[i]) m(i, std::size_t(j)) = w;
-    return m;
-}
-
-SparseCounts SparseCounts::fromDense(const DenseMatrix& m) {
-    COP_REQUIRE(m.rows() == m.cols(), "counts must be square");
-    SparseCounts out(m.rows());
-    for (std::size_t i = 0; i < m.rows(); ++i)
-        for (std::size_t j = 0; j < m.cols(); ++j)
-            if (m(i, j) != 0.0) out.rows_[i].push_back({int(j), m(i, j)});
-    return out;
-}
-
-DenseMatrix countTransitions(const std::vector<DiscreteTrajectory>& trajs,
-                             std::size_t numStates, std::size_t lag) {
-    COP_REQUIRE(lag >= 1, "lag must be >= 1");
-    DenseMatrix counts(numStates, numStates);
-    for (const auto& traj : trajs) {
-        for (std::size_t t = 0; t + lag < traj.size(); ++t) {
-            const int from = traj[t];
-            const int to = traj[t + lag];
-            COP_REQUIRE(from >= 0 && std::size_t(from) < numStates &&
-                            to >= 0 && std::size_t(to) < numStates,
-                        "state index out of range");
-            counts(std::size_t(from), std::size_t(to)) += 1.0;
-        }
-    }
-    return counts;
-}
-
 SparseCounts countTransitionsSparse(
     const std::vector<DiscreteTrajectory>& trajs, std::size_t numStates,
     std::size_t lag, ThreadPool* pool) {
@@ -143,8 +110,7 @@ std::vector<SparseCounts> countTransitionsMultiLag(
 namespace {
 
 /// Iterative Tarjan SCC over ascending adjacency lists (explicit stack to
-/// avoid recursion-depth limits). Both matrix forms lower to the same
-/// adjacency representation, so component ids agree between them.
+/// avoid recursion-depth limits).
 class TarjanScc {
 public:
     explicit TarjanScc(std::vector<std::vector<int>> adjacency)
@@ -218,14 +184,6 @@ private:
     int nextComponent_ = 0;
 };
 
-std::vector<std::vector<int>> adjacencyOf(const DenseMatrix& counts) {
-    std::vector<std::vector<int>> adj(counts.rows());
-    for (std::size_t v = 0; v < counts.rows(); ++v)
-        for (std::size_t w = 0; w < counts.cols(); ++w)
-            if (counts(v, w) > 0.0 && v != w) adj[v].push_back(int(w));
-    return adj;
-}
-
 std::vector<std::vector<int>> adjacencyOf(const SparseCounts& counts) {
     std::vector<std::vector<int>> adj(counts.numStates());
     for (std::size_t v = 0; v < counts.numStates(); ++v)
@@ -234,19 +192,24 @@ std::vector<std::vector<int>> adjacencyOf(const SparseCounts& counts) {
     return adj;
 }
 
-/// Shared tail of largestConnectedSet: pick the component with the most
-/// members (ties by total outgoing counts) and list its states ascending.
-template <typename RowWeight>
-std::vector<int> largestComponent(const std::vector<int>& comp,
-                                  std::size_t n, RowWeight&& rowWeight) {
+} // namespace
+
+std::vector<int> stronglyConnectedComponents(const SparseCounts& counts) {
+    return TarjanScc(adjacencyOf(counts)).run();
+}
+
+std::vector<int> largestConnectedSet(const SparseCounts& counts) {
+    const auto comp = stronglyConnectedComponents(counts);
+    const std::size_t n = counts.numStates();
     int nComp = 0;
     for (int c : comp) nComp = std::max(nComp, c + 1);
 
+    // Most members wins; ties go to the larger total outgoing count.
     std::vector<std::size_t> sizes(std::size_t(nComp), 0);
     std::vector<double> weight(std::size_t(nComp), 0.0);
     for (std::size_t i = 0; i < n; ++i) {
         ++sizes[std::size_t(comp[i])];
-        weight[std::size_t(comp[i])] += rowWeight(i);
+        weight[std::size_t(comp[i])] += counts.rowSum(i);
     }
     int best = 0;
     for (int c = 1; c < nComp; ++c) {
@@ -261,46 +224,10 @@ std::vector<int> largestComponent(const std::vector<int>& comp,
     return states;
 }
 
-} // namespace
-
-std::vector<int> stronglyConnectedComponents(const DenseMatrix& counts) {
-    COP_REQUIRE(counts.rows() == counts.cols(), "counts must be square");
-    return TarjanScc(adjacencyOf(counts)).run();
-}
-
-std::vector<int> stronglyConnectedComponents(const SparseCounts& counts) {
-    return TarjanScc(adjacencyOf(counts)).run();
-}
-
-std::vector<int> largestConnectedSet(const DenseMatrix& counts) {
-    const auto comp = stronglyConnectedComponents(counts);
-    const std::size_t n = counts.rows();
-    return largestComponent(comp, n, [&](std::size_t i) {
-        double s = 0.0;
-        for (std::size_t j = 0; j < n; ++j) s += counts(i, j);
-        return s;
-    });
-}
-
-std::vector<int> largestConnectedSet(const SparseCounts& counts) {
-    const auto comp = stronglyConnectedComponents(counts);
-    return largestComponent(comp, counts.numStates(),
-                            [&](std::size_t i) { return counts.rowSum(i); });
-}
-
-DenseMatrix restrictToStates(const DenseMatrix& counts,
-                             const std::vector<int>& states) {
-    DenseMatrix out(states.size(), states.size());
-    for (std::size_t a = 0; a < states.size(); ++a)
-        for (std::size_t b = 0; b < states.size(); ++b)
-            out(a, b) = counts(std::size_t(states[a]), std::size_t(states[b]));
-    return out;
-}
-
 DenseMatrix restrictToStates(const SparseCounts& counts,
                              const std::vector<int>& states) {
     // Scatter the kept rows through an old-state -> new-index map; touches
-    // only the nonzeros instead of the |states|^2 dense probe.
+    // only the nonzeros instead of a |states|^2 probe.
     std::vector<int> toNew(counts.numStates(), -1);
     for (std::size_t a = 0; a < states.size(); ++a)
         toNew[std::size_t(states[a])] = int(a);

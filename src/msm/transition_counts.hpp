@@ -6,14 +6,14 @@
 /// its largest communicating subset (paper §3.2: "analysis was performed on
 /// the largest connected subset of the Markovian transition matrix").
 ///
-/// Counts live in a sparse row structure: a K-state MSM touches only the
-/// observed transitions (typically a few per state), so the dense K x K
-/// matrix the original pipeline built is mostly zeros, and rebuilding it
-/// from scratch each adaptive generation is O(K^2 + total trajectory
-/// length). The sparse form supports suffix-incremental updates — only the
-/// transitions introduced by newly appended snapshots are counted — and
-/// SCC/restriction run directly on it. All counts are integer-valued sums,
-/// so sparse, dense, incremental and threaded paths agree exactly.
+/// Unrestricted counts exist only as SparseCounts: a K-state MSM touches
+/// only the observed transitions (typically a few per state), so a dense
+/// K x K matrix would be mostly zeros. The sparse form supports
+/// suffix-incremental updates (only the transitions introduced by newly
+/// appended snapshots are counted), and SCC/restriction run directly on
+/// it. Only the restricted active set, the estimators' working set, is
+/// dense. All counts are integer-valued sums, so the serial, incremental
+/// and threaded paths agree exactly.
 
 #include <cstddef>
 #include <utility>
@@ -59,9 +59,6 @@ public:
     /// Adds every entry of `other` (state spaces must match).
     void addAll(const SparseCounts& other);
 
-    DenseMatrix toDense() const;
-    static SparseCounts fromDense(const DenseMatrix& m);
-
     bool operator==(const SparseCounts&) const = default;
 
 private:
@@ -69,13 +66,10 @@ private:
 };
 
 /// Counts transitions i -> j separated by `lag` snapshots, using the
-/// sliding-window convention (every snapshot starts a transition).
-DenseMatrix countTransitions(const std::vector<DiscreteTrajectory>& trajs,
-                             std::size_t numStates, std::size_t lag);
-
-/// Sparse equivalent of countTransitions; with a pool, trajectories are
-/// counted in chunks whose partial matrices merge in chunk order (integer
-/// sums, so the result is exact and identical to the serial count).
+/// sliding-window convention (every snapshot starts a transition). With a
+/// pool, trajectories are counted in chunks whose partial matrices merge in
+/// chunk order (integer sums, so the result is exact and identical to the
+/// serial count).
 SparseCounts countTransitionsSparse(
     const std::vector<DiscreteTrajectory>& trajs, std::size_t numStates,
     std::size_t lag, ThreadPool* pool = nullptr);
@@ -97,18 +91,14 @@ std::vector<SparseCounts> countTransitionsMultiLag(
 
 /// Tarjan strongly connected components of the directed graph with an edge
 /// i -> j wherever counts(i, j) > 0. Returns the component id per state.
-std::vector<int> stronglyConnectedComponents(const DenseMatrix& counts);
 std::vector<int> stronglyConnectedComponents(const SparseCounts& counts);
 
 /// States in the largest SCC (ties broken by total counts), ascending.
-std::vector<int> largestConnectedSet(const DenseMatrix& counts);
 std::vector<int> largestConnectedSet(const SparseCounts& counts);
 
 /// Restricts a count matrix to `states` (in their given order). The
 /// restricted matrix is the estimators' working set (at most the cluster
-/// count on a side), so it stays dense.
-DenseMatrix restrictToStates(const DenseMatrix& counts,
-                             const std::vector<int>& states);
+/// count on a side), so it is dense.
 DenseMatrix restrictToStates(const SparseCounts& counts,
                              const std::vector<int>& states);
 

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "util/error.hpp"
-
 namespace cop {
 
 ThreadPool::ThreadPool(std::size_t nThreads) {
@@ -37,38 +35,6 @@ void ThreadPool::workerLoop() {
         }
         task();
     }
-}
-
-void ThreadPool::parallelFor(std::size_t begin, std::size_t end,
-                             const std::function<void(std::size_t)>& f) {
-    parallelForChunked(begin, end,
-                       [&f](std::size_t lo, std::size_t hi) {
-                           for (std::size_t i = lo; i < hi; ++i) f(i);
-                       });
-}
-
-void ThreadPool::parallelForChunked(
-    std::size_t begin, std::size_t end,
-    const std::function<void(std::size_t, std::size_t)>& f) {
-    COP_REQUIRE(begin <= end, "invalid range");
-    if (begin == end) return;
-    const std::size_t n = end - begin;
-    const std::size_t nChunks = std::min(n, workers_.size() + 1);
-    const std::size_t chunk = (n + nChunks - 1) / nChunks;
-
-    std::vector<std::future<void>> futures;
-    futures.reserve(nChunks);
-    // Submit all but the last chunk; run the last one on the calling thread
-    // so a pool task that itself calls parallelFor cannot deadlock a
-    // single-thread pool.
-    std::size_t lo = begin;
-    for (std::size_t c = 0; c + 1 < nChunks; ++c) {
-        const std::size_t hi = std::min(lo + chunk, end);
-        futures.push_back(submit([&f, lo, hi] { f(lo, hi); }));
-        lo = hi;
-    }
-    if (lo < end) f(lo, end);
-    for (auto& fut : futures) fut.get();
 }
 
 } // namespace cop

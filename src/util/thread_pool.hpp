@@ -1,13 +1,15 @@
 #pragma once
 
 /// \file thread_pool.hpp
-/// A fixed-size work-stealing-free thread pool plus a parallel-for helper.
-/// This is the "threads within a node" tier of the paper's Fig. 6 hierarchy:
-/// mdlib uses it to decompose force loops, and the InProcess execution
-/// backend uses it to run independent commands concurrently.
+/// A fixed-size work-stealing-free thread pool with one chunking path:
+/// forChunks (and its grained variant) splits a range into contiguous
+/// chunks, and parallelReduceChunked combines per-chunk results in chunk
+/// order. This is the "threads within a node" tier of the paper's Fig. 6
+/// hierarchy: mdlib uses it to decompose force loops, and the MSM layer to
+/// chunk its RMSD sweeps and transition counting.
 ///
 /// Design notes (per C++ Core Guidelines CP.*): tasks communicate only
-/// through futures / the parallelFor barrier; no shared mutable state leaks
+/// through futures / the forChunks barrier; no shared mutable state leaks
 /// out of the pool; joins happen in the destructor so lifetimes are safe.
 
 #include <condition_variable>
@@ -49,21 +51,9 @@ public:
         return fut;
     }
 
-    /// Runs f(i) for i in [begin, end), split into roughly equal contiguous
-    /// chunks across the pool; blocks until all chunks complete. The calling
-    /// thread participates, so a 1-thread pool still makes progress even if
-    /// called from within a pool task.
-    void parallelFor(std::size_t begin, std::size_t end,
-                     const std::function<void(std::size_t)>& f);
-
-    /// Chunked variant: f(chunkBegin, chunkEnd) once per chunk. Lower
-    /// overhead for tight inner loops (force kernels).
-    void parallelForChunked(
-        std::size_t begin, std::size_t end,
-        const std::function<void(std::size_t, std::size_t)>& f);
-
-    /// Number of chunks forChunks/parallelReduce* split an n-element range
-    /// into: one per worker plus the calling thread, never more than n.
+    /// Number of chunks forChunks/parallelReduceChunked split an n-element
+    /// range into: one per worker plus the calling thread, never more than
+    /// n.
     std::size_t chunkCountFor(std::size_t n) const {
         return std::min(n, workers_.size() + 1);
     }
@@ -83,9 +73,11 @@ public:
     /// chunks covering [begin, end). Fully templated — the callable is
     /// invoked once per chunk with no per-index std::function dispatch, so
     /// the chunk body stays inlinable/vectorizable. The calling thread runs
-    /// the last chunk (a 1-thread pool still makes progress when called
-    /// from inside a pool task). chunkIndex is dense in [0, nChunks), so it
-    /// can index per-thread accumulation buffers.
+    /// the last chunk, then waits for the submitted ones: a call from
+    /// outside the pool always finishes, but a call from inside a pool task
+    /// needs another worker free to drain them (on a 1-thread pool it
+    /// deadlocks). chunkIndex is dense in [0, nChunks), so it can index
+    /// per-thread accumulation buffers.
     template <typename F>
     void forChunks(std::size_t begin, std::size_t end, F&& f) {
         if (begin >= end) return;
@@ -124,30 +116,6 @@ public:
         T result = std::move(init);
         for (auto& p : partials) result = combine(std::move(result), p);
         return result;
-    }
-
-    /// Per-index reduction convenience: combines f(i) over [begin, end).
-    /// The per-index call is a template parameter, not a std::function, so
-    /// simple bodies inline into the chunk loop.
-    template <typename T, typename F, typename Combine>
-    T parallelReduce(std::size_t begin, std::size_t end, T init, F&& f,
-                     Combine&& combine) {
-        return parallelReduceChunked(
-            begin, end, std::move(init),
-            [&](std::size_t lo, std::size_t hi) {
-                T acc{};
-                bool first = true;
-                for (std::size_t i = lo; i < hi; ++i) {
-                    if (first) {
-                        acc = f(i);
-                        first = false;
-                    } else {
-                        acc = combine(std::move(acc), f(i));
-                    }
-                }
-                return acc;
-            },
-            combine);
     }
 
 private:

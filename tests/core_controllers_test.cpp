@@ -114,6 +114,44 @@ TEST(MsmControllerTest, RejectsBadParameters) {
     p = smallMsmParams();
     p.tasksPerStart = 0;
     EXPECT_THROW(MsmController{p}, cop::InvalidArgument);
+    p = smallMsmParams();
+    p.commandsPerGeneration = kMaxSeedsPerGeneration + 1;
+    EXPECT_THROW(MsmController{p}, cop::InvalidArgument);
+}
+
+/// A context for calls that never reach the framework.
+class DetachedContext : public ProjectContext {
+public:
+    ProjectId projectId() const override { return 1; }
+    net::SimTime now() const override { return 0.0; }
+    CommandId submitCommand(CommandSpec) override { return 0; }
+    std::size_t outstandingCommands() const override { return 0; }
+};
+
+/// "set" commands arrive over the wire from any client: a number must be
+/// the whole token and in range, or the command is refused and the
+/// parameters stay as they were.
+TEST(MsmControllerTest, SetCommandsRejectMalformedAndOutOfRangeNumbers) {
+    MsmController c(smallMsmParams());
+    DetachedContext ctx;
+    const int seeds = c.params().commandsPerGeneration;
+    const std::size_t clusters = c.params().pipeline.numClusters;
+    for (const char* cmd :
+         {"set seeds 12abc", "set seeds 0", "set seeds -3", "set seeds +5",
+          "set seeds 0x10", "set seeds 65537", "set seeds 99999999999",
+          "set clusters 16x", "set clusters 1", "set clusters -20",
+          "set clusters 99999999999", "set clusters 2147483648"}) {
+        const std::string reply = c.handleClientCommand(ctx, cmd);
+        EXPECT_EQ(reply.find(" set to "), std::string::npos) << cmd;
+        EXPECT_EQ(c.params().commandsPerGeneration, seeds) << cmd;
+        EXPECT_EQ(c.params().pipeline.numClusters, clusters) << cmd;
+    }
+    EXPECT_EQ(c.handleClientCommand(ctx, "set seeds 65536"),
+              "seeds per generation set to 65536");
+    EXPECT_EQ(c.params().commandsPerGeneration, kMaxSeedsPerGeneration);
+    EXPECT_NE(c.handleClientCommand(ctx, "set clusters 16").find(" set to "),
+              std::string::npos);
+    EXPECT_EQ(c.params().pipeline.numClusters, 16u);
 }
 
 /// A successful result whose output does not decode is the command's

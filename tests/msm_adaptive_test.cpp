@@ -5,10 +5,11 @@
 namespace cop::msm {
 namespace {
 
-DenseMatrix countsWithTotals(const std::vector<double>& outCounts) {
-    DenseMatrix c(outCounts.size(), outCounts.size());
+SparseCounts countsWithTotals(const std::vector<double>& outCounts) {
+    SparseCounts c(outCounts.size());
     for (std::size_t i = 0; i < outCounts.size(); ++i)
-        c(i, (i + 1) % outCounts.size()) = outCounts[i];
+        if (outCounts[i] > 0.0)
+            c.add(int(i), int((i + 1) % outCounts.size()), outCounts[i]);
     return c;
 }
 

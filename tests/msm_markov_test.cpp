@@ -12,35 +12,37 @@ namespace {
 
 TEST(Counts, SlidingWindowLagOne) {
     const std::vector<DiscreteTrajectory> trajs{{0, 1, 0, 1, 1}};
-    const auto c = countTransitions(trajs, 2, 1);
-    EXPECT_EQ(c(0, 1), 2.0);
-    EXPECT_EQ(c(1, 0), 1.0);
-    EXPECT_EQ(c(1, 1), 1.0);
-    EXPECT_EQ(c(0, 0), 0.0);
+    const auto c = countTransitionsSparse(trajs, 2, 1);
+    EXPECT_EQ(c.at(0, 1), 2.0);
+    EXPECT_EQ(c.at(1, 0), 1.0);
+    EXPECT_EQ(c.at(1, 1), 1.0);
+    EXPECT_EQ(c.at(0, 0), 0.0);
 }
 
 TEST(Counts, LagLongerThanTrajectoryGivesNothing) {
     const std::vector<DiscreteTrajectory> trajs{{0, 1, 0}};
-    const auto c = countTransitions(trajs, 2, 5);
-    EXPECT_EQ(c(0, 1) + c(1, 0) + c(0, 0) + c(1, 1), 0.0);
+    const auto c = countTransitionsSparse(trajs, 2, 5);
+    EXPECT_EQ(c.at(0, 1) + c.at(1, 0) + c.at(0, 0) + c.at(1, 1), 0.0);
 }
 
 TEST(Counts, MultipleTrajectoriesAccumulate) {
     const std::vector<DiscreteTrajectory> trajs{{0, 1}, {0, 1}, {1, 0}};
-    const auto c = countTransitions(trajs, 2, 1);
-    EXPECT_EQ(c(0, 1), 2.0);
-    EXPECT_EQ(c(1, 0), 1.0);
+    const auto c = countTransitionsSparse(trajs, 2, 1);
+    EXPECT_EQ(c.at(0, 1), 2.0);
+    EXPECT_EQ(c.at(1, 0), 1.0);
 }
 
 TEST(Counts, RejectsOutOfRangeStates) {
     const std::vector<DiscreteTrajectory> trajs{{0, 7}};
-    EXPECT_THROW(countTransitions(trajs, 2, 1), cop::InvalidArgument);
+    EXPECT_THROW(countTransitionsSparse(trajs, 2, 1), cop::InvalidArgument);
 }
 
 TEST(Scc, SeparatesDisconnectedComponents) {
-    DenseMatrix c(4, 4);
-    c(0, 1) = c(1, 0) = 5.0; // component {0,1}
-    c(2, 3) = c(3, 2) = 1.0; // component {2,3}
+    SparseCounts c(4);
+    c.add(0, 1, 5.0); // component {0,1}
+    c.add(1, 0, 5.0);
+    c.add(2, 3); // component {2,3}
+    c.add(3, 2);
     const auto comp = stronglyConnectedComponents(c);
     EXPECT_EQ(comp[0], comp[1]);
     EXPECT_EQ(comp[2], comp[3]);
@@ -48,24 +50,27 @@ TEST(Scc, SeparatesDisconnectedComponents) {
 }
 
 TEST(Scc, OneWayEdgeIsNotStronglyConnected) {
-    DenseMatrix c(2, 2);
-    c(0, 1) = 3.0; // no reverse edge
+    SparseCounts c(2);
+    c.add(0, 1, 3.0); // no reverse edge
     const auto comp = stronglyConnectedComponents(c);
     EXPECT_NE(comp[0], comp[1]);
 }
 
 TEST(Scc, LargestConnectedSetPrefersBiggerComponent) {
-    DenseMatrix c(5, 5);
-    c(0, 1) = c(1, 2) = c(2, 0) = 1.0; // 3-cycle {0,1,2}
-    c(3, 4) = c(4, 3) = 100.0;         // 2-cycle with more counts
+    SparseCounts c(5);
+    c.add(0, 1); // 3-cycle {0,1,2}
+    c.add(1, 2);
+    c.add(2, 0);
+    c.add(3, 4, 100.0); // 2-cycle with more counts
+    c.add(4, 3, 100.0);
     const auto set = largestConnectedSet(c);
     EXPECT_EQ(set, (std::vector<int>{0, 1, 2}));
 }
 
 TEST(Scc, RestrictToStates) {
-    DenseMatrix c(3, 3);
-    c(0, 2) = 7.0;
-    c(2, 0) = 3.0;
+    SparseCounts c(3);
+    c.add(0, 2, 7.0);
+    c.add(2, 0, 3.0);
     const auto r = restrictToStates(c, {0, 2});
     EXPECT_EQ(r.rows(), 2u);
     EXPECT_EQ(r(0, 1), 7.0);
@@ -196,6 +201,16 @@ TEST(MarkovModel, CommittorBoundariesAndMonotonicity) {
     EXPECT_LT(q[1], 1.0);
     // Symmetric chain: middle state commits 50/50.
     EXPECT_NEAR(q[1], 0.5, 0.05);
+}
+
+TEST(MarkovModel, CommittorRejectsOutOfRangeIndices) {
+    const auto trajs = chainTrajectories(1000, 9);
+    const auto m = MarkovStateModel::fromTrajectories(trajs, 3, {});
+    ASSERT_EQ(m.numStates(), 3u);
+    for (const int bad : {-1, 3}) {
+        EXPECT_THROW(m.committor({bad}, {2}), cop::InvalidArgument) << bad;
+        EXPECT_THROW(m.committor({0}, {bad}), cop::InvalidArgument) << bad;
+    }
 }
 
 TEST(MarkovModel, DisconnectedStatesAreDropped) {

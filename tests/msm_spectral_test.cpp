@@ -11,18 +11,17 @@ namespace {
 /// Two metastable blocks of 3 states each, weakly connected: a textbook
 /// two-macrostate system.
 MarkovStateModel twoBlockModel() {
-    DenseMatrix counts(6, 6);
+    SparseCounts counts(6);
     auto link = [&](int i, int j, double c) {
-        counts(std::size_t(i), std::size_t(j)) = c;
-        counts(std::size_t(j), std::size_t(i)) = c;
+        counts.add(i, j, c);
+        counts.add(j, i, c);
     };
     // Dense intra-block traffic.
     for (int b : {0, 3}) {
         link(b, b + 1, 500);
         link(b + 1, b + 2, 500);
         link(b, b + 2, 300);
-        for (int i = b; i < b + 3; ++i)
-            counts(std::size_t(i), std::size_t(i)) = 2000;
+        for (int i = b; i < b + 3; ++i) counts.add(i, i, 2000);
     }
     // Rare inter-block hop.
     link(2, 3, 5);

@@ -28,23 +28,48 @@ TEST(ThreadPool, SubmitReturnsResults) {
 TEST(ThreadPool, ParallelForCoversRangeExactlyOnce) {
     ThreadPool pool(4);
     std::vector<std::atomic<int>> hits(1000);
-    pool.parallelFor(0, hits.size(),
-                     [&](std::size_t i) { hits[i].fetch_add(1); });
+    pool.forChunks(0, hits.size(),
+                   [&](std::size_t, std::size_t lo, std::size_t hi) {
+                       for (std::size_t i = lo; i < hi; ++i)
+                           hits[i].fetch_add(1);
+                   });
     for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ThreadPool, ParallelForEmptyRange) {
     ThreadPool pool(2);
     bool touched = false;
-    pool.parallelFor(5, 5, [&](std::size_t) { touched = true; });
+    pool.forChunks(5, 5, [&](std::size_t, std::size_t, std::size_t) {
+        touched = true;
+    });
     EXPECT_FALSE(touched);
 }
 
 TEST(ThreadPool, SingleThreadPoolStillWorks) {
     ThreadPool pool(1);
     std::atomic<int> sum{0};
-    pool.parallelFor(0, 100, [&](std::size_t i) { sum += int(i); });
+    pool.forChunks(0, 100, [&](std::size_t, std::size_t lo, std::size_t hi) {
+        for (std::size_t i = lo; i < hi; ++i) sum += int(i);
+    });
     EXPECT_EQ(sum.load(), 4950);
+}
+
+TEST(ThreadPool, NestedForChunksInsidePoolTaskDoesNotDeadlock) {
+    // A pool task that itself calls forChunks runs the last chunk on its
+    // own thread and waits for the submitted ones, which the other worker
+    // drains; the nested reduction must finish with the full range.
+    ThreadPool pool(2);
+    auto outer = pool.submit([&] {
+        return pool.parallelReduceChunked(
+            std::size_t{0}, std::size_t{64}, 0L,
+            [](std::size_t lo, std::size_t hi) {
+                long s = 0;
+                for (std::size_t i = lo; i < hi; ++i) s += long(i);
+                return s;
+            },
+            [](long a, long b) { return a + b; });
+    });
+    EXPECT_EQ(outer.get(), 63L * 64L / 2L);
 }
 
 TEST(ThreadPool, ForChunksPartitionsRangeWithDenseChunkIds) {
@@ -107,17 +132,23 @@ TEST(ThreadPool, ParallelReduceChunkedSumsDeterministically) {
 
 TEST(ThreadPool, ParallelReducePerIndexMax) {
     ThreadPool pool(3);
-    const auto best = pool.parallelReduce(
+    const auto best = pool.parallelReduceChunked(
         std::size_t{0}, std::size_t{1237}, std::size_t{0},
-        [](std::size_t i) { return (i * 7919) % 1237; },
+        [](std::size_t lo, std::size_t hi) {
+            std::size_t m = 0;
+            for (std::size_t i = lo; i < hi; ++i)
+                m = std::max(m, (i * 7919) % 1237);
+            return m;
+        },
         [](std::size_t a, std::size_t b) { return std::max(a, b); });
     EXPECT_EQ(best, 1236u);
 }
 
 TEST(ThreadPool, ParallelReduceEmptyRangeReturnsInit) {
     ThreadPool pool(2);
-    const int r = pool.parallelReduce(
-        std::size_t{5}, std::size_t{5}, -7, [](std::size_t) { return 1; },
+    const int r = pool.parallelReduceChunked(
+        std::size_t{5}, std::size_t{5}, -7,
+        [](std::size_t lo, std::size_t hi) { return int(hi - lo); },
         [](int a, int b) { return a + b; });
     EXPECT_EQ(r, -7);
 }
@@ -125,7 +156,7 @@ TEST(ThreadPool, ParallelReduceEmptyRangeReturnsInit) {
 TEST(ThreadPool, ChunkedCoversRange) {
     ThreadPool pool(3);
     std::atomic<long> total{0};
-    pool.parallelForChunked(10, 110, [&](std::size_t lo, std::size_t hi) {
+    pool.forChunks(10, 110, [&](std::size_t, std::size_t lo, std::size_t hi) {
         long s = 0;
         for (std::size_t i = lo; i < hi; ++i) s += long(i);
         total += s;
