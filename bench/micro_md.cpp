@@ -49,11 +49,11 @@ namespace {
 /// Nominal FLOPs per neighbour-list pair for the cell-list (shifted-run)
 /// kernels, counting adds/subs/muls/divs/sqrts as one each: distance
 /// vector + r^2 (8), cutoff select (2), LJ inv/s6/s12/energy/force (13),
-/// virial (2), force scatter (10) = 35; reaction-field Coulomb adds
-/// sqrt + 1/r + energy + force terms (13) = 48. These are bookkeeping
-/// constants for cross-host comparability, not measurements.
-constexpr double kFlopsPerPairLj = 35.0;
-constexpr double kFlopsPerPairLjCoul = 48.0;
+/// force scatter (10) = 33; reaction-field Coulomb adds sqrt + 1/r +
+/// energy + force terms (13) = 46. These are bookkeeping constants for
+/// cross-host comparability, not measurements.
+constexpr double kFlopsPerPairLj = 33.0;
+constexpr double kFlopsPerPairLjCoul = 46.0;
 
 struct LjFixture {
     Topology top;

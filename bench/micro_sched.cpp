@@ -8,6 +8,8 @@
 
 #include <map>
 #include <string>
+#include <tuple>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -43,19 +45,47 @@ CommandSpec makeCmd(CommandId id, std::size_t exes, Rng& rng) {
     return c;
 }
 
-/// Prebuilt queues, one per (pending, exes) shape. Filling the legacy
-/// queue is itself O(pending^2) in total, so each shape is built once and
-/// benchmark runs start from a cheap copy.
+/// Pushes `pending` commands. With `skewed`, the first executable's
+/// commands all carry the lowest priority while every other executable's
+/// work sits above them. A claim offering exe0 then finds its matching
+/// commands at the tail of the global priority order — the busy-server
+/// shape where one project's workers poll while other projects' urgent
+/// work fills the queue head, and exactly the case the per-executable
+/// index exists for: the legacy scan wades through every higher-priority
+/// non-matching command first.
 template <typename Q>
-const Q& cachedQueue(std::size_t pending, std::size_t exes) {
-    static std::map<std::pair<std::size_t, std::size_t>, Q> cache;
-    auto [it, inserted] = cache.try_emplace({pending, exes});
-    if (inserted) {
-        Rng rng(pending * 31 + exes);
-        for (CommandId id = 1; id <= pending; ++id)
-            it->second.push(makeCmd(id, exes, rng));
+void fill(Q& q, std::size_t pending, std::size_t exes, bool skewed) {
+    Rng rng(pending * (skewed ? 37 : 31) + exes);
+    for (CommandId id = 1; id <= pending; ++id) {
+        CommandSpec c = makeCmd(id, exes, rng);
+        if (skewed) {
+            c.executable = exeName(rng.uniformInt(exes));
+            c.priority = c.executable == exeName(0)
+                             ? 0
+                             : 1 + int(rng.uniformInt(3));
+        }
+        q.push(std::move(c));
     }
-    return it->second;
+}
+
+/// A filled queue of one (pending, exes) shape. The indexed queue parks
+/// inputs in `store`, as in the server, so it is filled afresh over it
+/// (O(pending log pending)). Filling the legacy queue is O(pending^2) in
+/// total, so each of its shapes is built once and benchmark runs start
+/// from a cheap copy; it holds payloads inline and ignores `store`.
+template <typename Q>
+Q filledQueue(SegmentStore& store, std::size_t pending, std::size_t exes,
+              bool skewed = false) {
+    if constexpr (std::is_same_v<Q, CommandQueue>) {
+        CommandQueue q{store};
+        fill(q, pending, exes, skewed);
+        return q;
+    } else {
+        static std::map<std::tuple<std::size_t, std::size_t, bool>, Q> cache;
+        auto [it, inserted] = cache.try_emplace({pending, exes, skewed});
+        if (inserted) fill(it->second, pending, exes, skewed);
+        return it->second;
+    }
 }
 
 /// Steady-state push: each timed iteration pushes a batch of fresh
@@ -65,7 +95,8 @@ template <typename Q>
 void pushBench(benchmark::State& state) {
     const auto pending = std::size_t(state.range(0));
     const auto exes = std::size_t(state.range(1));
-    Q q = cachedQueue<Q>(pending, exes);
+    SegmentStore store;
+    Q q = filledQueue<Q>(store, pending, exes);
     const auto pool = exePool(exes);
     Rng rng(17);
     CommandId next = pending + 1;
@@ -85,31 +116,6 @@ void pushBench(benchmark::State& state) {
     state.SetItemsProcessed(state.iterations() * kBatch);
 }
 
-/// Like cachedQueue, but the first executable's commands all carry the
-/// lowest priority while every other executable's work sits above them.
-/// A claim offering exe0 then finds its matching commands at the tail of
-/// the global priority order — the busy-server shape where one project's
-/// workers poll while other projects' urgent work fills the queue head,
-/// and exactly the case the per-executable index exists for: the legacy
-/// scan wades through every higher-priority non-matching command first.
-template <typename Q>
-const Q& cachedSkewedQueue(std::size_t pending, std::size_t exes) {
-    static std::map<std::pair<std::size_t, std::size_t>, Q> cache;
-    auto [it, inserted] = cache.try_emplace({pending, exes});
-    if (inserted) {
-        Rng rng(pending * 37 + exes);
-        for (CommandId id = 1; id <= pending; ++id) {
-            CommandSpec c = makeCmd(id, exes, rng);
-            c.executable = exeName(rng.uniformInt(exes));
-            c.priority = c.executable == exeName(0)
-                             ? 0
-                             : 1 + int(rng.uniformInt(3));
-            it->second.push(std::move(c));
-        }
-    }
-    return it->second;
-}
-
 /// Steady-state claim: a worker offering one executable and kClaimCores
 /// cores assembles a workload; the pause hands the claimed commands back
 /// (worker failure) so the next iteration sees the same queue.
@@ -117,7 +123,8 @@ template <typename Q>
 void claimBench(benchmark::State& state) {
     const auto pending = std::size_t(state.range(0));
     const auto exes = std::size_t(state.range(1));
-    Q q = cachedSkewedQueue<Q>(pending, exes);
+    SegmentStore store;
+    Q q = filledQueue<Q>(store, pending, exes, /*skewed=*/true);
     const std::vector<std::string> offer{exeName(0)};
     std::int64_t claimed = 0;
     for (auto _ : state) {
@@ -137,7 +144,8 @@ template <typename Q>
 void requeueBench(benchmark::State& state) {
     const auto pending = std::size_t(state.range(0));
     const auto exes = std::size_t(state.range(1));
-    Q q = cachedSkewedQueue<Q>(pending, exes);
+    SegmentStore store;
+    Q q = filledQueue<Q>(store, pending, exes, /*skewed=*/true);
     const std::vector<std::string> offer{exeName(0)};
     std::int64_t requeued = 0;
     for (auto _ : state) {
@@ -155,7 +163,8 @@ template <typename Q>
 void hasWorkBench(benchmark::State& state) {
     const auto pending = std::size_t(state.range(0));
     const auto exes = std::size_t(state.range(1));
-    Q q = cachedQueue<Q>(pending, exes);
+    SegmentStore store;
+    Q q = filledQueue<Q>(store, pending, exes);
     const std::vector<std::string> probe{"absent_executable"};
     for (auto _ : state) {
         benchmark::DoNotOptimize(q.hasWorkFor(probe));
@@ -170,7 +179,8 @@ template <typename Q>
 void checkpointBench(benchmark::State& state) {
     const auto pending = std::size_t(state.range(0));
     const auto exes = std::size_t(state.range(1));
-    Q q = cachedQueue<Q>(pending, exes);
+    SegmentStore store;
+    Q q = filledQueue<Q>(store, pending, exes);
     const auto pool = exePool(exes);
     std::vector<CommandId> inFlight;
     for (;;) {

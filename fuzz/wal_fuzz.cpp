@@ -1,14 +1,16 @@
 /// \file wal_fuzz.cpp
 /// Fuzz harness over the recovery-path untrusted-bytes surface: the WAL
 /// log-stream parser with every record body run through the typed event
-/// decoder, the snapshot container parser, and the blob codec's frame
-/// decoder. These are the byte formats a crashed (or hostile) disk hands
-/// the server at recovery, so each must reject malformed input with
-/// cop::IoError — never a hostile-length allocation, an out-of-bounds
-/// read, or trailing garbage silently accepted.
+/// decoder, the snapshot container parser, the blob codec's frame
+/// decoder, and the scheduler's snapshot content decoder. These are the
+/// byte formats a crashed (or hostile) disk hands the server at
+/// recovery, so each must reject malformed input with cop::IoError —
+/// never a hostile-length allocation, an out-of-bounds read, or trailing
+/// garbage silently accepted.
 ///
-/// Input format: byte 0 selects the surface (mod 3) — 0: Wal::parseLog +
-/// event::decode, 1: Wal::parseSnapshot, 2: util::decode — and the
+/// Input format: byte 0 selects the surface (mod 4) — 0: Wal::parseLog +
+/// event::decode, 1: Wal::parseSnapshot, 2: util::decode, 3:
+/// ShardedScheduler::restore over a fresh SegmentStore — and the
 /// remaining bytes are the raw file/frame image. cop::Error is the
 /// *expected* outcome for malformed input; anything else (std::bad_alloc,
 /// std::length_error, UB caught by ASan/UBSan, a crash) is a finding.
@@ -20,14 +22,18 @@
 /// writers plus the hostile shapes recovery must survive (truncated
 /// record, bad CRC mid-log, snapshot length/count mismatch, nested codec
 /// frame, trailing garbage, hostile length prefixes, out-of-range record
-/// fields).
+/// fields, a scheduler image with a duplicate or out-of-range pending
+/// sequence number or a NaN deficit).
 
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <span>
 #include <vector>
 
 #include "core/plane_events.hpp"
+#include "core/scheduler.hpp"
+#include "core/segment_store.hpp"
 #include "core/wal.hpp"
 #include "util/codec.hpp"
 #include "util/error.hpp"
@@ -38,7 +44,7 @@ constexpr std::size_t kMaxBytes = std::size_t(1) << 20;
 
 void fuzzOne(std::span<const std::uint8_t> bytes) {
     if (bytes.empty()) return;
-    const std::uint8_t surface = bytes[0] % 3;
+    const std::uint8_t surface = bytes[0] % 4;
     const auto body = bytes.subspan(1);
     try {
         switch (surface) {
@@ -66,9 +72,17 @@ void fuzzOne(std::span<const std::uint8_t> bytes) {
         case 1:
             (void)cop::core::Wal::parseSnapshot(body, kMaxBytes);
             break;
-        default:
+        case 2:
             (void)cop::util::decode(body, kMaxBytes);
             break;
+        default: {
+            // Unbounded RAM tier: the store never touches the disk here.
+            cop::core::SegmentStore store;
+            cop::core::ShardedScheduler scheduler(store);
+            cop::BinaryReader r(body);
+            scheduler.restore(r);
+            break;
+        }
         }
     } catch (const cop::Error&) {
         // Expected rejection path for malformed input.
@@ -188,6 +202,48 @@ std::vector<std::uint8_t> snapshotImage(std::vector<std::uint8_t> state) {
     return out;
 }
 
+/// A one-tenant scheduler snapshot (ShardedScheduler::serialize) with
+/// two pending commands and one in flight, plus the offsets of the
+/// fields the hostile seeds patch.
+struct SchedulerImage {
+    std::vector<std::uint8_t> bytes;
+    std::size_t nextSeq = 0;   ///< the queue's push counter (i64)
+    std::size_t deficit = 0;   ///< the tenant's DRR deficit (double)
+    std::size_t firstSeq = 0;  ///< pending entry 0's seq (i64)
+    std::size_t secondSeq = 0; ///< pending entry 1's seq (i64)
+};
+
+SchedulerImage schedulerImage() {
+    using namespace cop::core;
+    SegmentStore store;
+    ShardedScheduler scheduler(store);
+    const TenantConfig config;
+    scheduler.addTenant(1, config);
+    CommandSpec spec;
+    spec.projectId = 1;
+    spec.executable = "mdrun";
+    spec.input = SharedBytes(std::vector<std::uint8_t>(48, 5));
+    for (CommandId id : {7, 8, 9}) {
+        spec.id = id;
+        scheduler.push(1, spec);
+    }
+    (void)scheduler.claim({"mdrun"}, 1, 4); // command 7 goes in flight
+
+    cop::BinaryWriter w;
+    scheduler.serialize(w);
+    cop::BinaryWriter configBytes;
+    config.serialize(configBytes);
+    SchedulerImage image;
+    image.bytes = w.buffer();
+    // Layout: tenant count, tenant id, config, deficit, seven counters,
+    // then the queue: nextSeq, headSeq, pending count, (seq, spec)...
+    image.deficit = 8 + 8 + configBytes.buffer().size();
+    image.nextSeq = image.deficit + 8 + 7 * 8;
+    image.firstSeq = image.nextSeq + 8 + 8 + 8;
+    image.secondSeq = image.firstSeq + 8 + spec.encodedSize();
+    return image;
+}
+
 int generateCorpus(const fs::path& dir) {
     fs::create_directories(dir);
     using cop::core::WalRecordType;
@@ -301,6 +357,29 @@ int generateCorpus(const fs::path& dir) {
     auto frameHuge = frame;
     std::memcpy(frameHuge.data() + 6, &huge, 8);
     writeSeed(dir, "codec_huge_rawsize", 2, frameHuge);
+
+    // -- surface 3: the scheduler snapshot content -----------------------
+    const SchedulerImage image = schedulerImage();
+    writeSeed(dir, "scheduler_wellformed", 3, image.bytes);
+
+    // Two pending entries sharing one sequence number: one would vanish
+    // from the index while still counted as pending.
+    auto dupSeq = image.bytes;
+    std::memcpy(dupSeq.data() + image.secondSeq,
+                image.bytes.data() + image.firstSeq, 8);
+    writeSeed(dir, "scheduler_duplicate_seq", 3, dupSeq);
+
+    // A pending seq at nextSeq: the next live push would collide with it.
+    auto seqOutOfRange = image.bytes;
+    std::memcpy(seqOutOfRange.data() + image.firstSeq,
+                image.bytes.data() + image.nextSeq, 8);
+    writeSeed(dir, "scheduler_seq_out_of_range", 3, seqOutOfRange);
+
+    // A NaN deficit would reach claim()'s double-to-int conversion.
+    auto nanDeficit = image.bytes;
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    std::memcpy(nanDeficit.data() + image.deficit, &nan, 8);
+    writeSeed(dir, "scheduler_nan_deficit", 3, nanDeficit);
 
     std::printf("wrote seed corpus to %s\n", dir.string().c_str());
     return 0;

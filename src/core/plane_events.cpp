@@ -36,11 +36,7 @@ net::NodeId readNode(BinaryReader& r) {
 
 void TenantAdd::encode(BinaryWriter& w) const {
     w.write(std::uint64_t(project));
-    w.write(config.weight);
-    w.write(std::uint8_t(config.claimPolicy));
-    w.write(std::uint64_t(config.maxPendingCommands));
-    w.write(std::uint64_t(config.maxPendingBytes));
-    w.write(config.admissionRetryAfter);
+    config.serialize(w);
     w.write(name);
 }
 
@@ -123,17 +119,8 @@ namespace {
 PlaneEvent decodeBody(WalRecordType type, BinaryReader& r) {
     switch (type) {
     case WalRecordType::TenantAdd: {
-        TenantAdd e{ProjectId(r.read<std::uint64_t>())};
-        e.config.weight = r.read<double>();
-        const auto policy = r.read<std::uint8_t>();
-        COP_IO_CHECK(policy <= std::uint8_t(ClaimPolicy::LargestFit),
-                     "wal: bad claim policy");
-        e.config.claimPolicy = ClaimPolicy(policy);
-        e.config.maxPendingCommands = std::size_t(r.read<std::uint64_t>());
-        e.config.maxPendingBytes = std::size_t(r.read<std::uint64_t>());
-        e.config.admissionRetryAfter = r.read<double>();
-        e.name = r.readString();
-        COP_IO_CHECK(e.config.weight > 0.0, "wal: bad tenant weight");
+        TenantAdd e{ProjectId(r.read<std::uint64_t>()),
+                    TenantConfig::deserialize(r), r.readString()};
         return e;
     }
     case WalRecordType::Push: {

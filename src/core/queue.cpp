@@ -20,38 +20,27 @@ void CommandQueue::push(CommandSpec cmd) {
     insertPending(std::move(cmd), nextSeq_++);
 }
 
-void CommandQueue::insertPending(CommandSpec cmd, std::int64_t seq) {
-    stashInput(cmd);
+bool CommandQueue::insertPending(CommandSpec cmd, std::int64_t seq) {
     auto& bucket = buckets_[cmd.executable];
-    bucket.byCores.insert(CoreKey{cmd.priority, cmd.preferredCores, seq});
-    pendingBytes_ += logicalSize(cmd);
-    bucket.byKey.emplace(Key{cmd.priority, seq}, std::move(cmd));
+    auto [it, inserted] =
+        bucket.byKey.try_emplace(Key{cmd.priority, seq}, std::move(cmd));
+    if (!inserted) return false;
+    CommandSpec& spec = it->second;
+    stashInput(spec);
+    bucket.byCores.insert(CoreKey{spec.priority, spec.preferredCores, seq});
+    pendingBytes_ += store_->sizeOf(spec.id);
     ++pendingCount_;
-}
-
-void CommandQueue::setVault(BlobVault* vault) {
-    COP_REQUIRE(knownIds_.empty(),
-                "vault must be attached before the first push");
-    vault_ = vault;
+    return true;
 }
 
 void CommandQueue::stashInput(CommandSpec& cmd) {
-    if (vault_ == nullptr) return;
     if (cmd.input.size() == 0) return; // already stashed or genuinely empty
-    vault_->stash(cmd.id, std::move(cmd.input));
+    store_->put(cmd.id, std::move(cmd.input));
     cmd.input = SharedBytes{};
 }
 
-std::size_t CommandQueue::logicalSize(const CommandSpec& spec) const {
-    if (vault_ != nullptr && spec.input.size() == 0)
-        return vault_->sizeOf(spec.id);
-    return spec.input.size();
-}
-
 CommandSpec CommandQueue::rehydrate(CommandSpec spec) const {
-    if (vault_ != nullptr && spec.input.size() == 0 &&
-        vault_->holds(spec.id))
-        spec.input = vault_->fetch(spec.id);
+    if (store_->contains(spec.id)) spec.input = *store_->get(spec.id);
     return spec;
 }
 
@@ -73,10 +62,10 @@ CommandSpec CommandQueue::take(Bucket& bucket,
         CoreKey{it->first.priority, spec.preferredCores, it->first.seq});
     bucket.byKey.erase(it);
     --pendingCount_;
-    pendingBytes_ -= logicalSize(spec);
+    pendingBytes_ -= store_->sizeOf(spec.id);
     inFlight_[spec.id] = InFlight{spec, worker};
     // The copy shipped to the worker carries the real payload; the
-    // in-flight table keeps it parked in the vault.
+    // in-flight table keeps it parked in the store.
     return rehydrate(std::move(spec));
 }
 
@@ -171,7 +160,7 @@ std::optional<CommandSpec> CommandQueue::complete(CommandId id) {
     CommandSpec spec = rehydrate(std::move(it->second.spec));
     inFlight_.erase(it);
     knownIds_.erase(id);
-    if (vault_ != nullptr) vault_->drop(id);
+    store_->erase(id);
     return spec;
 }
 
@@ -216,12 +205,7 @@ void CommandQueue::updateCheckpoint(CommandId id, SharedBytes checkpoint) {
     }
     ++stats_.checkpointUpdates;
     stats_.checkpointBytesShared += checkpoint.size();
-    if (vault_ != nullptr) {
-        vault_->stash(id, std::move(checkpoint));
-        it->second.spec.input = SharedBytes{};
-    } else {
-        it->second.spec.input = std::move(checkpoint);
-    }
+    store_->put(id, std::move(checkpoint));
 }
 
 std::optional<net::NodeId> CommandQueue::holderOf(CommandId id) const {
@@ -245,7 +229,7 @@ void CommandQueue::forEachInFlight(
 void CommandQueue::serialize(BinaryWriter& w) const {
     w.write(std::int64_t(nextSeq_));
     w.write(std::int64_t(headSeq_));
-    // Pending entries with their ordering keys: (seq, spec). The vault
+    // Pending entries with their ordering keys: (seq, spec). The stored
     // payloads travel inline so the snapshot is self-contained.
     w.write(std::uint64_t(pendingCount_));
     for (const auto& [exe, bucket] : buckets_)
@@ -276,15 +260,23 @@ void CommandQueue::restore(BinaryReader& r) {
     COP_REQUIRE(knownIds_.empty(), "restore into a non-empty queue");
     nextSeq_ = r.read<std::int64_t>();
     headSeq_ = r.read<std::int64_t>();
+    COP_IO_CHECK(headSeq_ < 0 && nextSeq_ >= 0,
+                 "queue restore: sequence counters out of range");
     const std::uint64_t pending = r.readCount(16);
     for (std::uint64_t i = 0; i < pending; ++i) {
         const auto seq = r.read<std::int64_t>();
+        // Live pushes take nextSeq_ upward and requeues headSeq_
+        // downward: a restored entry outside the open interval would
+        // collide with the next one of them.
+        COP_IO_CHECK(headSeq_ < seq && seq < nextSeq_,
+                     "queue restore: pending seq out of range");
         CommandSpec spec = CommandSpec::deserialize(r);
         COP_IO_CHECK(spec.id != 0 && spec.preferredCores >= 1,
                      "queue restore: invalid pending spec");
         COP_IO_CHECK(knownIds_.insert(spec.id).second,
                      "queue restore: duplicate pending id");
-        insertPending(std::move(spec), seq);
+        COP_IO_CHECK(insertPending(std::move(spec), seq),
+                     "queue restore: duplicate pending seq");
     }
     const std::uint64_t flights = r.readCount(16);
     for (std::uint64_t i = 0; i < flights; ++i) {

@@ -5,6 +5,12 @@
 /// failure-recovery bookkeeping (which worker holds which command, and the
 /// freshest checkpoint the server has seen for each in-flight command).
 ///
+/// Command inputs (checkpoints, starting structures) have one home: the
+/// server's tiered SegmentStore, keyed by command id. The queue parks a
+/// command's bytes there on insert, fetches them back only when a claim
+/// ships the command to a worker, and erases them on completion, so
+/// pending backlogs of any depth cost the store's RAM tier, not the heap.
+///
 /// Indexed implementation (see DESIGN.md "Scheduler data structures"):
 /// pending work lives in per-executable buckets ordered by
 /// (priority desc, seq asc), so FIFO-within-priority falls out of a
@@ -27,8 +33,8 @@
 #include <unordered_set>
 #include <vector>
 
-#include "core/blob_vault.hpp"
 #include "core/command.hpp"
+#include "core/segment_store.hpp"
 #include "util/serialize.hpp"
 
 namespace cop::core {
@@ -63,6 +69,10 @@ struct SchedulerStats {
 
 class CommandQueue {
 public:
+    /// Input payloads live in `store` for the queue's lifetime; the
+    /// store must outlive the queue.
+    explicit CommandQueue(SegmentStore& store) : store_(&store) {}
+
     /// Adds a command to the queue (FIFO within its priority level).
     /// Rejects ids already pending or in flight.
     void push(CommandSpec cmd);
@@ -109,15 +119,9 @@ public:
     /// Worker currently holding a command, if any.
     std::optional<net::NodeId> holderOf(CommandId id) const;
 
-    /// Attaches a payload vault: from now on pending and in-flight input
-    /// payloads are stashed in the vault (tiered store) instead of held
-    /// inline, and fetched back only when a claim ships the command.
-    /// Must be set before the first push.
-    void setVault(BlobVault* vault);
-
     /// Enumeration for snapshotting and recovery bookkeeping. Pending
-    /// specs are visited in arbitrary (bucket) order with their stashed
-    /// inputs still parked (spec.input may be empty).
+    /// specs are visited in arbitrary (bucket) order with their inputs
+    /// still parked in the store (spec.input is empty).
     void forEachPending(
         const std::function<void(const CommandSpec&)>& fn) const;
     void forEachInFlight(
@@ -125,9 +129,11 @@ public:
         const;
 
     /// Full-state serialization for WAL snapshots: sequence counters,
-    /// pending entries (with payloads pulled from the vault) and the
+    /// pending entries (with payloads pulled from the store) and the
     /// in-flight table. restore() expects an empty queue and treats the
-    /// stream as untrusted (hostile counts/lengths throw IoError).
+    /// stream as untrusted: hostile counts and lengths, duplicate ids and
+    /// pending sequence numbers outside (headSeq, nextSeq) or shared by
+    /// two entries throw IoError.
     void serialize(BinaryWriter& w) const;
     void restore(BinaryReader& r);
 
@@ -166,12 +172,11 @@ private:
 
     /// Single insertion point shared by push and both requeue paths (the
     /// three hand-rolled priority-scan loops of the legacy queue).
-    void insertPending(CommandSpec cmd, std::int64_t seq);
-    /// Parks cmd.input in the vault (when attached), leaving it empty.
+    /// Returns false, inserting nothing, if `seq` is already taken.
+    bool insertPending(CommandSpec cmd, std::int64_t seq);
+    /// Parks cmd.input in the store, leaving it empty.
     void stashInput(CommandSpec& cmd);
-    /// Input bytes a spec accounts for, stashed or inline.
-    std::size_t logicalSize(const CommandSpec& spec) const;
-    /// Rehydrates a spec's input from the vault without releasing it.
+    /// Rehydrates a spec's input from the store without releasing it.
     CommandSpec rehydrate(CommandSpec spec) const;
     /// Moves one bucket entry into the in-flight table; returns the spec.
     CommandSpec take(Bucket& bucket, std::map<Key, CommandSpec>::iterator it,
@@ -185,7 +190,7 @@ private:
     std::size_t pendingBytes_ = 0; ///< input bytes across pending commands
     std::int64_t nextSeq_ = 0;  ///< push order (increasing)
     std::int64_t headSeq_ = -1; ///< requeue-to-head order (decreasing)
-    BlobVault* vault_ = nullptr; ///< optional tiered payload store
+    SegmentStore* store_;       ///< home of every input payload
     mutable SchedulerStats stats_; ///< mutable: const probes count too
 };
 

@@ -20,13 +20,40 @@ constexpr double kQuantum = 1.0;
 
 } // namespace
 
+void TenantConfig::serialize(BinaryWriter& w) const {
+    w.write(weight);
+    w.write(std::uint8_t(claimPolicy));
+    w.write(std::uint64_t(maxPendingCommands));
+    w.write(std::uint64_t(maxPendingBytes));
+    w.write(admissionRetryAfter);
+}
+
+TenantConfig TenantConfig::deserialize(BinaryReader& r) {
+    TenantConfig c;
+    c.weight = r.read<double>();
+    const auto policy = r.read<std::uint8_t>();
+    COP_IO_CHECK(policy <= std::uint8_t(ClaimPolicy::LargestFit),
+                 "tenant config: bad claim policy");
+    c.claimPolicy = ClaimPolicy(policy);
+    c.maxPendingCommands = std::size_t(r.read<std::uint64_t>());
+    c.maxPendingBytes = std::size_t(r.read<std::uint64_t>());
+    c.admissionRetryAfter = r.read<double>();
+    COP_IO_CHECK(c.weight > 0.0, "tenant config: non-positive weight");
+    // The wire refuses such a retry-after in every response payload, so
+    // a server that logged one would shed with replies clients drop.
+    COP_IO_CHECK(c.admissionRetryAfter >= 0.0,
+                 "tenant config: negative or NaN retry-after");
+    return c;
+}
+
 void ShardedScheduler::addTenant(ProjectId id, TenantConfig config) {
     COP_REQUIRE(config.weight > 0.0, "tenant weight must be positive");
-    auto [it, inserted] = shards_.emplace(id, Shard{});
+    COP_REQUIRE(config.admissionRetryAfter >= 0.0,
+                "tenant retry-after must be >= 0");
+    auto [it, inserted] =
+        shards_.emplace(id, Shard{CommandQueue(*store_), config});
     COP_REQUIRE(inserted,
                 "duplicate tenant id " + std::to_string(id));
-    it->second.config = config;
-    if (vault_) it->second.queue.setVault(vault_);
     ring_.clear();
     ring_.reserve(shards_.size());
     for (const auto& [pid, shard] : shards_) {
@@ -265,10 +292,6 @@ std::size_t ShardedScheduler::inFlightOf(ProjectId tenant) const {
     return shards_.at(tenant).queue.inFlightCount();
 }
 
-const CommandQueue& ShardedScheduler::shard(ProjectId tenant) const {
-    return shards_.at(tenant).queue;
-}
-
 const SchedulerStats& ShardedScheduler::stats() const {
     aggregate_ = SchedulerStats{};
     for (const auto& [pid, s] : shards_) {
@@ -293,14 +316,6 @@ const TenantCounters& ShardedScheduler::tenantStats(ProjectId tenant) const {
     return shards_.at(tenant).counters;
 }
 
-void ShardedScheduler::setVault(BlobVault* vault) {
-    vault_ = vault;
-    for (auto& [pid, s] : shards_) {
-        (void)pid;
-        s.queue.setVault(vault);
-    }
-}
-
 void ShardedScheduler::forEachPending(
     const std::function<void(ProjectId, const CommandSpec&)>& fn) const {
     for (const auto& [pid, s] : shards_)
@@ -322,12 +337,7 @@ void ShardedScheduler::serialize(BinaryWriter& w) const {
     w.write(std::uint64_t(shards_.size()));
     for (const auto& [pid, s] : shards_) {
         w.write(std::uint64_t(pid));
-        const TenantConfig& c = s.config;
-        w.write(c.weight);
-        w.write(std::uint8_t(c.claimPolicy));
-        w.write(std::uint64_t(c.maxPendingCommands));
-        w.write(std::uint64_t(c.maxPendingBytes));
-        w.write(c.admissionRetryAfter);
+        s.config.serialize(w);
         w.write(s.deficit);
         const TenantCounters& t = s.counters;
         w.write(t.pushes);
@@ -350,21 +360,16 @@ void ShardedScheduler::restore(BinaryReader& r) {
     const std::uint64_t tenants = r.readCount(128);
     for (std::uint64_t i = 0; i < tenants; ++i) {
         const auto pid = ProjectId(r.read<std::uint64_t>());
-        TenantConfig c;
-        c.weight = r.read<double>();
-        const auto policy = r.read<std::uint8_t>();
-        COP_IO_CHECK(policy <= std::uint8_t(ClaimPolicy::LargestFit),
-                     "scheduler restore: bad claim policy");
-        c.claimPolicy = ClaimPolicy(policy);
-        c.maxPendingCommands = std::size_t(r.read<std::uint64_t>());
-        c.maxPendingBytes = std::size_t(r.read<std::uint64_t>());
-        c.admissionRetryAfter = r.read<double>();
-        COP_IO_CHECK(c.weight > 0.0,
-                     "scheduler restore: non-positive tenant weight");
+        const TenantConfig c = TenantConfig::deserialize(r);
         COP_IO_CHECK(!hasTenant(pid), "scheduler restore: duplicate tenant");
         addTenant(pid, c);
         Shard& s = shards_.at(pid);
         s.deficit = r.read<double>();
+        // claim() truncates the deficit to int: NaN or a huge magnitude
+        // there is undefined behaviour, and a live deficit never leaves
+        // [0, kDeficitCap].
+        COP_IO_CHECK(s.deficit >= 0.0 && s.deficit <= kDeficitCap,
+                     "scheduler restore: deficit out of range");
         TenantCounters& t = s.counters;
         t.pushes = r.read<std::uint64_t>();
         t.admissionRejections = r.read<std::uint64_t>();

@@ -47,6 +47,13 @@ struct TenantConfig {
     std::size_t maxPendingBytes = 0;
     /// Suggested client/controller backoff when a submission is rejected.
     double admissionRetryAfter = 30.0;
+
+    /// The one wire form, shared by the WAL's TenantAdd record and the
+    /// scheduler snapshot. deserialize() treats the stream as untrusted:
+    /// an unknown claim policy, a weight that is not positive, or a
+    /// negative or NaN retry-after throws IoError.
+    void serialize(BinaryWriter& w) const;
+    static TenantConfig deserialize(BinaryReader& r);
 };
 
 /// Outcome of an admission-controlled push.
@@ -68,6 +75,10 @@ struct TenantCounters {
 
 class ShardedScheduler {
 public:
+    /// Every shard queue parks its command inputs in `store`, which must
+    /// outlive the scheduler.
+    explicit ShardedScheduler(SegmentStore& store) : store_(&store) {}
+
     /// Registers a tenant with its scheduling contract. Weights must be
     /// positive; a duplicate id is a programming error.
     void addTenant(ProjectId id, TenantConfig config);
@@ -106,22 +117,15 @@ public:
     std::size_t pendingBytesOf(ProjectId tenant) const;
     std::size_t inFlightOf(ProjectId tenant) const;
 
-    /// A tenant's private queue shard (tests/benches introspect it).
-    const CommandQueue& shard(ProjectId tenant) const;
-
     /// Aggregate hot-path counters summed over every shard. Returns a
     /// reference into a cached member recomputed per call, matching the
     /// pre-shard Server::schedulerStats() signature.
     const SchedulerStats& stats() const;
     const TenantCounters& tenantStats(ProjectId tenant) const;
 
-    /// Attaches a payload vault, propagated to every shard queue (existing
-    /// and future tenants). Must be attached before commands are queued.
-    void setVault(BlobVault* vault);
-
     /// Cross-shard enumeration for recovery bookkeeping: tenants in
-    /// ascending id order, then each shard's bucket order. Stashed inputs
-    /// stay parked (spec.input may be empty when a vault is attached).
+    /// ascending id order, then each shard's bucket order. Inputs stay
+    /// parked in the store (spec.input is empty).
     void forEachPending(
         const std::function<void(ProjectId, const CommandSpec&)>& fn) const;
     void forEachInFlight(
@@ -130,7 +134,9 @@ public:
 
     /// Full-state serialization for WAL snapshots (tenant contracts, DRR
     /// state, every shard queue). restore() expects a freshly constructed
-    /// scheduler and treats the stream as untrusted (throws IoError).
+    /// scheduler and treats the stream as untrusted: malformed contracts,
+    /// a deficit outside [0, cap] and any CommandQueue::restore rejection
+    /// throw IoError.
     void serialize(BinaryWriter& w) const;
     void restore(BinaryReader& r);
 
@@ -150,7 +156,7 @@ private:
     /// Ring order for DRR service; rebuilt when tenants are added.
     std::vector<ProjectId> ring_;
     std::size_t cursor_ = 0; ///< next ring position to start service from
-    BlobVault* vault_ = nullptr; ///< optional tiered payload store
+    SegmentStore* store_;    ///< home of every shard's input payloads
     /// Checkpoints for ids no shard knows (late arrivals after completion).
     std::uint64_t orphanCheckpoints_ = 0;
     mutable SchedulerStats aggregate_; ///< cache for stats()

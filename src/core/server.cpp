@@ -134,7 +134,11 @@ Server::Server(net::OverlayNetwork& network, std::string name,
                net::KeyPair keys, ServerConfig config)
     : network_(&network), node_(network, std::move(name), keys),
       endpoint_(network, node_, wire::RetryPolicy{}, config.batch),
-      config_(config) {
+      config_(config),
+      store_(std::make_unique<SegmentStore>(
+          StoreConfig{config.durability.storeRamBytes,
+                      config.durability.storeDir})),
+      scheduler_(*store_) {
     COP_REQUIRE(config.heartbeatInterval > 0.0, "bad heartbeat interval");
     endpoint_.onEnvelope(
         [this](const wire::Envelope& env, const net::Message& msg) {
@@ -143,12 +147,6 @@ Server::Server(net::OverlayNetwork& network, std::string name,
     endpoint_.onDeliveryFailure(
         [this](const net::Message& failed) { handleDeliveryFailure(failed); });
 
-    StoreConfig storeCfg;
-    storeCfg.ramBytes = config_.durability.storeRamBytes;
-    storeCfg.dir = config_.durability.storeDir;
-    store_ = std::make_unique<SegmentStore>(storeCfg);
-    inputVault_.store = store_.get();
-    scheduler_.setVault(&inputVault_);
     if (config_.durability.walEnabled) {
         COP_REQUIRE(!config_.durability.walDir.empty(),
                     "durability: walDir required when walEnabled");
@@ -843,26 +841,6 @@ void Server::apply(event::CacheDrop& e) {
 
 // --- Durability (DESIGN.md "Durability & tiered storage") ----------------
 
-void Server::InputVault::stash(CommandId id, SharedBytes blob) {
-    store->put(id, std::move(blob));
-}
-
-SharedBytes Server::InputVault::fetch(CommandId id) {
-    auto blob = store->get(id);
-    COP_ENSURE(blob.has_value(), "input vault: missing payload");
-    return *blob;
-}
-
-void Server::InputVault::drop(CommandId id) { store->erase(id); }
-
-bool Server::InputVault::holds(CommandId id) const {
-    return store->contains(id);
-}
-
-std::size_t Server::InputVault::sizeOf(CommandId id) const {
-    return store->sizeOf(id);
-}
-
 void Server::maybeSnapshot() {
     const auto every = config_.durability.snapshotEveryRecords;
     if (every == 0 || snapshotScheduled_ || !wal_) return;
@@ -972,8 +950,7 @@ std::uint64_t Server::recoverFromWal() {
     // flushing them here models exactly what a crash could not have lost.
     wal_->flush();
     // Wipe the plane: everything below is rebuilt strictly from disk.
-    scheduler_ = ShardedScheduler{};
-    scheduler_.setVault(&inputVault_);
+    scheduler_ = ShardedScheduler{*store_};
     store_->clear();
     leases_.clear();
     workers_.clear();

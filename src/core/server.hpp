@@ -234,19 +234,6 @@ private:
         double expires = 0.0;
     };
 
-    /// BlobVault adapter the queue shards use to park command inputs in
-    /// the tiered store. Input keys are the command id verbatim; the
-    /// checkpoint cache shares the store under bit-63-tagged keys
-    /// (cacheKey()), which command ids never set (server id << 40).
-    struct InputVault : BlobVault {
-        SegmentStore* store = nullptr;
-        void stash(CommandId id, SharedBytes blob) override;
-        SharedBytes fetch(CommandId id) override;
-        void drop(CommandId id) override;
-        bool holds(CommandId id) const override;
-        std::size_t sizeOf(CommandId id) const override;
-    };
-
     /// Remote-checkpoint cache metadata; the blob itself lives in the
     /// tiered store under cacheKey(id) so cold checkpoints spill to disk.
     struct CachedCheckpoint {
@@ -254,6 +241,10 @@ private:
         net::NodeId projectServer = net::kInvalidNode;
     };
 
+    /// Store key of a cached checkpoint. The queue shards park command
+    /// inputs in the same store under the command id verbatim; command
+    /// ids never set bit 63 (server id << 40), so tagging it keeps the
+    /// two key spaces apart.
     static std::uint64_t cacheKey(CommandId id) {
         return id | (std::uint64_t(1) << 63);
     }
@@ -353,6 +344,9 @@ private:
     net::Node node_;
     wire::Endpoint endpoint_;
     ServerConfig config_;
+    /// Tiered blob store: every command input and the checkpoint cache.
+    /// Declared before scheduler_, whose shards park inputs in it.
+    std::unique_ptr<SegmentStore> store_;
     ShardedScheduler scheduler_;
     std::vector<net::NodeId> peers_;
     std::map<ProjectId, ProjectEntry> projects_;
@@ -382,8 +376,6 @@ private:
     bool servicePending_ = false;
     bool summaryFlushScheduled_ = false;
     // --- Durability ------------------------------------------------------
-    std::unique_ptr<SegmentStore> store_; ///< tiered blob store (always on)
-    InputVault inputVault_;               ///< queue-facing adapter
     std::unique_ptr<Wal> wal_;            ///< nullptr when WAL disabled
     bool snapshotScheduled_ = false;
     std::uint64_t recoveries_ = 0;

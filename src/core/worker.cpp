@@ -49,7 +49,7 @@ void Worker::failAfter(double delay) {
 }
 
 void Worker::requestWork() {
-    if (!alive_ || draining_ || requestPending_) return;
+    if (!alive_ || requestPending_) return;
     requestPending_ = true;
     requestSentAt_ = network_->loop().now();
     ++stats_.workloadRequestsSent;

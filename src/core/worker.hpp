@@ -79,9 +79,6 @@ public:
     /// current one keep failing (must be trusted + connected separately).
     void addFallbackServer(net::NodeId server);
 
-    /// Stops requesting new work after the current commands complete.
-    void drain() { draining_ = true; }
-
     /// Observer called with (sim-seconds between sending a workload
     /// request and receiving its assignment) for every assignment that
     /// answers an open request. Benches use it for claim-latency
@@ -124,7 +121,6 @@ private:
     double requestSentAt_ = 0.0; ///< for the assign-latency observer
     int pollAttempt_ = 0;
     bool alive_ = true;
-    bool draining_ = false;
     bool heartbeatScheduled_ = false;
     bool requestPending_ = false;
 };

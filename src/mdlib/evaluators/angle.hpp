@@ -2,8 +2,7 @@
 
 /// \file evaluators/angle.hpp
 /// Harmonic angle: E = 1/2 k (theta - theta0)^2 with theta from the
-/// clamped cosine. Three-body term — excluded from the pair virial (see
-/// Energies::pairVirial), so `virial` is untouched.
+/// clamped cosine.
 
 #include <algorithm>
 #include <cmath>
@@ -17,8 +16,7 @@ namespace cop::md::evaluators {
 
 struct AngleEvaluator {
     static double evaluate(const Angle& a, const std::vector<Vec3>& positions,
-                           const Box& box, std::vector<Vec3>& forces,
-                           double& /*virial*/) {
+                           const Box& box, std::vector<Vec3>& forces) {
         const Vec3 rij = box.minimumImage(positions[std::size_t(a.i)],
                                           positions[std::size_t(a.j)]);
         const Vec3 rkj = box.minimumImage(positions[std::size_t(a.k)],

@@ -1,8 +1,7 @@
 #pragma once
 
 /// \file evaluators/bond.hpp
-/// Harmonic bond: E = 1/2 k (r - r0)^2. Pair term — contributes to the
-/// pairwise virial.
+/// Harmonic bond: E = 1/2 k (r - r0)^2.
 
 #include <vector>
 
@@ -14,8 +13,7 @@ namespace cop::md::evaluators {
 
 struct BondEvaluator {
     static double evaluate(const Bond& b, const std::vector<Vec3>& positions,
-                           const Box& box, std::vector<Vec3>& forces,
-                           double& virial) {
+                           const Box& box, std::vector<Vec3>& forces) {
         const Vec3 d = box.minimumImage(positions[std::size_t(b.i)],
                                         positions[std::size_t(b.j)]);
         const double r = norm(d);
@@ -25,7 +23,6 @@ struct BondEvaluator {
             const Vec3 f = d * (-b.k * dr / r);
             forces[std::size_t(b.i)] += f;
             forces[std::size_t(b.j)] -= f;
-            virial += dot(d, f);
         }
         return energy;
     }

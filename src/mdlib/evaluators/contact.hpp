@@ -5,7 +5,6 @@
 ///   E = eps * (5 (r0/r)^12 - 6 (r0/r)^10)
 ///   dE/dr = eps * (-60 r0^12 / r^13 + 60 r0^10 / r^11)
 ///         = (60 eps / r) * ((r0/r)^10 - (r0/r)^12)
-/// Pair term — contributes to the pairwise virial.
 
 #include <vector>
 
@@ -18,7 +17,7 @@ namespace cop::md::evaluators {
 struct ContactEvaluator {
     static double evaluate(const Contact& c,
                            const std::vector<Vec3>& positions, const Box& box,
-                           std::vector<Vec3>& forces, double& virial) {
+                           std::vector<Vec3>& forces) {
         const Vec3 d = box.minimumImage(positions[std::size_t(c.i)],
                                         positions[std::size_t(c.j)]);
         const double r2 = norm2(d);
@@ -31,7 +30,6 @@ struct ContactEvaluator {
         const Vec3 f = d * fOverR;
         forces[std::size_t(c.i)] += f;
         forces[std::size_t(c.j)] -= f;
-        virial += fOverR * r2;
         return energy;
     }
 };

@@ -4,8 +4,7 @@
 /// Periodic dihedral: E = k1 (1 - cos(dphi)) + k3 (1 - cos(3 dphi)) with
 /// dphi = phi - phi0, phi the signed Blondel & Karplus dihedral angle.
 /// Dihedrals use raw positions (Gō models run in open boxes; the four
-/// atoms are bonded neighbours, never split across an image). Four-body
-/// term — excluded from the pair virial.
+/// atoms are bonded neighbours, never split across an image).
 
 #include <cmath>
 #include <vector>
@@ -63,8 +62,7 @@ inline DihedralGeometry dihedralGeometry(const Vec3& ri, const Vec3& rj,
 struct DihedralEvaluator {
     static double evaluate(const Dihedral& d,
                            const std::vector<Vec3>& positions,
-                           const Box& /*box*/, std::vector<Vec3>& forces,
-                           double& /*virial*/) {
+                           const Box& /*box*/, std::vector<Vec3>& forces) {
         const auto g = dihedralGeometry(positions[std::size_t(d.i)],
                                         positions[std::size_t(d.j)],
                                         positions[std::size_t(d.k)],

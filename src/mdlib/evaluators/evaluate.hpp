@@ -5,13 +5,12 @@
 /// through. An evaluator is a stateless struct with
 ///
 ///   static double evaluate(const Term& t, const std::vector<Vec3>& pos,
-///                          const Box& box, std::vector<Vec3>& forces,
-///                          double& virial);
+///                          const Box& box, std::vector<Vec3>& forces);
 ///
-/// returning the term's energy and accumulating forces (and, for pair
-/// terms, the virial). The driver below sums terms in container order —
-/// the exact order the pre-refactor monolithic computeBonded used, so
-/// the refactor is bit-identical on identical inputs (pinned by
+/// returning the term's energy and accumulating forces. The loop below
+/// sums terms in container order — the exact order the pre-refactor
+/// monolithic computeBonded used, so the refactor is bit-identical on
+/// identical inputs (pinned by
 /// ForceField.BondedEvaluatorsBitIdenticalToMonolith).
 ///
 /// This split is the backend seam: a GPU backend implements one
@@ -30,10 +29,10 @@ namespace cop::md::evaluators {
 template <class Evaluator, class Term>
 double evaluateFamily(const std::vector<Term>& terms,
                       const std::vector<Vec3>& positions, const Box& box,
-                      std::vector<Vec3>& forces, double& virial) {
+                      std::vector<Vec3>& forces) {
     double energy = 0.0;
     for (const Term& t : terms)
-        energy += Evaluator::evaluate(t, positions, box, forces, virial);
+        energy += Evaluator::evaluate(t, positions, box, forces);
     return energy;
 }
 

@@ -132,8 +132,8 @@ struct ForceWorkspace {
     // changes; capacity persists across rebuilds.
     AlignedVector<int> pairKey, pairOrder, keyOffset;
 
-    // Per-chunk energy slots: nonbonded, coulomb, virial.
-    std::vector<double> enb, ecoul, evir;
+    // Per-chunk energy slots: nonbonded, coulomb.
+    std::vector<double> enb, ecoul;
 
     PairBuckets buckets;
 
@@ -160,7 +160,6 @@ struct ForceWorkspace {
             sf3.resize(nStripes * 3 * stride);
             enb.resize(nStripes);
             ecoul.resize(nStripes);
-            evir.resize(nStripes);
         }
     }
 };

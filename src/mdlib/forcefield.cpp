@@ -35,7 +35,7 @@ Energies ForceField::compute(const std::vector<Vec3>& positions,
     neighborList_.update(top_, box_, positions, pool_);
 
     Energies e = computeBonded(positions, forces);
-    e.contact = computeContacts(positions, forces, e.pairVirial);
+    e.contact = computeContacts(positions, forces);
     if (params_.flavor == KernelFlavor::Soa ||
         params_.flavor == KernelFlavor::SimdAuto)
         computeNonbondedSoa(positions, forces, e);
@@ -52,19 +52,18 @@ Energies ForceField::computeBonded(const std::vector<Vec3>& positions,
     using namespace evaluators;
     Energies e;
     e.bond = evaluateFamily<BondEvaluator>(top_.bonds(), positions, box_,
-                                           forces, e.pairVirial);
+                                           forces);
     e.angle = evaluateFamily<AngleEvaluator>(top_.angles(), positions, box_,
-                                             forces, e.pairVirial);
-    e.dihedral = evaluateFamily<DihedralEvaluator>(
-        top_.dihedrals(), positions, box_, forces, e.pairVirial);
+                                             forces);
+    e.dihedral = evaluateFamily<DihedralEvaluator>(top_.dihedrals(),
+                                                   positions, box_, forces);
     return e;
 }
 
 double ForceField::computeContacts(const std::vector<Vec3>& positions,
-                                   std::vector<Vec3>& forces,
-                                   double& virial) const {
+                                   std::vector<Vec3>& forces) const {
     return evaluators::evaluateFamily<evaluators::ContactEvaluator>(
-        top_.contacts(), positions, box_, forces, virial);
+        top_.contacts(), positions, box_, forces);
 }
 
 void ForceField::computeNonbonded(const std::vector<Vec3>& positions,
@@ -89,8 +88,7 @@ void ForceField::computeNonbonded(const std::vector<Vec3>& positions,
         ljShift = 4.0 * params_.ljEpsilon * (s6 * s6 - s6);
     }
 
-    auto pairTerm = [&](int i, int j, double& enb, double& ecoul,
-                        double& evir) {
+    auto pairTerm = [&](int i, int j, double& enb, double& ecoul) {
         const Vec3 d = box_.minimumImage(positions[std::size_t(i)],
                                          positions[std::size_t(j)]);
         const double r2 = norm2(d);
@@ -119,7 +117,6 @@ void ForceField::computeNonbonded(const std::vector<Vec3>& positions,
                 }
             }
         }
-        evir += fOverR * r2;
         return d * fOverR;
     };
 
@@ -135,7 +132,7 @@ void ForceField::computeNonbonded(const std::vector<Vec3>& positions,
             for (int u = 0; u < 4; ++u)
                 fs[u] = pairTerm(pairs[p + std::size_t(u)].i,
                                  pairs[p + std::size_t(u)].j, e.nonbonded,
-                                 e.coulomb, e.pairVirial);
+                                 e.coulomb);
             for (int u = 0; u < 4; ++u) {
                 forces[std::size_t(pairs[p + std::size_t(u)].i)] += fs[u];
                 forces[std::size_t(pairs[p + std::size_t(u)].j)] -= fs[u];
@@ -143,8 +140,8 @@ void ForceField::computeNonbonded(const std::vector<Vec3>& positions,
         }
     }
     for (; p < nPairs; ++p) {
-        const Vec3 f = pairTerm(pairs[p].i, pairs[p].j, e.nonbonded,
-                                e.coulomb, e.pairVirial);
+        const Vec3 f =
+            pairTerm(pairs[p].i, pairs[p].j, e.nonbonded, e.coulomb);
         forces[std::size_t(pairs[p].i)] += f;
         forces[std::size_t(pairs[p].j)] -= f;
     }
@@ -399,7 +396,7 @@ void ForceField::computeNonbondedSoa(const std::vector<Vec3>& positions,
     // keep chunks balanced regardless of the LJ/charged/Gō mix.
     const int sh = bk.shifted ? 1 : 0;
     auto runSlice = [&](std::size_t c, std::size_t nSlices, double* f,
-                        double& enb, double& ecoul, double& evir) {
+                        double& enb, double& ecoul) {
         auto slice = [&](std::size_t len) {
             return std::pair<std::size_t, std::size_t>{c * len / nSlices,
                                                        (c + 1) * len / nSlices};
@@ -409,20 +406,20 @@ void ForceField::computeNonbondedSoa(const std::vector<Vec3>& positions,
             kernels_.lj[sh](bk.ljRunI.data(), bk.ljRunStart.data(),
                             bk.ljJ.data(),
                             bk.shifted ? bk.ljRunS.data() : nullptr, nullptr,
-                            ljLo, ljHi, xyz, f, k, enb, ecoul, evir);
+                            ljLo, ljHi, xyz, f, k, enb, ecoul);
         const auto [qLo, qHi] = slice(bk.qRunI.size());
         if (qLo < qHi)
             kernels_.ljCoul[sh](bk.qRunI.data(), bk.qRunStart.data(),
                                 bk.qJ.data(),
                                 bk.shifted ? bk.qRunS.data() : nullptr,
                                 bk.qq.data(), qLo, qHi, xyz, f, k, enb,
-                                ecoul, evir);
+                                ecoul);
         const auto [goLo, goHi] = slice(bk.goRunI.size());
         if (goLo < goHi)
             kernels_.go[sh](bk.goRunI.data(), bk.goRunStart.data(),
                             bk.goJ.data(),
                             bk.shifted ? bk.goRunS.data() : nullptr, nullptr,
-                            goLo, goHi, xyz, f, k, enb, ecoul, evir);
+                            goLo, goHi, xyz, f, k, enb, ecoul);
     };
 
     const std::size_t nPairs =
@@ -433,8 +430,8 @@ void ForceField::computeNonbondedSoa(const std::vector<Vec3>& positions,
         // and the writeback below re-zeroes every slot it reads (the
         // threaded path never touches it), so the kernels accumulate into
         // a clean buffer without a separate O(N) clear.
-        double enb = 0.0, ecoul = 0.0, evir = 0.0;
-        runSlice(0, 1, ws_.f3.data(), enb, ecoul, evir);
+        double enb = 0.0, ecoul = 0.0;
+        runSlice(0, 1, ws_.f3.data(), enb, ecoul);
         double* f3 = ws_.f3.data();
         if (reordered) {
             for (std::size_t r = 0; r < n; ++r) {
@@ -450,7 +447,6 @@ void ForceField::computeNonbondedSoa(const std::vector<Vec3>& positions,
         }
         e.nonbonded += enb;
         e.coulomb += ecoul;
-        e.pairVirial += evir;
         return;
     }
 
@@ -465,8 +461,8 @@ void ForceField::computeNonbondedSoa(const std::vector<Vec3>& positions,
         for (std::size_t c = cLo; c < cHi; ++c) {
             double* f = ws_.sf3.data() + c * stride3;
             std::fill_n(f, 3 * n, 0.0);
-            ws_.enb[c] = ws_.ecoul[c] = ws_.evir[c] = 0.0;
-            runSlice(c, nChunks, f, ws_.enb[c], ws_.ecoul[c], ws_.evir[c]);
+            ws_.enb[c] = ws_.ecoul[c] = 0.0;
+            runSlice(c, nChunks, f, ws_.enb[c], ws_.ecoul[c]);
         }
     });
     pool_->forChunks(0, n, [&](std::size_t, std::size_t lo, std::size_t hi) {
@@ -486,35 +482,7 @@ void ForceField::computeNonbondedSoa(const std::vector<Vec3>& positions,
     for (std::size_t c = 0; c < nChunks; ++c) {
         e.nonbonded += ws_.enb[c];
         e.coulomb += ws_.ecoul[c];
-        e.pairVirial += ws_.evir[c];
     }
-}
-
-double pairPressure(const Energies& energies, double kineticEnergy,
-                    double volume) {
-    COP_REQUIRE(volume > 0.0, "volume must be positive");
-    return (2.0 * kineticEnergy + energies.pairVirial) / (3.0 * volume);
-}
-
-double maxForceError(ForceField& ff, std::vector<Vec3> positions, double h) {
-    std::vector<Vec3> analytic;
-    ff.compute(positions, analytic);
-
-    double maxErr = 0.0;
-    std::vector<Vec3> scratch;
-    for (std::size_t i = 0; i < positions.size(); ++i) {
-        for (int d = 0; d < 3; ++d) {
-            const double orig = positions[i][d];
-            positions[i][d] = orig + h;
-            const double ep = ff.compute(positions, scratch).potential();
-            positions[i][d] = orig - h;
-            const double em = ff.compute(positions, scratch).potential();
-            positions[i][d] = orig;
-            const double numeric = -(ep - em) / (2.0 * h);
-            maxErr = std::max(maxErr, std::abs(numeric - analytic[i][d]));
-        }
-    }
-    return maxErr;
 }
 
 } // namespace cop::md

@@ -50,21 +50,11 @@ struct Energies {
     double contact = 0.0;
     double nonbonded = 0.0;  ///< repulsive or LJ pair energy
     double coulomb = 0.0;    ///< reaction-field electrostatics
-    /// Pairwise virial W = sum over pair interactions of r_ij . f_ij
-    /// (bonds, contacts, nonbonded, Coulomb; 3- and 4-body terms excluded
-    /// — exact for pair-potential fluids, which is where pressure is
-    /// used).
-    double pairVirial = 0.0;
 
     double potential() const {
         return bond + angle + dihedral + contact + nonbonded + coulomb;
     }
 };
-
-/// Instantaneous pressure from the pair virial: P = (2K + W) / (3V) in
-/// kB = 1 units, with K the kinetic energy.
-double pairPressure(const Energies& energies, double kineticEnergy,
-                    double volume);
 
 enum class NonbondedKind {
     GoRepulsive,      ///< E = eps * (sigma/r)^12, cut at cutoff
@@ -156,8 +146,7 @@ private:
     Energies computeBonded(const std::vector<Vec3>& positions,
                            std::vector<Vec3>& forces) const;
     double computeContacts(const std::vector<Vec3>& positions,
-                           std::vector<Vec3>& forces,
-                           double& virial) const;
+                           std::vector<Vec3>& forces) const;
     void computeNonbonded(const std::vector<Vec3>& positions,
                           std::vector<Vec3>& forces, Energies& e);
     void computeNonbondedSoa(const std::vector<Vec3>& positions,
@@ -176,11 +165,5 @@ private:
     NonbondedKernelSet kernels_;
     SimdIsa activeIsa_ = SimdIsa::Scalar;
 };
-
-/// Numerical-gradient check helper used by tests: returns the maximum
-/// absolute difference between analytic forces and central finite
-/// differences of the energy, over all particles and components.
-double maxForceError(ForceField& ff, std::vector<Vec3> positions,
-                     double h = 1e-6);
 
 } // namespace cop::md

@@ -60,7 +60,6 @@ void Integrator::run(State& state, std::int64_t nSteps) {
     for (std::int64_t s = 0; s < nSteps; ++s) {
         switch (params_.kind) {
         case IntegratorKind::VelocityVerlet: stepVelocityVerlet(state); break;
-        case IntegratorKind::Leapfrog: stepLeapfrog(state); break;
         case IntegratorKind::LangevinBAOAB: stepLangevinBAOAB(state); break;
         }
         ++state.step;
@@ -85,23 +84,6 @@ void Integrator::stepVelocityVerlet(State& state) {
 
     if (params_.thermostat == ThermostatKind::NoseHoover)
         applyNoseHooverHalf(state, 0.5 * dt);
-}
-
-void Integrator::stepLeapfrog(State& state) {
-    // Gromacs-style leapfrog: v(t+dt/2) = v(t-dt/2) + f(t)/m dt;
-    // x(t+dt) = x(t) + v(t+dt/2) dt. Velocities in State are the half-step
-    // velocities, which is also what Gromacs stores.
-    const double dt = params_.dt;
-    const auto& top = ff_.topology();
-    for (std::size_t i = 0; i < state.numParticles(); ++i) {
-        state.velocities[i] += state.forces[i] * (dt / top.mass(i));
-        state.positions[i] += state.velocities[i] * dt;
-    }
-    lastEnergies_ = ff_.compute(state.positions, state.forces);
-    // Leapfrog + NH needs an implicit solve; we support NH only with
-    // velocity Verlet, matching how tests use it.
-    if (params_.thermostat == ThermostatKind::NoseHoover)
-        throw InvalidArgument("Nosé-Hoover requires VelocityVerlet");
 }
 
 void Integrator::stepLangevinBAOAB(State& state) {
@@ -149,13 +131,6 @@ void Integrator::applyNoseHooverHalf(State& state, double halfDt) {
     twoK *= scale * scale;
     g = (twoK - nf * t0) / q;
     state.nhXi += g * 0.5 * halfDt;
-}
-
-double Integrator::pressure(const State& state) const {
-    COP_REQUIRE(ff_.box().periodic, "pressure needs a periodic box");
-    return pairPressure(lastEnergies_,
-                        kineticEnergy(ff_.topology(), state),
-                        ff_.box().volume());
 }
 
 double Integrator::conservedQuantity(const State& state) const {

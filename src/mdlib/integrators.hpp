@@ -1,9 +1,9 @@
 #pragma once
 
 /// \file integrators.hpp
-/// Time integration: velocity Verlet and leapfrog for NVE, velocity
-/// Verlet with a Nosé-Hoover thermostat for NVT, and BAOAB Langevin
-/// dynamics for the Gō model. The paper's villin runs used a Nosé-Hoover
+/// Time integration: velocity Verlet for NVE, velocity Verlet with a
+/// Nosé-Hoover thermostat for NVT, and BAOAB Langevin dynamics for the
+/// Gō model. The paper's villin runs used a Nosé-Hoover
 /// thermostat with a 0.5 ps oscillation period; our reproductions default
 /// to Langevin for the coarse-grained model (standard for Gō potentials)
 /// and exercise Nosé-Hoover in tests and the generic LJ engine.
@@ -16,7 +16,9 @@
 
 namespace cop::md {
 
-enum class IntegratorKind { VelocityVerlet, Leapfrog, LangevinBAOAB };
+/// The values are checkpoint tags (CSIM v1). Tag 1 belonged to a retired
+/// integrator and stays unused, so restore rejects it.
+enum class IntegratorKind { VelocityVerlet = 0, LangevinBAOAB = 2 };
 enum class ThermostatKind { None, NoseHoover };
 
 struct IntegratorParams {
@@ -69,12 +71,8 @@ public:
     /// (+ thermostat terms). Used by drift tests.
     double conservedQuantity(const State& state) const;
 
-    /// Instantaneous pressure from the last force evaluation.
-    double pressure(const State& state) const;
-
 private:
     void stepVelocityVerlet(State& state);
-    void stepLeapfrog(State& state);
     void stepLangevinBAOAB(State& state);
     void applyNoseHooverHalf(State& state, double halfDt);
 

@@ -44,8 +44,8 @@ using NbPairKernelFn = void (*)(const int* runI, const int* runStart,
                                 const int* pj, const unsigned char* rs,
                                 const double* qq, std::size_t rLo,
                                 std::size_t rHi, const double* xyz, double* f,
-                                const SoaParams k, double& enb, double& ecoul,
-                                double& evir);
+                                const SoaParams k, double& enb,
+                                double& ecoul);
 
 /// The six inner loops one kernel implementation provides:
 /// {LJ, LJ+Coulomb-RF, Gō-repulsive} x {unshifted, shifted}, indexed by

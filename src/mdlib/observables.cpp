@@ -162,27 +162,6 @@ void superimpose(std::span<const Vec3> target, std::vector<Vec3>& mobile) {
     for (auto& x : mobile) x = r * x + targetCentroid;
 }
 
-double radiusOfGyration(std::span<const Vec3> xs,
-                        std::span<const double> masses) {
-    COP_REQUIRE(!xs.empty(), "empty coordinate set");
-    COP_REQUIRE(masses.empty() || masses.size() == xs.size(),
-                "mass array size mismatch");
-    Vec3 com{};
-    double mTot = 0.0;
-    for (std::size_t i = 0; i < xs.size(); ++i) {
-        const double m = masses.empty() ? 1.0 : masses[i];
-        com += xs[i] * m;
-        mTot += m;
-    }
-    com /= mTot;
-    double s = 0.0;
-    for (std::size_t i = 0; i < xs.size(); ++i) {
-        const double m = masses.empty() ? 1.0 : masses[i];
-        s += m * norm2(xs[i] - com);
-    }
-    return std::sqrt(s / mTot);
-}
-
 double nativeContactFraction(const Topology& top, std::span<const Vec3> xs,
                              double factor) {
     const auto& contacts = top.contacts();

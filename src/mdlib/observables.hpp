@@ -1,8 +1,8 @@
 #pragma once
 
 /// \file observables.hpp
-/// Structural observables: optimal-superposition RMSD (quaternion/Kabsch),
-/// radius of gyration, and fraction of native contacts Q. RMSD in this
+/// Structural observables: optimal-superposition RMSD (quaternion/Kabsch)
+/// and fraction of native contacts Q. RMSD in this
 /// engine's reduced length units can be converted to the paper's Angstrom
 /// scale with md::toAngstrom().
 
@@ -37,10 +37,6 @@ Mat3 optimalRotation(std::span<const Vec3> a, std::span<const Vec3> b);
 
 /// Superimposes `mobile` onto `target` in place (translate + rotate).
 void superimpose(std::span<const Vec3> target, std::vector<Vec3>& mobile);
-
-/// Radius of gyration (mass-weighted if masses given, else uniform).
-double radiusOfGyration(std::span<const Vec3> xs,
-                        std::span<const double> masses = {});
 
 /// Fraction of native contacts formed: a contact (i,j,r0) counts as formed
 /// when r_ij < factor * r0 (default 1.2, the conventional choice).

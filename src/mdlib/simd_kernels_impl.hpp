@@ -44,8 +44,7 @@ template <Family F, bool Shifted>
 void pairKernel(const int* runI, const int* runStart, const int* pj,
                 const unsigned char* rs, const double* qq, std::size_t rLo,
                 std::size_t rHi, const double* xyz, double* f,
-                const SoaParams k, double& enbOut, double& ecoulOut,
-                double& evirOut) {
+                const SoaParams k, double& enbOut, double& ecoulOut) {
     using P = SimdPack<COP_SIMD_WIDTH>;
     constexpr int W = COP_SIMD_WIDTH;
 
@@ -66,7 +65,7 @@ void pairKernel(const int* runI, const int* runStart, const int* pj,
     const P vKrf = P::broadcast(k.kRF), vCrf = P::broadcast(k.cRF);
     const P vKrf2 = P::broadcast(2.0 * k.kRF);
 
-    P eAcc = P::zero(), ecAcc = P::zero(), virAcc = P::zero();
+    P eAcc = P::zero(), ecAcc = P::zero();
 
     for (std::size_t r = rLo; r < rHi; ++r) {
         const std::size_t i3 = 3 * std::size_t(runI[r]);
@@ -126,7 +125,6 @@ void pairKernel(const int* runI, const int* runStart, const int* pj,
                     fOverR = keep * vEps24 * (vTwo * s12 - s6) * inv2;
                 }
             }
-            virAcc += fOverR * r2s;
 
             const P fxp = dx * fOverR, fyp = dy * fOverR, fzp = dz * fOverR;
             fxAcc += fxp;
@@ -168,7 +166,6 @@ void pairKernel(const int* runI, const int* runStart, const int* pj,
 
     enbOut += eAcc.hsum();
     if constexpr (F == Family::LjCoul) ecoulOut += ecAcc.hsum();
-    evirOut += virAcc.hsum();
 }
 
 /// Assembles the exported kernel table for this TU's ISA.

@@ -66,6 +66,9 @@ IntegratorParams deserializeIntegratorParams(BinaryReader& r) {
     IntegratorParams p;
     p.kind = readEnum(r, IntegratorKind::LangevinBAOAB,
                       "checkpoint integrator kind out of range");
+    COP_IO_CHECK(p.kind == IntegratorKind::VelocityVerlet ||
+                     p.kind == IntegratorKind::LangevinBAOAB,
+                 "checkpoint integrator kind out of range");
     p.dt = r.read<double>();
     p.thermostat = readEnum(r, ThermostatKind::NoseHoover,
                             "checkpoint thermostat kind out of range");

@@ -39,12 +39,16 @@ TEST(SnapshotDeterminism, TenantRegistrationOrderDoesNotLeak) {
     TenantConfig light;
     light.weight = 1.0;
 
-    ShardedScheduler a;
+    SegmentStore aStore;
+
+    ShardedScheduler a{aStore};
     a.addTenant(1, heavy);
     a.addTenant(2, light);
     a.addTenant(3, light);
 
-    ShardedScheduler b;
+    SegmentStore bStore;
+
+    ShardedScheduler b{bStore};
     b.addTenant(3, light);
     b.addTenant(1, heavy);
     b.addTenant(2, light);
@@ -53,8 +57,10 @@ TEST(SnapshotDeterminism, TenantRegistrationOrderDoesNotLeak) {
 }
 
 TEST(SnapshotDeterminism, CrossTenantInterleavingDoesNotLeak) {
-    ShardedScheduler a;
-    ShardedScheduler b;
+    SegmentStore aStore;
+    ShardedScheduler a{aStore};
+    SegmentStore bStore;
+    ShardedScheduler b{bStore};
     for (ProjectId t : {1, 2, 3}) {
         a.addTenant(t, TenantConfig{});
         b.addTenant(t, TenantConfig{});
@@ -77,8 +83,10 @@ TEST(SnapshotDeterminism, InFlightOwnerTrackingDoesNotLeak) {
     // different hash-insertion orders (tenant-major vs round-robin pushes)
     // must not change the serialized image. The claim-call history is kept
     // identical on both sides — DRR deficits are legitimate state.
-    ShardedScheduler a;
-    ShardedScheduler b;
+    SegmentStore aStore;
+    ShardedScheduler a{aStore};
+    SegmentStore bStore;
+    ShardedScheduler b{bStore};
     for (ProjectId t : {1, 2}) {
         a.addTenant(t, TenantConfig{});
         b.addTenant(t, TenantConfig{});
@@ -98,7 +106,8 @@ TEST(SnapshotDeterminism, InFlightOwnerTrackingDoesNotLeak) {
 }
 
 TEST(SnapshotDeterminism, RoundTripThroughRestoreIsByteStable) {
-    ShardedScheduler a;
+    SegmentStore aStore;
+    ShardedScheduler a{aStore};
     for (ProjectId t : {1, 2, 3}) a.addTenant(t, TenantConfig{});
     for (ProjectId t : {1, 2, 3})
         for (CommandId i = 0; i < 3; ++i)
@@ -107,7 +116,8 @@ TEST(SnapshotDeterminism, RoundTripThroughRestoreIsByteStable) {
 
     const auto bytes = snapshotBytes(a);
     BinaryReader r{std::span<const std::uint8_t>(bytes)};
-    ShardedScheduler restored;
+    SegmentStore restoredStore;
+    ShardedScheduler restored{restoredStore};
     restored.restore(r);
     EXPECT_EQ(snapshotBytes(restored), bytes);
 }

@@ -2,12 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <filesystem>
+#include <unistd.h>
+
 #include "core/executable.hpp"
 #include "core/queue.hpp"
 #include "core/wire.hpp"
+#include "util/random.hpp"
 
 namespace cop::core {
 namespace {
+
+namespace fs = std::filesystem;
 
 CommandSpec makeCmd(CommandId id, const std::string& exe = "mdrun",
                     int cores = 1) {
@@ -21,7 +28,8 @@ CommandSpec makeCmd(CommandId id, const std::string& exe = "mdrun",
 }
 
 TEST(CommandQueue, ClaimRespectsExecutableAndCores) {
-    CommandQueue q;
+    SegmentStore store;
+    CommandQueue q{store};
     q.push(makeCmd(1, "mdrun", 2));
     q.push(makeCmd(2, "fe_sample", 1));
     q.push(makeCmd(3, "mdrun", 2));
@@ -35,7 +43,8 @@ TEST(CommandQueue, ClaimRespectsExecutableAndCores) {
 }
 
 TEST(CommandQueue, ClaimSkipsUnknownExecutables) {
-    CommandQueue q;
+    SegmentStore store;
+    CommandQueue q{store};
     q.push(makeCmd(1, "exotic"));
     EXPECT_TRUE(q.claim({"mdrun"}, 8, 1).empty());
     EXPECT_TRUE(q.hasWorkFor({"exotic"}));
@@ -43,7 +52,8 @@ TEST(CommandQueue, ClaimSkipsUnknownExecutables) {
 }
 
 TEST(CommandQueue, CompleteRemovesInFlight) {
-    CommandQueue q;
+    SegmentStore store;
+    CommandQueue q{store};
     q.push(makeCmd(5));
     q.claim({"mdrun"}, 1, 2);
     const auto spec = q.complete(5);
@@ -54,7 +64,8 @@ TEST(CommandQueue, CompleteRemovesInFlight) {
 }
 
 TEST(CommandQueue, RequeueWorkerRestoresPending) {
-    CommandQueue q;
+    SegmentStore store;
+    CommandQueue q{store};
     q.push(makeCmd(1));
     q.push(makeCmd(2));
     q.claim({"mdrun"}, 2, 9);
@@ -68,7 +79,8 @@ TEST(CommandQueue, RequeueWorkerRestoresPending) {
 }
 
 TEST(CommandQueue, UpdateCheckpointFeedsRequeue) {
-    CommandQueue q;
+    SegmentStore store;
+    CommandQueue q{store};
     q.push(makeCmd(1));
     q.claim({"mdrun"}, 1, 3);
     q.updateCheckpoint(1, SharedBytes{0xAB, 0xCD});
@@ -79,11 +91,121 @@ TEST(CommandQueue, UpdateCheckpointFeedsRequeue) {
 }
 
 TEST(CommandQueue, RejectsInvalidCommands) {
-    CommandQueue q;
+    SegmentStore store;
+    CommandQueue q{store};
     EXPECT_THROW(q.push(CommandSpec{}), cop::InvalidArgument);
     auto bad = makeCmd(1);
     bad.preferredCores = 0;
     EXPECT_THROW(q.push(bad), cop::InvalidArgument);
+}
+
+/// A spill directory that lives as long as the test.
+struct TempDir {
+    fs::path path = fs::temp_directory_path() /
+                    ("cop_queue_test_" + std::to_string(::getpid()));
+    TempDir() { fs::create_directories(path); }
+    ~TempDir() { fs::remove_all(path); }
+};
+
+TEST(CommandQueue, InputsSpillThroughACappedStore) {
+    // Inputs of a few KiB over a store whose RAM tier holds 1 KiB: they
+    // live on disk while pending, and the queue must not notice.
+    TempDir tmp;
+    StoreConfig cfg;
+    cfg.ramBytes = 1024;
+    cfg.dir = tmp.path.string();
+    SegmentStore capped(cfg);
+    SegmentStore uncapped;
+    CommandQueue q{capped};
+    CommandQueue reference{uncapped};
+
+    Rng rng(3);
+    std::vector<std::vector<std::uint8_t>> inputs;
+    std::size_t total = 0;
+    for (CommandId id = 1; id <= 4; ++id) {
+        std::vector<std::uint8_t> bytes(2048 + 512 * id);
+        for (auto& b : bytes) b = std::uint8_t(rng.uniformInt(4));
+        total += bytes.size();
+        auto cmd = makeCmd(id);
+        cmd.input = SharedBytes(bytes);
+        q.push(cmd);
+        reference.push(cmd);
+        inputs.push_back(std::move(bytes));
+    }
+    EXPECT_EQ(q.pendingBytes(), total);
+    EXPECT_EQ(q.pendingBytes(), reference.pendingBytes());
+    EXPECT_GT(capped.stats().spills, 0u);
+    EXPECT_EQ(uncapped.stats().spills, 0u);
+
+    const auto claimed = q.claim({"mdrun"}, 4, /*worker=*/1);
+    ASSERT_EQ(claimed.size(), 4u);
+    for (std::size_t i = 0; i < claimed.size(); ++i)
+        EXPECT_EQ(claimed[i].input, inputs[i]) << "command " << i + 1;
+    EXPECT_GT(capped.stats().misses, 0u); // some came back from disk
+    EXPECT_EQ(q.pendingBytes(), 0u);
+
+    for (CommandId id = 1; id <= 4; ++id) {
+        ASSERT_TRUE(q.complete(id).has_value());
+        EXPECT_FALSE(capped.contains(id)) << "command " << id;
+    }
+    EXPECT_EQ(capped.size(), 0u);
+}
+
+/// A queue image (CommandQueue::serialize) with two pending commands:
+/// nextSeq, headSeq, the pending count, then (seq, spec) per entry.
+struct QueueImage {
+    std::vector<std::uint8_t> bytes;
+    std::size_t firstSeq = 0;  ///< offset of entry 0's seq
+    std::size_t secondSeq = 0; ///< offset of entry 1's seq
+};
+
+QueueImage twoPendingImage() {
+    SegmentStore store;
+    CommandQueue q{store};
+    q.push(makeCmd(1));
+    q.push(makeCmd(2));
+    BinaryWriter w;
+    q.serialize(w);
+    QueueImage image{w.buffer(), 24, 0};
+    image.secondSeq = image.firstSeq + 8 + makeCmd(1).encodedSize();
+    return image;
+}
+
+void expectRestoreRejects(const std::vector<std::uint8_t>& bytes) {
+    SegmentStore store;
+    CommandQueue q{store};
+    BinaryReader r{std::span<const std::uint8_t>(bytes)};
+    EXPECT_THROW(q.restore(r), cop::IoError);
+}
+
+TEST(CommandQueue, RestoreRejectsDuplicatePendingSeq) {
+    // Two entries sharing a seq: the index would keep one while the
+    // pending count says two, and the lost id could never be pushed again.
+    const auto image = twoPendingImage();
+    {
+        SegmentStore store;
+        CommandQueue q{store};
+        BinaryReader r{std::span<const std::uint8_t>(image.bytes)};
+        ASSERT_NO_THROW(q.restore(r));
+        EXPECT_EQ(q.pendingCount(), 2u);
+    }
+    auto patched = image.bytes;
+    std::memcpy(patched.data() + image.secondSeq,
+                image.bytes.data() + image.firstSeq, 8);
+    expectRestoreRejects(patched);
+}
+
+TEST(CommandQueue, RestoreRejectsPendingSeqOutOfRange) {
+    // Live pushes take seqs from nextSeq (2 here) up and requeues from
+    // headSeq (-1) down: a restored seq at either would collide with them.
+    const auto image = twoPendingImage();
+    for (const std::int64_t bad : {std::int64_t(2), std::int64_t(-1),
+                                   std::int64_t(1) << 62}) {
+        SCOPED_TRACE(bad);
+        auto patched = image.bytes;
+        std::memcpy(patched.data() + image.firstSeq, &bad, 8);
+        expectRestoreRejects(patched);
+    }
 }
 
 TEST(Wire, CommandSpecRoundTrip) {
@@ -281,7 +403,8 @@ TEST(ExecutableRegistryTest, DispatchAndErrors) {
 
 
 TEST(CommandQueue, HigherPriorityClaimsFirst) {
-    CommandQueue q;
+    SegmentStore store;
+    CommandQueue q{store};
     auto low = makeCmd(1);
     low.priority = 0;
     auto high = makeCmd(2);
@@ -301,7 +424,8 @@ TEST(CommandQueue, HigherPriorityClaimsFirst) {
 }
 
 TEST(CommandQueue, FifoWithinPriorityLevel) {
-    CommandQueue q;
+    SegmentStore store;
+    CommandQueue q{store};
     for (CommandId id : {10, 11, 12}) q.push(makeCmd(id));
     const auto claimed = q.claim({"mdrun"}, 3, 1);
     ASSERT_EQ(claimed.size(), 3u);
@@ -311,7 +435,8 @@ TEST(CommandQueue, FifoWithinPriorityLevel) {
 }
 
 TEST(CommandQueue, RequeuePreservesPriorityOrder) {
-    CommandQueue q;
+    SegmentStore store;
+    CommandQueue q{store};
     auto urgent = makeCmd(1);
     urgent.priority = 9;
     q.push(urgent);

@@ -50,7 +50,8 @@ void replayTrace(std::uint64_t seed, int numOps,
                                         "score"};
     Rng rng(seed);
     LegacyCommandQueue legacy;
-    CommandQueue indexed;
+    SegmentStore store;
+    CommandQueue indexed{store};
     CommandId nextId = 0;
     std::vector<CommandId> inFlightIds;
     std::size_t totalClaimed = 0;
@@ -184,7 +185,8 @@ TEST(SchedulerEquivalence, SingleExecutableHighChurnTraceMatches) {
     const std::vector<std::string> pool{"mdrun"};
     Rng rng(77);
     LegacyCommandQueue legacy;
-    CommandQueue indexed;
+    SegmentStore store;
+    CommandQueue indexed{store};
     CommandId nextId = 0;
     for (int op = 0; op < 1500; ++op) {
         const double r = rng.uniform();
@@ -213,7 +215,8 @@ TEST(SchedulerEquivalence, RequeueLandsAtHeadOfPriorityLevel) {
     // later requeue lands ahead of an earlier one. Pinned against the
     // legacy queue, which defined the behavior.
     LegacyCommandQueue legacy;
-    CommandQueue indexed;
+    SegmentStore store;
+    CommandQueue indexed{store};
     const auto runScenario = [](auto& q) {
         q.push(makeCmd(1, "mdrun", 1, 1)); // A
         q.push(makeCmd(2, "mdrun", 1, 1)); // B
@@ -237,7 +240,8 @@ TEST(SchedulerEquivalence, RequeueLandsAtHeadOfPriorityLevel) {
 }
 
 TEST(CommandQueue, DuplicatePushRejected) {
-    CommandQueue q;
+    SegmentStore store;
+    CommandQueue q{store};
     q.push(makeCmd(1, "mdrun", 0, 1));
     EXPECT_THROW(q.push(makeCmd(1, "mdrun", 0, 1)), cop::InvalidArgument);
     EXPECT_EQ(q.stats().duplicatePushesRejected, 1u);
@@ -255,7 +259,8 @@ TEST(CommandQueue, DuplicatePushRejected) {
 }
 
 TEST(CommandQueue, UnknownCheckpointDropsAreCounted) {
-    CommandQueue q;
+    SegmentStore store;
+    CommandQueue q{store};
     q.push(makeCmd(1, "mdrun", 0, 1));
     // Not in flight yet: pending commands don't take checkpoints either.
     q.updateCheckpoint(1, SharedBytes{0x01});
@@ -268,7 +273,8 @@ TEST(CommandQueue, UnknownCheckpointDropsAreCounted) {
 }
 
 TEST(CommandQueue, CheckpointPlaneIsZeroCopy) {
-    CommandQueue q;
+    SegmentStore store;
+    CommandQueue q{store};
     q.push(makeCmd(1, "mdrun", 0, 1));
     q.claim({"mdrun"}, 1, 2);
 
@@ -293,18 +299,21 @@ TEST(CommandQueue, LargestFitPacksTheOffer) {
         q.push(makeCmd(2, "mdrun", 0, 4));
         q.push(makeCmd(3, "mdrun", 0, 3));
     };
-    CommandQueue first;
+    SegmentStore firstStore;
+    CommandQueue first{firstStore};
     fill(first);
     EXPECT_EQ(idsOf(first.claim({"mdrun"}, 7, 1, ClaimPolicy::FirstFit)),
               (std::vector<CommandId>{1, 2}));
-    CommandQueue largest;
+    SegmentStore largestStore;
+    CommandQueue largest{largestStore};
     fill(largest);
     EXPECT_EQ(idsOf(largest.claim({"mdrun"}, 7, 1, ClaimPolicy::LargestFit)),
               (std::vector<CommandId>{2, 3}));
 }
 
 TEST(CommandQueue, LargestFitStillHonorsPriorityFirst) {
-    CommandQueue q;
+    SegmentStore store;
+    CommandQueue q{store};
     q.push(makeCmd(1, "mdrun", 0, 8)); // low priority, fills the offer
     q.push(makeCmd(2, "mdrun", 5, 1)); // high priority, small
     q.push(makeCmd(3, "mdrun", 5, 4)); // high priority, large
@@ -319,7 +328,8 @@ TEST(CommandQueue, LargestFitStillHonorsPriorityFirst) {
 TEST(CommandQueue, ClaimScanTouchesOnlyOfferedBuckets) {
     // The indexed claim never visits commands for executables the worker
     // lacks: scan steps stay bounded by the matching work, not the queue.
-    CommandQueue q;
+    SegmentStore store;
+    CommandQueue q{store};
     for (CommandId id = 1; id <= 500; ++id)
         q.push(makeCmd(id, "other_exe", 0, 1));
     q.push(makeCmd(1000, "mdrun", 0, 1));

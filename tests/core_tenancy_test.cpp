@@ -5,11 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "core/copernicus.hpp"
+#include "core/plane_events.hpp"
 #include "core/scheduler.hpp"
 
 namespace cop::core {
@@ -39,7 +42,8 @@ void backlog(ShardedScheduler& sched, const std::vector<ProjectId>& tenants,
 TEST(ShardedScheduler, WeightedDrrSplitsMultiCoreOffers) {
     // Three backlogged tenants, weights 1:2:4, repeatedly offered 8-core
     // workloads: granted cores must converge to weight proportion.
-    ShardedScheduler sched;
+    SegmentStore store;
+    ShardedScheduler sched{store};
     sched.addTenant(1, TenantConfig{1.0});
     sched.addTenant(2, TenantConfig{2.0});
     sched.addTenant(3, TenantConfig{4.0});
@@ -64,7 +68,8 @@ TEST(ShardedScheduler, WeightedDrrSplitsMultiCoreOffers) {
 }
 
 TEST(ShardedScheduler, EqualWeightSingleCoreOffersStayEven) {
-    ShardedScheduler sched;
+    SegmentStore store;
+    ShardedScheduler sched{store};
     for (ProjectId t = 1; t <= 4; ++t) sched.addTenant(t, TenantConfig{});
     CommandId next = 1;
     backlog(sched, {1, 2, 3, 4}, 200, next);
@@ -83,7 +88,8 @@ TEST(ShardedScheduler, EqualWeightSingleCoreOffersStayEven) {
 TEST(ShardedScheduler, ExtremeWeightRatioCannotStarveLightTenant) {
     // Weight 100 vs 1: the light tenant's share shrinks but its deficit
     // still accrues every service round, so it keeps making progress.
-    ShardedScheduler sched;
+    SegmentStore store;
+    ShardedScheduler sched{store};
     sched.addTenant(1, TenantConfig{100.0});
     sched.addTenant(2, TenantConfig{1.0});
     CommandId next = 1;
@@ -102,7 +108,8 @@ TEST(ShardedScheduler, IdleTenantCannotBankDeficit) {
     // A tenant whose shard drained forfeits its deficit: after sitting
     // idle through many service rounds it must not burst ahead of a
     // steadily backlogged tenant once it has work again.
-    ShardedScheduler sched;
+    SegmentStore store;
+    ShardedScheduler sched{store};
     sched.addTenant(1, TenantConfig{});
     sched.addTenant(2, TenantConfig{});
     CommandId next = 1;
@@ -123,7 +130,8 @@ TEST(ShardedScheduler, IdleTenantCannotBankDeficit) {
 }
 
 TEST(ShardedScheduler, AdmissionQuotaRejectsWithRetryAfter) {
-    ShardedScheduler sched;
+    SegmentStore store;
+    ShardedScheduler sched{store};
     TenantConfig cfg;
     cfg.maxPendingCommands = 2;
     cfg.admissionRetryAfter = 12.5;
@@ -143,7 +151,8 @@ TEST(ShardedScheduler, AdmissionQuotaRejectsWithRetryAfter) {
 }
 
 TEST(ShardedScheduler, ByteQuotaCountsPendingPayloadBytes) {
-    ShardedScheduler sched;
+    SegmentStore store;
+    ShardedScheduler sched{store};
     TenantConfig cfg;
     cfg.maxPendingBytes = 1000;
     sched.addTenant(1, cfg);
@@ -161,7 +170,8 @@ TEST(ShardedScheduler, ByteQuotaCountsPendingPayloadBytes) {
 TEST(ShardedScheduler, RequeueBypassesAdmission) {
     // Recovery must never be load-shed: a worker death may push a tenant
     // past its pending quota and that has to succeed.
-    ShardedScheduler sched;
+    SegmentStore store;
+    ShardedScheduler sched{store};
     TenantConfig cfg;
     cfg.maxPendingCommands = 2;
     sched.addTenant(1, cfg);
@@ -176,6 +186,70 @@ TEST(ShardedScheduler, RequeueBypassesAdmission) {
     EXPECT_EQ(sched.requeueWorker(net::NodeId(7)).size(), 2u);
     EXPECT_EQ(sched.pendingOf(1), 4u); // over quota, by design
     EXPECT_EQ(sched.tenantStats(1).commandsRequeued, 2u);
+}
+
+TEST(ShardedScheduler, RestoreRejectsDeficitOutOfRange) {
+    // claim() truncates the deficit to int, so a NaN or huge value from a
+    // snapshot would be undefined behaviour there.
+    SegmentStore store;
+    ShardedScheduler sched{store};
+    const TenantConfig cfg;
+    sched.addTenant(1, cfg);
+    EXPECT_TRUE(sched.push(1, specFor(1, 1)).admitted);
+    BinaryWriter w;
+    sched.serialize(w);
+    const auto image = w.buffer();
+    BinaryWriter configBytes;
+    cfg.serialize(configBytes);
+    // Tenant count, tenant id, config, then the deficit.
+    const std::size_t deficitAt = 8 + 8 + configBytes.buffer().size();
+
+    const auto restoreFrom = [](const std::vector<std::uint8_t>& bytes) {
+        SegmentStore fresh;
+        ShardedScheduler restored{fresh};
+        BinaryReader r{std::span<const std::uint8_t>(bytes)};
+        restored.restore(r);
+    };
+    for (const double ok : {0.0, 3.5, 1024.0}) {
+        auto patched = image;
+        std::memcpy(patched.data() + deficitAt, &ok, 8);
+        EXPECT_NO_THROW(restoreFrom(patched)) << ok;
+    }
+    for (const double bad : {std::numeric_limits<double>::quiet_NaN(), -1.0,
+                             -1e300, 1024.5, 1e300}) {
+        auto patched = image;
+        std::memcpy(patched.data() + deficitAt, &bad, 8);
+        EXPECT_THROW(restoreFrom(patched), cop::IoError) << bad;
+    }
+}
+
+TEST(TenantConfig, DeserializeRejectsNegativeOrNanRetryAfter) {
+    // The WAL record and the scheduler snapshot share this codec, so both
+    // refuse a retry-after the wire would refuse in a shed reply.
+    for (const double bad : {-1.0, std::numeric_limits<double>::quiet_NaN()}) {
+        TenantConfig cfg;
+        cfg.admissionRetryAfter = bad;
+        BinaryWriter w;
+        cfg.serialize(w);
+        BinaryReader r{std::span<const std::uint8_t>(w.buffer())};
+        EXPECT_THROW(TenantConfig::deserialize(r), cop::IoError) << bad;
+
+        BinaryWriter record;
+        event::TenantAdd{1, cfg, "p"}.encode(record);
+        EXPECT_THROW(event::decode(WalRecordType::TenantAdd, record.buffer()),
+                     cop::IoError)
+            << bad;
+
+        SegmentStore store;
+        ShardedScheduler sched{store};
+        EXPECT_THROW(sched.addTenant(1, cfg), cop::InvalidArgument) << bad;
+    }
+    TenantConfig zero;
+    zero.admissionRetryAfter = 0.0;
+    BinaryWriter w;
+    zero.serialize(w);
+    BinaryReader r{std::span<const std::uint8_t>(w.buffer())};
+    EXPECT_EQ(TenantConfig::deserialize(r).admissionRetryAfter, 0.0);
 }
 
 // ---- Deployment level ---------------------------------------------------

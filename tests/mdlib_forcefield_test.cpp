@@ -7,6 +7,7 @@
 
 #include "mdlib/evaluators/dihedral.hpp"
 #include "mdlib/proteins.hpp"
+#include "support/md_oracles.hpp"
 #include "util/random.hpp"
 #include "util/thread_pool.hpp"
 
@@ -107,8 +108,6 @@ void expectFlavorsAgree(const LjSystem& sys, double tol = 1e-10) {
     EXPECT_NEAR(eS.nonbonded, eA.nonbonded, tol);
     EXPECT_EQ(eS.coulomb, eB.coulomb);
     EXPECT_NEAR(eS.coulomb, eA.coulomb, tol);
-    EXPECT_EQ(eS.pairVirial, eB.pairVirial);
-    EXPECT_NEAR(eS.pairVirial, eA.pairVirial, 1e-8);
     for (std::size_t i = 0; i < fScalar.size(); ++i) {
         for (int d = 0; d < 3; ++d) EXPECT_EQ(fScalar[i][d], fBlocked[i][d]);
         EXPECT_NEAR(norm(fScalar[i] - fSoa[i]), 0.0, tol);
@@ -190,7 +189,6 @@ TEST(ForceField, ScalarAndBlockedKernelsAgree) {
     // Same pairTerm, same scatter order: bit-identical.
     EXPECT_EQ(es.nonbonded, eb.nonbonded);
     EXPECT_EQ(es.coulomb, eb.coulomb);
-    EXPECT_EQ(es.pairVirial, eb.pairVirial);
     for (std::size_t i = 0; i < fs.size(); ++i)
         for (int d = 0; d < 3; ++d) EXPECT_EQ(fs[i][d], fb[i][d]);
 }
@@ -252,8 +250,7 @@ TEST(ForceField, EnergiesPotentialSumsTerms) {
 /// evaluator refactor (evaluators/*.hpp): same term order, same
 /// arithmetic, compared with EXPECT_EQ (no tolerance).
 struct MonolithRef {
-    double bond = 0.0, angle = 0.0, dihedral = 0.0, contact = 0.0,
-           virial = 0.0;
+    double bond = 0.0, angle = 0.0, dihedral = 0.0, contact = 0.0;
 };
 
 MonolithRef monolithBonded(const Topology& top, const Box& box,
@@ -270,7 +267,6 @@ MonolithRef monolithBonded(const Topology& top, const Box& box,
             const Vec3 f = d * (-b.k * dr / r);
             forces[std::size_t(b.i)] += f;
             forces[std::size_t(b.j)] -= f;
-            e.virial += dot(d, f);
         }
     }
     for (const auto& a : top.angles()) {
@@ -326,7 +322,6 @@ MonolithRef monolithBonded(const Topology& top, const Box& box,
         const Vec3 f = d * fOverR;
         forces[std::size_t(c.i)] += f;
         forces[std::size_t(c.j)] -= f;
-        e.virial += fOverR * r2;
     }
     return e;
 }
@@ -356,7 +351,6 @@ TEST(ForceField, BondedEvaluatorsBitIdenticalToMonolith) {
     EXPECT_EQ(e.angle, ref.angle);
     EXPECT_EQ(e.dihedral, ref.dihedral);
     EXPECT_EQ(e.contact, ref.contact);
-    EXPECT_EQ(e.pairVirial, ref.virial);
     for (std::size_t i = 0; i < forces.size(); ++i)
         for (int d = 0; d < 3; ++d) EXPECT_EQ(forces[i][d], refForces[i][d]);
 }

@@ -11,6 +11,7 @@
 #include "mdlib/proteins.hpp"
 #include "mdlib/simulation.hpp"
 #include "mdlib/units.hpp"
+#include "support/md_oracles.hpp"
 
 namespace cop::md {
 namespace {

@@ -67,8 +67,7 @@ TEST_P(NveIntegrators, EnergyConservation) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Kinds, NveIntegrators,
-                         ::testing::Values(IntegratorKind::VelocityVerlet,
-                                           IntegratorKind::Leapfrog));
+                         ::testing::Values(IntegratorKind::VelocityVerlet));
 
 TEST(Integrators, LangevinSamplesTargetTemperature) {
     TestSystem sys;
@@ -161,17 +160,6 @@ TEST(Integrators, NoseHooverControlsTemperatureAndConservesExtended) {
     const double c1 = integrator.conservedQuantity(sys.state);
     EXPECT_NEAR(temp.mean(), p.temperature, 0.06);
     EXPECT_NEAR(c1, c0, 0.05 * std::max(1.0, std::abs(c0)));
-}
-
-TEST(Integrators, LeapfrogRejectsNoseHoover) {
-    TestSystem sys;
-    IntegratorParams p;
-    p.kind = IntegratorKind::Leapfrog;
-    p.thermostat = ThermostatKind::NoseHoover;
-    Integrator integrator(sys.ff, p, cop::Rng(1));
-    cop::Rng rng(2);
-    assignVelocities(sys.model.topology, sys.state, 0.5, rng);
-    EXPECT_THROW(integrator.run(sys.state, 10), cop::InvalidArgument);
 }
 
 TEST(Integrators, StepAndTimeAdvance) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "mdlib/proteins.hpp"
+#include "support/md_oracles.hpp"
 #include "util/random.hpp"
 
 namespace cop::md {

@@ -109,7 +109,8 @@ TEST(Simulation, RestoreRejectsOutOfRangeFields) {
          [](SimulationConfig& c, ForceFieldParams&) {
              c.integrator.kind = IntegratorKind::VelocityVerlet;
          },
-         4, {-1, 3, 7}},
+         // 1 is the retired leapfrog tag: in range, but no integrator.
+         4, {-1, 1, 3, 7}},
         {"thermostat kind",
          [](SimulationConfig& c, ForceFieldParams&) {
              c.integrator.thermostat = ThermostatKind::NoseHoover;

@@ -104,7 +104,6 @@ TEST_P(IntegratorKindSweep, CheckpointContinuationIsExact) {
 
 INSTANTIATE_TEST_SUITE_P(Kinds, IntegratorKindSweep,
                          ::testing::Values(md::IntegratorKind::VelocityVerlet,
-                                           md::IntegratorKind::Leapfrog,
                                            md::IntegratorKind::LangevinBAOAB));
 
 // --- k-centers radius is monotone in k ----------------------------------

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Entry point for the fuzz harnesses: the wire-decode surface
 # (fuzz/envelope_fuzz.cpp -> fuzz/corpus/envelope) and the recovery-path
-# surface — WAL log/snapshot parsers + blob codec (fuzz/wal_fuzz.cpp ->
-# fuzz/corpus/wal).
+# surface — WAL log/snapshot parsers, blob codec and scheduler snapshot
+# decoder (fuzz/wal_fuzz.cpp -> fuzz/corpus/wal).
 #
 # With clang available it builds the coverage-guided libFuzzer harnesses
 # (+ASan) and runs, per harness: (1) a deterministic replay of the
