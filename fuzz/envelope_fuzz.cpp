@@ -3,8 +3,8 @@
 /// decoding (everything reachable through wire::decodePayload) and the
 /// util::BinaryReader primitives themselves.
 ///
-/// Input format: byte 0 selects the claimed net::MessageType (mod the
-/// number of message types); the remaining bytes are the payload handed to
+/// Input format: byte 0 is the claimed net::MessageType tag, unknown and
+/// retired tags included; the remaining bytes are the payload handed to
 /// the decoder exactly as a hostile peer could. The harness treats
 /// cop::Error (IoError on truncation/corruption) as the *expected* outcome
 /// for malformed input; anything else — std::bad_alloc from a hostile
@@ -31,10 +31,6 @@
 #include "util/serialize.hpp"
 
 namespace {
-
-/// Count of net::MessageType enumerators (message.hpp); the selector byte
-/// is reduced mod this so every tag stays reachable as the enum grows.
-constexpr unsigned kMessageTypeCount = 16;
 
 void drainReaderPrimitives(std::span<const std::uint8_t> bytes) {
     using cop::BinaryReader;
@@ -73,7 +69,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
     if (size < 1) return 0;
     cop::net::Message msg;
-    msg.type = static_cast<cop::net::MessageType>(data[0] % kMessageTypeCount);
+    msg.type = static_cast<cop::net::MessageType>(data[0]);
     msg.payload.assign(data + 1, data + size);
 
     // Must never throw (returns nullopt on malformed), never allocate
@@ -170,10 +166,16 @@ int generateCorpus(const fs::path& dir) {
     out.projectServer = 3;
     writeSeed(dir, "command_output", out.kType, out.encode());
 
-    LeaseRenewPayload lr;
-    lr.worker = 9;
-    lr.commands = {42, 43, 44};
-    writeSeed(dir, "lease_renew", lr.kType, lr.encode());
+    // A worker's renewal list under tag 13, the retired LeaseRenew type:
+    // well-formed bytes under a tag no decoder accepts any more.
+    {
+        cop::BinaryWriter w;
+        w.write(std::int32_t(9));
+        w.write(std::uint64_t(3));
+        for (std::uint64_t id : {42, 43, 44}) w.write(id);
+        writeSeed(dir, "lease_renew", cop::net::MessageType(13),
+                  w.takeBuffer());
+    }
 
     HeartbeatSummaryPayload hs;
     hs.edge = 4;

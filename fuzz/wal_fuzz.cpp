@@ -288,10 +288,15 @@ int generateCorpus(const fs::path& dir) {
     // is intact, so only the event decoder can reject them.
     {
         namespace ev = cop::core::event;
-        cop::core::TenantConfig badPolicy;
-        badPolicy.claimPolicy = cop::core::ClaimPolicy(9);
+        // TenantAdd's byte after the tenant weight (u64 project, f64
+        // weight) once chose a claim policy and must now be 0.
+        cop::BinaryWriter tenant;
+        ev::TenantAdd{1, cop::core::TenantConfig{}, "msm"}.encode(tenant);
+        auto badPolicy = tenant.takeBuffer();
+        badPolicy[sizeof(std::uint64_t) + sizeof(double)] = 9;
         writeSeed(dir, "log_bad_claim_policy", 0,
-                  eventRecord(ev::TenantAdd{1, badPolicy, "msm"}));
+                  logRecord(std::uint8_t(WalRecordType::TenantAdd),
+                            badPolicy));
         writeSeed(dir, "log_bad_requeue_reason", 0,
                   eventRecord(ev::Requeue{7, ev::RequeueReason(2)}));
         cop::BinaryWriter body;

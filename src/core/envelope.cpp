@@ -3,11 +3,18 @@
 #include <exception>
 #include <utility>
 
+#include "net/backoff.hpp"
+
 namespace cop::core::wire {
 
 namespace {
 
 constexpr std::size_t kDedupWindow = 8192;
+
+/// Retransmit schedule of a reliable send: capped exponential backoff
+/// with seeded jitter, giving up after kMaxAttempts transmissions.
+constexpr net::BackoffPolicy kRetryBackoff{10.0, 2.0, 120.0, 0.2};
+constexpr int kMaxAttempts = 6;
 
 /// Nagle deadline of a queued ack, the standalone-ack latency bound: a
 /// lone ack flushes in the tick it was generated, pulling any data queued
@@ -20,7 +27,6 @@ std::optional<AnyPayload> decodePayload(const net::Message& msg) {
     using net::MessageType;
     try {
         switch (msg.type) {
-        case MessageType::WorkerAnnounce:
         case MessageType::WorkloadRequest:
             return WorkloadRequestPayload::decode(msg.payload);
         case MessageType::WorkloadAssign:
@@ -30,13 +36,9 @@ std::optional<AnyPayload> decodePayload(const net::Message& msg) {
         case MessageType::CheckpointData:
             return CheckpointPayload::decode(msg.payload);
         case MessageType::CommandOutput:
-        case MessageType::CommandFailed:
-        case MessageType::ProjectData:
             return CommandOutputPayload::decode(msg.payload);
         case MessageType::WorkerFailed:
             return WorkerFailedPayload::decode(msg.payload);
-        case MessageType::LeaseRenew:
-            return LeaseRenewPayload::decode(msg.payload);
         case MessageType::NoWorkAvailable:
             return NoWorkPayload::decode(msg.payload);
         case MessageType::ClientRequest:
@@ -57,8 +59,8 @@ std::optional<AnyPayload> decodePayload(const net::Message& msg) {
 }
 
 Endpoint::Endpoint(net::OverlayNetwork& net, net::Node& node,
-                   RetryPolicy policy, BatchPolicy batch)
-    : net_(&net), node_(&node), policy_(policy), batch_(batch),
+                   BatchPolicy batch)
+    : net_(&net), node_(&node), batch_(batch),
       rng_(node.keys().publicKey) {
     node_->setHandler([this](const net::Message& msg) { receive(msg); });
 }
@@ -209,7 +211,7 @@ void Endpoint::flushAll() {
 void Endpoint::armRetry(std::uint64_t id) {
     auto it = pending_.find(id);
     if (it == pending_.end()) return;
-    const double delay = policy_.backoff.delay(it->second.attempt - 1, rng_);
+    const double delay = kRetryBackoff.delay(it->second.attempt - 1, rng_);
     it->second.timer =
         net_->loop().scheduleTimer(delay, [this, id] { onRetryTimer(id); });
 }
@@ -219,7 +221,7 @@ void Endpoint::onRetryTimer(std::uint64_t id) {
     if (it == pending_.end() || down_) return;
     Pending& p = it->second;
     p.timer = 0;
-    if (p.attempt >= policy_.maxAttempts) {
+    if (p.attempt >= kMaxAttempts) {
         ++stats_.deliveriesFailed;
         net::Message failed = std::move(p.msg);
         pending_.erase(it);

@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "core/wire.hpp"
-#include "net/backoff.hpp"
 #include "net/overlay.hpp"
 #include "util/random.hpp"
 
@@ -34,7 +33,7 @@ namespace cop::core::wire {
 using AnyPayload =
     std::variant<WorkloadRequestPayload, WorkloadAssignPayload,
                  HeartbeatPayload, CheckpointPayload, CommandOutputPayload,
-                 WorkerFailedPayload, LeaseRenewPayload, NoWorkPayload,
+                 WorkerFailedPayload, NoWorkPayload,
                  ClientRequestPayload, ClientResponsePayload,
                  HeartbeatSummaryPayload, AckPayload, BatchPayload>;
 
@@ -50,16 +49,10 @@ struct Envelope {
 /// is unknown or the bytes do not parse.
 std::optional<AnyPayload> decodePayload(const net::Message& msg);
 
-/// Reliability knobs for ack-requiring sends.
-struct RetryPolicy {
-    net::BackoffPolicy backoff{10.0, 2.0, 120.0, 0.2};
-    int maxAttempts = 6; ///< total transmissions before giving up
-};
-
 /// Nagle-style transmit coalescing: outgoing envelopes are queued per
 /// destination and flushed as one Batch frame when the queue crosses a
 /// count/size threshold or a short timer fires. Acks (and any other
-/// control payload queued in the same window — LeaseRenew, heartbeats)
+/// control payload queued in the same window — heartbeats, summaries)
 /// piggyback on the next flush instead of paying their own frame; a lone
 /// ack is flushed in the same event-loop tick it was generated, so
 /// sparse-load ack latency is unchanged.
@@ -75,7 +68,7 @@ struct EndpointStats {
     std::uint64_t acksSent = 0;
     std::uint64_t retransmits = 0;
     std::uint64_t duplicatesDropped = 0; ///< redeliveries suppressed
-    std::uint64_t deliveriesFailed = 0;  ///< gave up after maxAttempts
+    std::uint64_t deliveriesFailed = 0;  ///< gave up retransmitting
     /// Malformed envelopes dropped: payload failed to parse (truncated,
     /// corrupt length prefix) or carried trailing garbage past the
     /// decoded payload. Never silently delivered.
@@ -99,7 +92,7 @@ public:
     using Handler = std::function<void(const Envelope&, const net::Message&)>;
     using FailureHandler = std::function<void(const net::Message&)>;
 
-    Endpoint(net::OverlayNetwork& net, net::Node& node, RetryPolicy policy = {},
+    Endpoint(net::OverlayNetwork& net, net::Node& node,
              BatchPolicy batch = {});
 
     /// Registers the application dispatch for decoded envelopes.
@@ -111,7 +104,8 @@ public:
     }
 
     /// Sends a typed payload. Reliable sends request an end-to-end ack and
-    /// retransmit with backoff until acked or maxAttempts transmissions.
+    /// retransmit with capped exponential backoff until acked, giving up
+    /// after a fixed number of transmissions.
     /// Returns the message id (0 if the endpoint is shut down).
     template <typename T>
     std::uint64_t send(net::NodeId to, const T& payload, bool reliable = true) {
@@ -184,7 +178,6 @@ private:
 
     net::OverlayNetwork* net_;
     net::Node* node_;
-    RetryPolicy policy_;
     BatchPolicy batch_;
     Rng rng_;
     Handler handler_;

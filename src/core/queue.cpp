@@ -1,7 +1,6 @@
 #include "core/queue.hpp"
 
 #include <algorithm>
-#include <limits>
 
 #include "util/error.hpp"
 #include "util/logging.hpp"
@@ -23,11 +22,10 @@ void CommandQueue::push(CommandSpec cmd) {
 bool CommandQueue::insertPending(CommandSpec cmd, std::int64_t seq) {
     auto& bucket = buckets_[cmd.executable];
     auto [it, inserted] =
-        bucket.byKey.try_emplace(Key{cmd.priority, seq}, std::move(cmd));
+        bucket.try_emplace(Key{cmd.priority, seq}, std::move(cmd));
     if (!inserted) return false;
     CommandSpec& spec = it->second;
     stashInput(spec);
-    bucket.byCores.insert(CoreKey{spec.priority, spec.preferredCores, seq});
     pendingBytes_ += store_->sizeOf(spec.id);
     ++pendingCount_;
     return true;
@@ -49,18 +47,15 @@ bool CommandQueue::hasWorkFor(
     for (const auto& exe : executables) {
         ++stats_.hasWorkProbes;
         auto it = buckets_.find(exe);
-        if (it != buckets_.end() && !it->second.byKey.empty()) return true;
+        if (it != buckets_.end() && !it->second.empty()) return true;
     }
     return false;
 }
 
-CommandSpec CommandQueue::take(Bucket& bucket,
-                               std::map<Key, CommandSpec>::iterator it,
+CommandSpec CommandQueue::take(Bucket& bucket, Bucket::iterator it,
                                net::NodeId worker) {
     CommandSpec spec = std::move(it->second);
-    bucket.byCores.erase(
-        CoreKey{it->first.priority, spec.preferredCores, it->first.seq});
-    bucket.byKey.erase(it);
+    bucket.erase(it);
     --pendingCount_;
     pendingBytes_ -= store_->sizeOf(spec.id);
     inFlight_[spec.id] = InFlight{spec, worker};
@@ -71,83 +66,44 @@ CommandSpec CommandQueue::take(Bucket& bucket,
 
 std::vector<CommandSpec> CommandQueue::claim(
     const std::vector<std::string>& executables, int maxCores,
-    net::NodeId worker, ClaimPolicy policy) {
+    net::NodeId worker) {
     ++stats_.claims;
     std::vector<CommandSpec> claimed;
     int coresLeft = maxCores;
 
-    // Offered buckets, deduplicated (a repeated name must not yield two
-    // cursors over the same bucket).
-    std::vector<Bucket*> offered;
+    // K-way merge of the offered buckets in global (priority, seq) order:
+    // exactly the runnable subsequence the legacy full-queue scan visited,
+    // without ever touching non-matching work. One cursor per offered
+    // bucket, deduplicated (a repeated name must not yield two cursors
+    // over the same bucket).
+    struct Cursor {
+        Bucket* bucket;
+        Bucket::iterator it;
+    };
+    std::vector<Cursor> cursors;
     for (const auto& exe : executables) {
         auto it = buckets_.find(exe);
-        if (it == buckets_.end() || it->second.byKey.empty()) continue;
-        if (std::find(offered.begin(), offered.end(), &it->second) ==
-            offered.end())
-            offered.push_back(&it->second);
+        if (it == buckets_.end() || it->second.empty()) continue;
+        Bucket* b = &it->second;
+        if (std::none_of(cursors.begin(), cursors.end(),
+                         [b](const Cursor& c) { return c.bucket == b; }))
+            cursors.push_back(Cursor{b, b->begin()});
     }
-
-    if (policy == ClaimPolicy::FirstFit) {
-        // K-way merge of the offered buckets in global (priority, seq)
-        // order: exactly the runnable subsequence the legacy full-queue
-        // scan visited, without ever touching non-matching work.
-        struct Cursor {
-            Bucket* bucket;
-            std::map<Key, CommandSpec>::iterator it;
-        };
-        std::vector<Cursor> cursors;
-        cursors.reserve(offered.size());
-        for (Bucket* b : offered)
-            cursors.push_back(Cursor{b, b->byKey.begin()});
-        while (coresLeft > 0) {
-            Cursor* best = nullptr;
-            for (auto& c : cursors) {
-                if (c.it == c.bucket->byKey.end()) continue;
-                if (best == nullptr || c.it->first < best->it->first)
-                    best = &c;
-            }
-            if (best == nullptr) break;
-            ++stats_.claimScanSteps;
-            if (best->it->second.preferredCores <= coresLeft) {
-                coresLeft -= best->it->second.preferredCores;
-                auto next = std::next(best->it);
-                claimed.push_back(take(*best->bucket, best->it, worker));
-                best->it = next;
-            } else {
-                ++best->it;
-            }
+    while (coresLeft > 0) {
+        Cursor* best = nullptr;
+        for (auto& c : cursors) {
+            if (c.it == c.bucket->end()) continue;
+            if (best == nullptr || c.it->first < best->it->first) best = &c;
         }
-    } else {
-        // LargestFit: per step, the globally best CoreKey (priority desc,
-        // cores desc, seq asc) whose core request fits. Within a bucket,
-        // walk priority levels via lower_bound until a level has a
-        // fitting entry.
-        while (coresLeft > 0) {
-            Bucket* bestBucket = nullptr;
-            std::set<CoreKey>::iterator bestIt;
-            for (Bucket* b : offered) {
-                auto it = b->byCores.begin();
-                while (it != b->byCores.end()) {
-                    ++stats_.claimScanSteps;
-                    if (it->cores <= coresLeft) break;
-                    // Everything at this priority level is too big: jump
-                    // to the first fitting entry at this level or the top
-                    // of the next level.
-                    it = b->byCores.lower_bound(
-                        CoreKey{it->priority, coresLeft,
-                                std::numeric_limits<std::int64_t>::min()});
-                }
-                if (it == b->byCores.end()) continue;
-                if (bestBucket == nullptr || *it < *bestIt) {
-                    bestBucket = b;
-                    bestIt = it;
-                }
-            }
-            if (bestBucket == nullptr) break;
-            auto keyIt = bestBucket->byKey.find(
-                Key{bestIt->priority, bestIt->seq});
-            coresLeft -= bestIt->cores;
-            claimed.push_back(take(*bestBucket, keyIt, worker));
+        if (best == nullptr) break;
+        ++stats_.claimScanSteps;
+        if (best->it->second.preferredCores <= coresLeft) {
+            coresLeft -= best->it->second.preferredCores;
+            auto next = std::next(best->it);
+            claimed.push_back(take(*best->bucket, best->it, worker));
+            best->it = next;
+        } else {
+            ++best->it;
         }
     }
     stats_.commandsClaimed += claimed.size();
@@ -217,7 +173,7 @@ std::optional<net::NodeId> CommandQueue::holderOf(CommandId id) const {
 void CommandQueue::forEachPending(
     const std::function<void(const CommandSpec&)>& fn) const {
     for (const auto& [exe, bucket] : buckets_)
-        for (const auto& [key, spec] : bucket.byKey) fn(spec);
+        for (const auto& [key, spec] : bucket) fn(spec);
 }
 
 void CommandQueue::forEachInFlight(
@@ -233,7 +189,7 @@ void CommandQueue::serialize(BinaryWriter& w) const {
     // payloads travel inline so the snapshot is self-contained.
     w.write(std::uint64_t(pendingCount_));
     for (const auto& [exe, bucket] : buckets_)
-        for (const auto& [key, spec] : bucket.byKey) {
+        for (const auto& [key, spec] : bucket) {
             w.write(std::int64_t(key.seq));
             rehydrate(spec).serialize(w);
         }

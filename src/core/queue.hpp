@@ -17,18 +17,15 @@
 /// monotone sequence counter and requeue-to-head-of-priority-level out of
 /// a second, decreasing counter. hasWorkFor() probes only the offered
 /// buckets; claim() k-way-merges the offered buckets in global priority
-/// order (never touching commands for executables the worker lacks); a
-/// (priority desc, cores desc, seq asc) secondary index supports a
-/// largest-fit-first claim policy that bin-packs the worker's core offer.
-/// Assignment order under ClaimPolicy::FirstFit is observably identical
-/// to the original linear-scan queue (kept as LegacyCommandQueue for
-/// equivalence tests and benchmarks).
+/// order (never touching commands for executables the worker lacks),
+/// first-fit against the worker's core offer. Assignment order is
+/// observably identical to the original linear-scan queue (kept as
+/// LegacyCommandQueue for equivalence tests and benchmarks).
 
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <optional>
-#include <set>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -38,18 +35,6 @@
 #include "util/serialize.hpp"
 
 namespace cop::core {
-
-/// How claim() assembles a workload from matching pending commands.
-enum class ClaimPolicy {
-    /// Walk matching work in global (priority, FIFO) order, claiming every
-    /// command that fits the remaining core budget. Matches the original
-    /// scan byte-for-byte.
-    FirstFit,
-    /// Highest priority still wins, but within a priority level the
-    /// largest core request that fits the remaining budget is claimed
-    /// first ("assemble workloads maximally utilizing the offer").
-    LargestFit,
-};
 
 /// Scheduler hot-path counters, exposed via Server::schedulerStats().
 struct SchedulerStats {
@@ -89,13 +74,12 @@ public:
     bool hasWorkFor(const std::vector<std::string>& executables) const;
 
     /// Claims up to `maxCores` worth of commands matching the worker's
-    /// executables, marking them in-flight for `worker`. Commands whose
-    /// preferredCores exceed the remaining budget are skipped (the paper's
-    /// "maximally utilizes the available resources"); `policy` selects
-    /// between first-come order and largest-fit-first bin packing.
+    /// executables, marking them in-flight for `worker`. Matching work is
+    /// walked in global (priority, FIFO) order and every command that fits
+    /// the remaining core budget is claimed; larger ones are skipped (the
+    /// paper's "maximally utilizes the available resources").
     std::vector<CommandSpec> claim(const std::vector<std::string>& executables,
-                                   int maxCores, net::NodeId worker,
-                                   ClaimPolicy policy = ClaimPolicy::FirstFit);
+                                   int maxCores, net::NodeId worker);
 
     /// Marks a command finished; returns its spec if it was in flight.
     std::optional<CommandSpec> complete(CommandId id);
@@ -149,22 +133,8 @@ private:
             return seq < o.seq;
         }
     };
-    /// Secondary ordering for LargestFit: priority desc, cores desc,
-    /// FIFO tie-break.
-    struct CoreKey {
-        int priority = 0;
-        int cores = 0;
-        std::int64_t seq = 0;
-        bool operator<(const CoreKey& o) const {
-            if (priority != o.priority) return priority > o.priority;
-            if (cores != o.cores) return cores > o.cores;
-            return seq < o.seq;
-        }
-    };
-    struct Bucket {
-        std::map<Key, CommandSpec> byKey;
-        std::set<CoreKey> byCores;
-    };
+    /// One executable's pending work in claim order.
+    using Bucket = std::map<Key, CommandSpec>;
     struct InFlight {
         CommandSpec spec;
         net::NodeId worker;
@@ -179,8 +149,7 @@ private:
     /// Rehydrates a spec's input from the store without releasing it.
     CommandSpec rehydrate(CommandSpec spec) const;
     /// Moves one bucket entry into the in-flight table; returns the spec.
-    CommandSpec take(Bucket& bucket, std::map<Key, CommandSpec>::iterator it,
-                     net::NodeId worker);
+    CommandSpec take(Bucket& bucket, Bucket::iterator it, net::NodeId worker);
     void requeueInFlight(InFlight&& flight);
 
     std::map<std::string, Bucket> buckets_; ///< executable -> pending work

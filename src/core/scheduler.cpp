@@ -22,7 +22,7 @@ constexpr double kQuantum = 1.0;
 
 void TenantConfig::serialize(BinaryWriter& w) const {
     w.write(weight);
-    w.write(std::uint8_t(claimPolicy));
+    w.write(std::uint8_t(0)); // reserved
     w.write(std::uint64_t(maxPendingCommands));
     w.write(std::uint64_t(maxPendingBytes));
     w.write(admissionRetryAfter);
@@ -31,10 +31,8 @@ void TenantConfig::serialize(BinaryWriter& w) const {
 TenantConfig TenantConfig::deserialize(BinaryReader& r) {
     TenantConfig c;
     c.weight = r.read<double>();
-    const auto policy = r.read<std::uint8_t>();
-    COP_IO_CHECK(policy <= std::uint8_t(ClaimPolicy::LargestFit),
+    COP_IO_CHECK(r.read<std::uint8_t>() == 0,
                  "tenant config: bad claim policy");
-    c.claimPolicy = ClaimPolicy(policy);
     c.maxPendingCommands = std::size_t(r.read<std::uint64_t>());
     c.maxPendingBytes = std::size_t(r.read<std::uint64_t>());
     c.admissionRetryAfter = r.read<double>();
@@ -142,8 +140,7 @@ std::vector<CommandSpec> ShardedScheduler::claim(
         // assembled workload. Offer the full budget in one shot — exactly
         // the pre-shard single-queue behaviour.
         Shard& s = *active.front().shard;
-        auto claimed =
-            s.queue.claim(executables, maxCores, worker, s.config.claimPolicy);
+        auto claimed = s.queue.claim(executables, maxCores, worker);
         for (const auto& c : claimed) {
             s.counters.coresGranted += std::uint64_t(c.preferredCores);
         }
@@ -172,8 +169,7 @@ std::vector<CommandSpec> ShardedScheduler::claim(
                 std::min(s.deficit + kQuantum * s.config.weight, kDeficitCap);
             const int budget = std::min(remaining, int(s.deficit));
             if (budget <= 0) continue; // credit below one core so far
-            auto claimed = s.queue.claim(executables, budget, worker,
-                                         s.config.claimPolicy);
+            auto claimed = s.queue.claim(executables, budget, worker);
             if (claimed.empty()) {
                 // Nothing fits the deficit-limited budget. Once the budget
                 // saturates the whole remaining offer, more credit cannot

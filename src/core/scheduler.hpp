@@ -38,8 +38,6 @@ struct TenantConfig {
     /// Fair-share weight: backlogged tenants receive worker cores in
     /// proportion to their weights (deficit-round-robin).
     double weight = 1.0;
-    /// How this tenant's shard assembles workloads from its own commands.
-    ClaimPolicy claimPolicy = ClaimPolicy::FirstFit;
     /// Admission quota: maximum pending (not in-flight) commands before
     /// new submissions are rejected. 0 = unlimited.
     std::size_t maxPendingCommands = 0;
@@ -49,8 +47,9 @@ struct TenantConfig {
     double admissionRetryAfter = 30.0;
 
     /// The one wire form, shared by the WAL's TenantAdd record and the
-    /// scheduler snapshot. deserialize() treats the stream as untrusted:
-    /// an unknown claim policy, a weight that is not positive, or a
+    /// scheduler snapshot. A reserved byte after the weight, once a claim
+    /// policy, is always 0. deserialize() treats the stream as untrusted:
+    /// a nonzero reserved byte, a weight that is not positive, or a
     /// negative or NaN retry-after throws IoError.
     void serialize(BinaryWriter& w) const;
     static TenantConfig deserialize(BinaryReader& r);
@@ -100,7 +99,7 @@ public:
     bool hasWorkFor(const std::vector<std::string>& executables) const;
 
     /// Claims up to maxCores worth of commands across tenants under
-    /// weighted DRR; each shard claims with its own ClaimPolicy.
+    /// weighted DRR.
     std::vector<CommandSpec> claim(const std::vector<std::string>& executables,
                                    int maxCores, net::NodeId worker);
 

@@ -23,6 +23,8 @@ SegmentStore::~SegmentStore() {
         if (seg.fd >= 0) ::close(seg.fd);
         if (!seg.path.empty()) ::unlink(seg.path.c_str());
     }
+    // Only a directory this store named itself; a caller's dir stays.
+    if (ownsDir_) ::rmdir(cfg_.dir.c_str());
 }
 
 void SegmentStore::ensureDir() {
@@ -32,6 +34,7 @@ void SegmentStore::ensureDir() {
                               ("cop_store_" + std::to_string(::getpid()) +
                                "_" + std::to_string(std::uintptr_t(this)));
         cfg_.dir = base.string();
+        ownsDir_ = true;
     }
     std::error_code ec;
     fs::create_directories(cfg_.dir, ec);

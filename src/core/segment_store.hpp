@@ -39,7 +39,8 @@ struct StoreConfig {
     /// seed behavior).
     std::size_t ramBytes = 0;
     /// Spill directory. Empty with a nonzero cap = a per-store directory
-    /// under the system temp dir, created lazily on first spill.
+    /// under the system temp dir, created lazily on first spill and
+    /// removed with the store.
     std::string dir;
     /// Roll to a new segment file beyond this many bytes.
     std::size_t maxSegmentBytes = std::size_t(64) << 20;
@@ -129,6 +130,7 @@ private:
     std::vector<Segment> segments_;
     std::size_t ramBytes_ = 0;
     bool dirReady_ = false;
+    bool ownsDir_ = false; ///< cfg_.dir was named by ensureDir()
     mutable StoreStats stats_;
 };
 

@@ -133,7 +133,7 @@ private:
 Server::Server(net::OverlayNetwork& network, std::string name,
                net::KeyPair keys, ServerConfig config)
     : network_(&network), node_(network, std::move(name), keys),
-      endpoint_(network, node_, wire::RetryPolicy{}, config.batch),
+      endpoint_(network, node_, config.batch),
       config_(config),
       store_(std::make_unique<SegmentStore>(
           StoreConfig{config.durability.storeRamBytes,
@@ -247,8 +247,6 @@ void Server::handleEnvelope(const wire::Envelope& env,
                 handleCheckpoint(payload);
             else if constexpr (std::is_same_v<T, WorkerFailedPayload>)
                 handleWorkerFailed(payload);
-            else if constexpr (std::is_same_v<T, LeaseRenewPayload>)
-                handleLeaseRenew(payload);
             else if constexpr (std::is_same_v<T, HeartbeatSummaryPayload>)
                 handleHeartbeatSummary(payload);
             else if constexpr (std::is_same_v<T, ClientRequestPayload>)
@@ -475,8 +473,8 @@ void Server::flushHeartbeatSummaries() {
                                     commands.end());
         }
         ++stats_.heartbeatSummariesSent;
-        // Unreliable like the LeaseRenew it replaces: a lost digest is
-        // covered by the next window; leases span several windows.
+        // Unreliable: a lost digest is covered by the next window;
+        // leases span several windows.
         endpoint_.send(ps, summary, /*reliable=*/false);
     }
     summaryBuffers_.clear();
@@ -493,13 +491,6 @@ void Server::handleHeartbeatSummary(const HeartbeatSummaryPayload& summary) {
         if (!ids.empty())
             commit(event::Renew{summary.workers[i], expires, ids});
     }
-}
-
-void Server::handleLeaseRenew(const LeaseRenewPayload& payload) {
-    if (!payload.commands.empty())
-        commit(event::Renew{payload.worker,
-                            network_->loop().now() + leaseDuration(),
-                            payload.commands});
 }
 
 void Server::handleCheckpoint(const CheckpointPayload& cp) {

@@ -87,8 +87,8 @@ struct ServerConfig {
     DurabilityConfig durability;
 };
 
-/// One hosted project: its name and its scheduling contract (weight,
-/// claim policy, admission quotas).
+/// One hosted project: its name and its scheduling contract (weight and
+/// admission quotas).
 struct ProjectSpec {
     std::string name;
     TenantConfig tenant{};
@@ -119,7 +119,7 @@ struct ServerStats {
     std::uint64_t heartbeatSummariesSent = 0;
     std::uint64_t heartbeatSummariesReceived = 0;
     /// Individual lease renewals that rode a summary instead of paying
-    /// their own LeaseRenew message.
+    /// their own message.
     std::uint64_t leaseRenewalsAggregated = 0;
     /// Successful results whose output the controller rejected with
     /// IoError; each was handed back as a failed command. Process-local.
@@ -168,7 +168,7 @@ public:
     void addPeer(net::NodeId peer);
 
     /// Creates a project hosted on this server with an explicit scheduling
-    /// contract (weight, claim policy, admission quotas). The controller's
+    /// contract (weight and admission quotas). The controller's
     /// onProjectStart fires immediately.
     /// `createProject({.name = "p"}, ...)` takes the default contract.
     ProjectId createProject(ProjectSpec spec,
@@ -256,7 +256,6 @@ private:
     void handleHeartbeat(const HeartbeatPayload& hb);
     void handleCheckpoint(const CheckpointPayload& cp);
     void handleWorkerFailed(const WorkerFailedPayload& payload);
-    void handleLeaseRenew(const LeaseRenewPayload& payload);
     void handleHeartbeatSummary(const HeartbeatSummaryPayload& summary);
     void handleClientRequest(const ClientRequestPayload& request,
                              const net::Message& msg);

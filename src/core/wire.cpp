@@ -136,21 +136,6 @@ CommandOutputPayload CommandOutputPayload::deserialize(BinaryReader& r) {
     return p;
 }
 
-void LeaseRenewPayload::serialize(BinaryWriter& w) const {
-    w.write(std::int32_t(worker));
-    w.write(std::uint64_t(commands.size()));
-    for (auto id : commands) w.write(id);
-}
-
-LeaseRenewPayload LeaseRenewPayload::deserialize(BinaryReader& r) {
-    LeaseRenewPayload p;
-    p.worker = r.read<std::int32_t>();
-    const auto n = r.readCount(8);
-    for (std::uint64_t i = 0; i < n; ++i)
-        p.commands.push_back(r.read<std::uint64_t>());
-    return p;
-}
-
 void NoWorkPayload::serialize(BinaryWriter& w) const {
     w.write(std::int32_t(worker));
     w.write(retryAfterSeconds);
@@ -251,7 +236,7 @@ BatchPayload BatchPayload::deserialize(BinaryReader& r) {
     for (std::uint64_t i = 0; i < n; ++i) {
         BatchEntry e;
         const auto tag = r.read<std::uint8_t>();
-        if (tag >= net::kMessageTypeCount)
+        if (!net::isMessageType(tag))
             throw IoError("batch entry with unknown message type " +
                           std::to_string(tag));
         e.type = net::MessageType(tag);
@@ -317,10 +302,6 @@ std::size_t CommandOutputPayload::encodedSize() const {
     return result.encodedSize() + 4;
 }
 
-std::size_t LeaseRenewPayload::encodedSize() const {
-    return 4 + 8 + 8 * commands.size();
-}
-
 std::size_t NoWorkPayload::encodedSize() const { return 4 + 8; }
 
 std::size_t ClientRequestPayload::encodedSize() const {
@@ -357,7 +338,6 @@ COP_WIRE_WHOLE(HeartbeatPayload)
 COP_WIRE_WHOLE(CheckpointPayload)
 COP_WIRE_WHOLE(WorkerFailedPayload)
 COP_WIRE_WHOLE(CommandOutputPayload)
-COP_WIRE_WHOLE(LeaseRenewPayload)
 COP_WIRE_WHOLE(NoWorkPayload)
 COP_WIRE_WHOLE(ClientRequestPayload)
 COP_WIRE_WHOLE(ClientResponsePayload)

@@ -114,21 +114,6 @@ struct CommandOutputPayload {
     static CommandOutputPayload decode(std::span<const std::uint8_t> data);
 };
 
-/// A worker's closest server vouches for the worker towards a remote
-/// project server: renews the leases of the listed commands.
-struct LeaseRenewPayload {
-    static constexpr net::MessageType kType = net::MessageType::LeaseRenew;
-
-    net::NodeId worker = net::kInvalidNode;
-    std::vector<CommandId> commands;
-
-    void serialize(BinaryWriter& w) const;
-    static LeaseRenewPayload deserialize(BinaryReader& r);
-    std::vector<std::uint8_t> encode() const;
-    std::size_t encodedSize() const; ///< exact wire size, for reserve()
-    static LeaseRenewPayload decode(std::span<const std::uint8_t> data);
-};
-
 /// Negative response to a workload request (no commands anywhere), or a
 /// backpressure signal: retryAfterSeconds > 0 asks the worker to hold its
 /// next poll at least that long (park queue full, admission pressure).
@@ -176,7 +161,7 @@ struct ClientResponsePayload {
 };
 
 /// An edge server's aggregated heartbeat digest towards one project
-/// server: instead of relaying a LeaseRenew per heartbeat, the edge
+/// server: instead of relaying a renewal per heartbeat, the edge
 /// accumulates renewals across its workers and flushes one summary per
 /// aggregation window (paper §2.3 pushed further: heartbeats are
 /// *summarized*, never forwarded). `counts[i]` commands in the flattened

@@ -10,7 +10,7 @@ Worker::Worker(net::OverlayNetwork& network, std::string name,
                net::KeyPair keys, WorkerConfig config,
                ExecutableRegistry registry)
     : network_(&network), node_(network, std::move(name), keys),
-      endpoint_(network, node_, config.rpc, config.batch),
+      endpoint_(network, node_, config.batch),
       config_(std::move(config)),
       registry_(std::move(registry)), rng_(node_.keys().publicKey) {
     COP_REQUIRE(config_.cores >= 1, "worker needs at least one core");

@@ -35,8 +35,6 @@ struct WorkerConfig {
     /// Wait after NoWorkAvailable: capped exponential backoff with seeded
     /// jitter so an idle fleet does not poll in lockstep.
     net::BackoffPolicy pollBackoff{30.0, 2.0, 480.0, 0.25};
-    /// Ack/retransmit policy for reliable sends.
-    wire::RetryPolicy rpc;
     /// Transmit coalescing + ack piggybacking (enabled by default).
     wire::BatchPolicy batch;
 };

@@ -14,34 +14,32 @@ namespace cop::net {
 using NodeId = int;
 inline constexpr NodeId kInvalidNode = -1;
 
+/// Wire tags are explicit and never reused: 0, 5, 8 and 13 belonged to
+/// message types that are gone, and a frame carrying one is malformed.
 enum class MessageType : std::uint8_t {
     // Worker <-> server (paper §2.3)
-    WorkerAnnounce,   ///< platform + executables + resources
-    WorkloadRequest,  ///< forwarded towards the first server with commands
-    WorkloadAssign,   ///< commands + input data for a worker
-    Heartbeat,        ///< worker status; never forwarded past first server
-    CommandOutput,    ///< finished command results (trajectory data)
-    CommandFailed,    ///< command aborted with an error
-    CheckpointData,   ///< mid-run checkpoint cached by the worker's server
-    WorkerFailed,     ///< failure signal from a worker's server (§2.3)
+    WorkloadRequest = 1, ///< forwarded towards the first server with commands
+    WorkloadAssign = 2,  ///< commands + input data for a worker
+    Heartbeat = 3,       ///< worker status; never forwarded past first server
+    CommandOutput = 4,   ///< finished or failed command results
+    CheckpointData = 6,  ///< mid-run checkpoint cached by the worker's server
+    WorkerFailed = 7,    ///< failure signal from a worker's server (§2.3)
     // Server <-> server
-    ProjectData,      ///< relayed command output towards the project server
-    NoWorkAvailable,  ///< negative response to a workload request
-                      ///  (may carry an admission retry-after hint)
+    NoWorkAvailable = 9, ///< negative response to a workload request
+                         ///  (may carry an admission retry-after hint)
     // Client <-> server
-    ClientRequest,    ///< monitoring/control from the command line client
-    ClientResponse,
+    ClientRequest = 10,  ///< monitoring/control from the command line client
+    ClientResponse = 11,
     // Wire-layer control (envelope protocol)
-    Ack,              ///< end-to-end delivery acknowledgement
-    LeaseRenew,       ///< closest server renews command leases for a worker
-    Batch,            ///< coalesced sub-envelopes sharing one frame
-    HeartbeatSummary, ///< edge server's aggregated lease renewals (§2.3:
-                      ///  heartbeats are summarized, never forwarded)
+    Ack = 12,            ///< end-to-end delivery acknowledgement
+    Batch = 14,          ///< coalesced sub-envelopes sharing one frame
+    HeartbeatSummary = 15, ///< edge server's aggregated lease renewals
+                           ///  (§2.3: heartbeats are summarized, never
+                           ///  forwarded)
 };
 
-/// Number of MessageType enumerators (keep in sync with the enum above;
-/// the fuzz harness and the Batch decode loop both gate on it).
-inline constexpr unsigned kMessageTypeCount = 16;
+/// True if `tag` is the wire tag of a MessageType enumerator.
+bool isMessageType(std::uint8_t tag);
 
 const char* messageTypeName(MessageType t);
 

@@ -24,28 +24,31 @@ constexpr std::uint64_t kTraceLinkUp = 7;
 constexpr std::uint64_t kTraceNodeDown = 8;
 constexpr std::uint64_t kTraceNodeUp = 9;
 
+/// messageTypeName() of a tag no enumerator carries.
+constexpr const char* kUnknownTypeName = "Unknown";
+
 } // namespace
 
 const char* messageTypeName(MessageType t) {
     switch (t) {
-    case MessageType::WorkerAnnounce: return "WorkerAnnounce";
     case MessageType::WorkloadRequest: return "WorkloadRequest";
     case MessageType::WorkloadAssign: return "WorkloadAssign";
     case MessageType::Heartbeat: return "Heartbeat";
     case MessageType::CommandOutput: return "CommandOutput";
-    case MessageType::CommandFailed: return "CommandFailed";
     case MessageType::CheckpointData: return "CheckpointData";
     case MessageType::WorkerFailed: return "WorkerFailed";
-    case MessageType::ProjectData: return "ProjectData";
     case MessageType::NoWorkAvailable: return "NoWorkAvailable";
     case MessageType::ClientRequest: return "ClientRequest";
     case MessageType::ClientResponse: return "ClientResponse";
     case MessageType::Ack: return "Ack";
-    case MessageType::LeaseRenew: return "LeaseRenew";
     case MessageType::Batch: return "Batch";
     case MessageType::HeartbeatSummary: return "HeartbeatSummary";
     }
-    return "Unknown";
+    return kUnknownTypeName;
+}
+
+bool isMessageType(std::uint8_t tag) {
+    return messageTypeName(MessageType(tag)) != kUnknownTypeName;
 }
 
 bool isBulkDataMessage(MessageType t) {
@@ -53,18 +56,14 @@ bool isBulkDataMessage(MessageType t) {
     case MessageType::WorkloadAssign:
     case MessageType::CommandOutput:
     case MessageType::CheckpointData:
-    case MessageType::ProjectData:
         return true;
-    case MessageType::WorkerAnnounce:
     case MessageType::WorkloadRequest:
     case MessageType::Heartbeat:
-    case MessageType::CommandFailed:
     case MessageType::WorkerFailed:
     case MessageType::NoWorkAvailable:
     case MessageType::ClientRequest:
     case MessageType::ClientResponse:
     case MessageType::Ack:
-    case MessageType::LeaseRenew:
     case MessageType::Batch:
     case MessageType::HeartbeatSummary:
         return false;

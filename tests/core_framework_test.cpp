@@ -457,8 +457,7 @@ struct ScriptedWorker {
     ScriptedWorker(Deployment& dep, Server& server, std::uint64_t key)
         : node(dep.network(), "scripted" + std::to_string(key),
                net::KeyPair::generate(key)),
-          endpoint(dep.network(), node, {},
-                   wire::BatchPolicy{.enabled = false}) {
+          endpoint(dep.network(), node, wire::BatchPolicy{.enabled = false}) {
         node.trust(server.node().publicKey());
         server.node().trust(node.publicKey());
         dep.network().connect(node.id(), server.id(),

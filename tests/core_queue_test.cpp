@@ -357,11 +357,6 @@ TEST(Wire, EncodedSizeIsExact) {
     out.projectServer = 4;
     expectExactEncodedSize(out, "CommandOutput");
 
-    LeaseRenewPayload lease;
-    lease.worker = 2;
-    lease.commands = {5, 6, 7};
-    expectExactEncodedSize(lease, "LeaseRenew");
-
     NoWorkPayload none;
     none.worker = 8;
     expectExactEncodedSize(none, "NoWork");

@@ -1,14 +1,14 @@
 // Scheduler equivalence and zero-copy data-plane tests.
 //
 // The indexed CommandQueue replaced the linear-scan queue with the claim
-// that assignment order is observably identical under ClaimPolicy::FirstFit.
+// that assignment order is observably identical to the legacy scan.
 // This file holds that claim to account: randomized seeded traces of
 // push/claim/complete/requeue/checkpoint ops are replayed against both
 // implementations and every observable output (claimed specs, requeued ids,
 // completion results, counts) must match exactly. It also pins the
-// requeue-to-head-of-priority-level semantics, the LargestFit bin-packing
-// policy, duplicate-push rejection, unknown-checkpoint accounting, and the
-// zero-deep-copy guarantee of the SharedBytes checkpoint plane.
+// requeue-to-head-of-priority-level semantics, duplicate-push rejection,
+// unknown-checkpoint accounting, and the zero-deep-copy guarantee of the
+// SharedBytes checkpoint plane.
 
 #include <gtest/gtest.h>
 
@@ -85,8 +85,7 @@ void replayTrace(std::uint64_t seed, int numOps,
             EXPECT_EQ(legacy.hasWorkFor(offer), indexed.hasWorkFor(offer))
                 << "seed " << seed << " op " << op;
             const auto a = legacy.claim(offer, cores, worker);
-            const auto b =
-                indexed.claim(offer, cores, worker, ClaimPolicy::FirstFit);
+            const auto b = indexed.claim(offer, cores, worker);
             ASSERT_EQ(idsOf(a), idsOf(b)) << "seed " << seed << " op " << op;
             for (std::size_t i = 0; i < a.size(); ++i) {
                 // Checkpoint content must travel identically through
@@ -150,7 +149,7 @@ void replayTrace(std::uint64_t seed, int numOps,
     while (!legacy.empty() || !indexed.empty()) {
         ASSERT_LT(++guard, 1000000);
         const auto a = legacy.claim(pool, 3, 99);
-        const auto b = indexed.claim(pool, 3, 99, ClaimPolicy::FirstFit);
+        const auto b = indexed.claim(pool, 3, 99);
         ASSERT_EQ(idsOf(a), idsOf(b)) << "seed " << seed << " during drain";
         for (const auto& s : a) {
             legacy.complete(s.id);
@@ -288,41 +287,6 @@ TEST(CommandQueue, CheckpointPlaneIsZeroCopy) {
     const auto again = q.claim({"mdrun"}, 1, 3);
     ASSERT_EQ(again.size(), 1u);
     EXPECT_TRUE(again[0].input.sharesBufferWith(blob));
-}
-
-TEST(CommandQueue, LargestFitPacksTheOffer) {
-    // Arrival order 2,4,3 cores with a 7-core offer: first-fit takes
-    // {2,4} and strands a core; largest-fit assembles {4,3} — the paper's
-    // "workload maximally utilizing the available resources".
-    const auto fill = [](CommandQueue& q) {
-        q.push(makeCmd(1, "mdrun", 0, 2));
-        q.push(makeCmd(2, "mdrun", 0, 4));
-        q.push(makeCmd(3, "mdrun", 0, 3));
-    };
-    SegmentStore firstStore;
-    CommandQueue first{firstStore};
-    fill(first);
-    EXPECT_EQ(idsOf(first.claim({"mdrun"}, 7, 1, ClaimPolicy::FirstFit)),
-              (std::vector<CommandId>{1, 2}));
-    SegmentStore largestStore;
-    CommandQueue largest{largestStore};
-    fill(largest);
-    EXPECT_EQ(idsOf(largest.claim({"mdrun"}, 7, 1, ClaimPolicy::LargestFit)),
-              (std::vector<CommandId>{2, 3}));
-}
-
-TEST(CommandQueue, LargestFitStillHonorsPriorityFirst) {
-    SegmentStore store;
-    CommandQueue q{store};
-    q.push(makeCmd(1, "mdrun", 0, 8)); // low priority, fills the offer
-    q.push(makeCmd(2, "mdrun", 5, 1)); // high priority, small
-    q.push(makeCmd(3, "mdrun", 5, 4)); // high priority, large
-    // Priority dominates size: both priority-5 commands are claimed
-    // (largest first) before the low-priority 8-core command is even
-    // considered — and by then it no longer fits.
-    const auto claimed = q.claim({"mdrun"}, 8, 1, ClaimPolicy::LargestFit);
-    EXPECT_EQ(idsOf(claimed), (std::vector<CommandId>{3, 2}));
-    EXPECT_EQ(q.pendingCount(), 1u);
 }
 
 TEST(CommandQueue, ClaimScanTouchesOnlyOfferedBuckets) {

@@ -94,6 +94,32 @@ TEST(SegmentStore, SpillsColdBlobsAndPromotesBack) {
     EXPECT_LE(store.stats().ramBytesUsed, cfg.ramBytes);
 }
 
+TEST(SegmentStore, OwnTempDirIsRemovedButCallersDirStays) {
+    // No dir configured: the store names one under the temp dir on its
+    // first spill and removes it on destruction.
+    std::string ownDir;
+    {
+        SegmentStore store(StoreConfig{.ramBytes = 1024});
+        for (std::uint64_t k = 0; k < 4; ++k) store.put(k, blobOf(1024, k));
+        ASSERT_GT(store.stats().spills, 0u);
+        ownDir = store.config().dir;
+        ASSERT_FALSE(ownDir.empty());
+        EXPECT_TRUE(fs::is_directory(ownDir));
+    }
+    EXPECT_FALSE(fs::exists(ownDir));
+
+    // A caller's dir survives the store; only the segments go.
+    TempDir tmp;
+    {
+        SegmentStore store(
+            StoreConfig{.ramBytes = 1024, .dir = tmp.path.string()});
+        for (std::uint64_t k = 0; k < 4; ++k) store.put(k, blobOf(1024, k));
+        ASSERT_GT(store.stats().spills, 0u);
+    }
+    EXPECT_TRUE(fs::is_directory(tmp.path));
+    EXPECT_TRUE(fs::is_empty(tmp.path));
+}
+
 TEST(SegmentStore, CleanReEvictionDoesNotRecompress) {
     TempDir tmp;
     StoreConfig cfg;

@@ -252,6 +252,29 @@ TEST(TenantConfig, DeserializeRejectsNegativeOrNanRetryAfter) {
     EXPECT_EQ(TenantConfig::deserialize(r).admissionRetryAfter, 0.0);
 }
 
+TEST(TenantConfig, DeserializeRejectsANonzeroPolicyByte) {
+    // The byte after the weight once selected a claim policy; 0 (the old
+    // FirstFit) is the only value left, so logs that chose another policy
+    // are refused rather than replayed under a different one.
+    TenantConfig cfg;
+    cfg.weight = 2.0;
+    cfg.maxPendingCommands = 3;
+    BinaryWriter w;
+    cfg.serialize(w);
+    constexpr std::size_t kPolicyByte = sizeof(double);
+    ASSERT_EQ(w.buffer()[kPolicyByte], 0u);
+    BinaryReader ok{std::span<const std::uint8_t>(w.buffer())};
+    const auto back = TenantConfig::deserialize(ok);
+    EXPECT_DOUBLE_EQ(back.weight, 2.0);
+    EXPECT_EQ(back.maxPendingCommands, 3u);
+    for (const std::uint8_t bad : {std::uint8_t(1), std::uint8_t(9)}) {
+        std::vector<std::uint8_t> bytes = w.buffer();
+        bytes[kPolicyByte] = bad;
+        BinaryReader r{std::span<const std::uint8_t>(bytes)};
+        EXPECT_THROW(TenantConfig::deserialize(r), cop::IoError) << int(bad);
+    }
+}
+
 // ---- Deployment level ---------------------------------------------------
 
 ExecutableRegistry echoRegistry(double duration = 10.0) {
@@ -363,7 +386,6 @@ TEST(Tenancy, ProjectSpecControlsShardConfigAndOldOverloadKeepsDefaults) {
     ProjectSpec spec;
     spec.name = "tuned";
     spec.tenant.weight = 3.0;
-    spec.tenant.claimPolicy = ClaimPolicy::LargestFit;
     spec.tenant.maxPendingCommands = 5;
     spec.tenant.maxPendingBytes = 1 << 20;
     spec.tenant.admissionRetryAfter = 9.0;
@@ -372,13 +394,11 @@ TEST(Tenancy, ProjectSpecControlsShardConfigAndOldOverloadKeepsDefaults) {
 
     const auto& legacyCfg = server.scheduler().tenantConfig(legacy);
     EXPECT_DOUBLE_EQ(legacyCfg.weight, 1.0);
-    EXPECT_EQ(legacyCfg.claimPolicy, ClaimPolicy::FirstFit); // the default
     EXPECT_EQ(legacyCfg.maxPendingCommands, 0u);
     EXPECT_DOUBLE_EQ(legacyCfg.admissionRetryAfter, 30.0);
 
     const auto& tunedCfg = server.scheduler().tenantConfig(tuned);
     EXPECT_DOUBLE_EQ(tunedCfg.weight, 3.0);
-    EXPECT_EQ(tunedCfg.claimPolicy, ClaimPolicy::LargestFit);
     EXPECT_EQ(tunedCfg.maxPendingCommands, 5u);
     EXPECT_EQ(tunedCfg.maxPendingBytes, std::size_t(1) << 20);
     EXPECT_DOUBLE_EQ(tunedCfg.admissionRetryAfter, 9.0);

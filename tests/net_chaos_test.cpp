@@ -418,10 +418,8 @@ TEST(Chaos, WorkerFailsOverToAlternateServer) {
     auto& backup = dep.addServer("backup");
     dep.connectServers(primary, backup, core::links::dataCenter());
 
-    core::WorkerConfig wc;
-    wc.rpc.backoff = net::BackoffPolicy{5.0, 2.0, 20.0, 0.2};
-    wc.rpc.maxAttempts = 3; // fail over quickly
-    auto& worker = dep.addWorker("w0", primary, wc, echoRegistry(50.0),
+    auto& worker = dep.addWorker("w0", primary, core::WorkerConfig{},
+                                 echoRegistry(50.0),
                                  core::links::intraCluster());
     dep.addFallbackServer(worker, backup, core::links::dataCenter());
 

@@ -31,8 +31,8 @@ struct Pair {
     Endpoint a;
     Endpoint b;
 
-    explicit Pair(BatchPolicy batch = {}, RetryPolicy retry = {})
-        : a(net, na, retry, batch), b(net, nb, retry, batch) {
+    explicit Pair(BatchPolicy batch = {})
+        : a(net, na, batch), b(net, nb, batch) {
         na.trust(nb.publicKey());
         nb.trust(na.publicKey());
         net.connect(na.id(), nb.id(), {});

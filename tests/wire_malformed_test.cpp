@@ -99,11 +99,6 @@ std::vector<WireCase> allPayloadCases() {
     out.projectServer = 3;
     cases.push_back({"CommandOutput", out.kType, out.encode()});
 
-    LeaseRenewPayload lr;
-    lr.worker = 9;
-    lr.commands = {42, 43, 44};
-    cases.push_back({"LeaseRenew", lr.kType, lr.encode()});
-
     NoWorkPayload nw;
     nw.worker = 9;
     cases.push_back({"NoWork", nw.kType, nw.encode()});
@@ -387,6 +382,36 @@ TEST(WireMalformed, BatchRejectsNestedBatchEntries) {
         decodePayload(messageWith(net::MessageType::Batch, bytes)));
 }
 
+/// Wire tags no MessageType carries: 0, 5, 8 and 13 belonged to removed
+/// types, 0xEE never existed.
+constexpr std::uint8_t kUnknownTags[] = {0, 5, 8, 13, 0xEE};
+
+/// A payload that decoded under `tag` while it had a type: 0 aliased
+/// WorkloadRequest, 5 and 8 CommandOutput, and 13 (LeaseRenew) carried a
+/// worker id and its command ids.
+std::vector<std::uint8_t> payloadOnceValidUnder(std::uint8_t tag) {
+    const auto cases = allPayloadCases();
+    const auto bytesOf = [&](const std::string& name) {
+        return std::find_if(cases.begin(), cases.end(),
+                            [&](const WireCase& c) { return c.name == name; })
+            ->bytes;
+    };
+    switch (tag) {
+    case 0: return bytesOf("WorkloadRequest");
+    case 5:
+    case 8: return bytesOf("CommandOutput");
+    case 13: {
+        BinaryWriter w;
+        w.write(std::int32_t(9));
+        w.write(std::uint64_t(2));
+        w.write(std::uint64_t(42));
+        w.write(std::uint64_t(43));
+        return w.takeBuffer();
+    }
+    default: return bytesOf("Heartbeat");
+    }
+}
+
 TEST(WireMalformed, BatchRejectsUnknownEntryTypeTag) {
     BatchPayload batch;
     BatchEntry e;
@@ -394,9 +419,12 @@ TEST(WireMalformed, BatchRejectsUnknownEntryTypeTag) {
     e.messageId = 5;
     e.payload = {1, 2, 3};
     batch.entries.push_back(std::move(e));
-    auto bytes = batch.encode();
-    bytes[8] = 0xEE; // the entry's type tag, just past the u64 count
-    EXPECT_THROW(BatchPayload::decode(bytes), IoError);
+    for (const std::uint8_t tag : kUnknownTags) {
+        SCOPED_TRACE("tag " + std::to_string(tag));
+        auto bytes = batch.encode();
+        bytes[8] = tag; // the entry's type tag, just past the u64 count
+        EXPECT_THROW(BatchPayload::decode(bytes), IoError);
+    }
 }
 
 TEST(WireMalformed, BatchHostileEntryCountIsRejectedBeforeAllocating) {
@@ -424,9 +452,10 @@ TEST(WireMalformed, EndpointCountsMalformedDropsAndDeliversNothing) {
     int delivered = 0;
     ep.onEnvelope([&](const Envelope&, const net::Message&) { ++delivered; });
 
-    auto sendRawTo = [&](std::vector<std::uint8_t> payload) {
+    auto sendRawTo = [&](std::vector<std::uint8_t> payload,
+                         net::MessageType type = net::MessageType::Heartbeat) {
         net::Message msg;
-        msg.type = net::MessageType::Heartbeat;
+        msg.type = type;
         msg.source = a.id();
         msg.destination = b.id();
         msg.id = net.nextMessageId();
@@ -452,6 +481,23 @@ TEST(WireMalformed, EndpointCountsMalformedDropsAndDeliversNothing) {
 
     sendRawTo(hb.encode());                 // well-formed still delivers
     EXPECT_EQ(ep.stats().malformedDropped, 2u);
+    EXPECT_EQ(delivered, 1);
+
+    // A tag no type carries is malformed whatever its payload, alone or
+    // as a batch entry (which drops the whole frame).
+    std::uint64_t dropped = 2;
+    for (const std::uint8_t tag : kUnknownTags) {
+        SCOPED_TRACE("tag " + std::to_string(tag));
+        const auto type = net::MessageType(tag);
+        sendRawTo(payloadOnceValidUnder(tag), type);
+        EXPECT_EQ(ep.stats().malformedDropped, ++dropped);
+
+        BatchPayload batch;
+        batch.entries.push_back(BatchEntry{type, 1000 + tag, false,
+                                           payloadOnceValidUnder(tag)});
+        sendRawTo(batch.encode(), net::MessageType::Batch);
+        EXPECT_EQ(ep.stats().malformedDropped, ++dropped);
+    }
     EXPECT_EQ(delivered, 1);
 }
 
