@@ -6,6 +6,8 @@
 #include <chrono>
 #include <optional>
 
+#include "mdlib/observables.hpp"
+#include "mdlib/proteins.hpp"
 #include "msm/clustering.hpp"
 #include "msm/markov_model.hpp"
 #include "msm/pipeline.hpp"
@@ -29,6 +31,38 @@ ConformationSet randomConformations(std::size_t count, std::size_t atoms,
     }
     return set;
 }
+
+// The MSM layer's metric on its own: every pair of 12 unfolded villin
+// conformations (35 beads), centered once as ConformationSet caches them.
+// items_per_second is RMSD evaluations per second.
+void BM_RmsdCentered(benchmark::State& state) {
+    struct Frame {
+        std::vector<Vec3> xs;
+        double norm2 = 0.0;
+    };
+    // Built once: the harness calls this function for every trial run.
+    static const std::vector<Frame> frames = [] {
+        std::vector<Frame> out;
+        const auto model = md::villinGoModel();
+        for (const auto& x : md::makeUnfoldedConformations(model, 12, 17)) {
+            Frame f;
+            f.xs = md::centered(x, f.norm2);
+            out.push_back(std::move(f));
+        }
+        return out;
+    }();
+    std::int64_t pairs = 0;
+    for (auto _ : state) {
+        double sum = 0.0;
+        for (std::size_t i = 0; i < frames.size(); ++i)
+            for (std::size_t j = i + 1; j < frames.size(); ++j, ++pairs)
+                sum += md::rmsdCentered(frames[i].xs, frames[j].xs,
+                                        frames[i].norm2, frames[j].norm2);
+        benchmark::DoNotOptimize(sum);
+    }
+    state.SetItemsProcessed(pairs);
+}
+BENCHMARK(BM_RmsdCentered);
 
 void BM_KCenters(benchmark::State& state) {
     const auto data =

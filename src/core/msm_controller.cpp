@@ -29,6 +29,14 @@ MsmController::MsmController(MsmControllerParams params)
             int(params_.startingConformations.size()) * params_.tasksPerStart;
     COP_REQUIRE(params_.commandsPerGeneration <= kMaxSeedsPerGeneration,
                 "commandsPerGeneration exceeds kMaxSeedsPerGeneration");
+    nativeCentered_ = md::centered(params_.model.native, nativeNorm2_);
+}
+
+double MsmController::rmsdToNativeAngstrom(std::span<const Vec3> xs) const {
+    double g = 0.0;
+    const auto cx = md::centered(xs, g);
+    return md::toAngstrom(
+        md::rmsdCentered(nativeCentered_, cx, nativeNorm2_, g));
 }
 
 void MsmController::onProjectStart(ProjectContext& ctx) {
@@ -72,8 +80,7 @@ void MsmController::onCommandFinished(ProjectContext& ctx,
     const std::size_t firstNew = traj.numFrames() == 0 ? 0 : 1;
     for (std::size_t f = firstNew; f < out.segment.numFrames(); ++f) {
         const auto& frame = out.segment.frame(f);
-        const double r = md::toAngstrom(
-            md::rmsd(params_.model.native, frame.positions));
+        const double r = rmsdToNativeAngstrom(frame.positions);
         if (r < minRmsdAngstrom_) minRmsdAngstrom_ = r;
         if (r < md::kFoldedRmsdAngstrom && firstFoldedTime_ < 0.0) {
             firstFoldedTime_ = ctx.now();
@@ -142,8 +149,7 @@ void MsmController::clusteringStep(ProjectContext& ctx) {
         std::size_t& from = statScanFrom_[id];
         for (std::size_t f = from; f < traj.numFrames();
              f += params_.pipeline.snapshotStride) {
-            const double r = md::toAngstrom(
-                md::rmsd(params_.model.native, traj.frame(f).positions));
+            const double r = rmsdToNativeAngstrom(traj.frame(f).positions);
             snapshotRmsdStats_.add(r);
             if (r < md::kFoldedRmsdAngstrom) ++snapshotsFolded_;
             ++snapshotsSeen_;
@@ -204,9 +210,7 @@ double MsmController::scoreBlindPrediction(
     const int micro = model.activeState(bestActive);
 
     RunningStats score;
-    score.add(md::toAngstrom(
-        md::rmsd(params_.model.native,
-                 msmResult.centers[std::size_t(micro)])));
+    score.add(rmsdToNativeAngstrom(msmResult.centers[std::size_t(micro)]));
 
     // Collect member snapshot indices of this microstate.
     std::vector<std::pair<std::size_t, std::size_t>> members; // (traj, frame)
@@ -231,9 +235,8 @@ double MsmController::scoreBlindPrediction(
                 const std::size_t frameIdx =
                     pick.second * params_.pipeline.snapshotStride;
                 if (frameIdx < traj.numFrames())
-                    score.add(md::toAngstrom(md::rmsd(
-                        params_.model.native,
-                        traj.frame(frameIdx).positions)));
+                    score.add(rmsdToNativeAngstrom(
+                        traj.frame(frameIdx).positions));
                 break;
             }
             ++count;

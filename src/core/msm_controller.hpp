@@ -10,6 +10,7 @@
 
 #include <map>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/controller.hpp"
@@ -125,8 +126,14 @@ private:
     /// Blind native-state prediction (paper §3.2): RMSD between native and
     /// the highest-equilibrium-population cluster, averaged over samples.
     double scoreBlindPrediction(const msm::MsmPipelineResult& msmResult);
+    /// RMSD of `xs` to the native structure, in Angstrom; equal to
+    /// md::toAngstrom(md::rmsd(native, xs)).
+    double rmsdToNativeAngstrom(std::span<const Vec3> xs) const;
 
     MsmControllerParams params_;
+    // params_.model.native, centered once, with its squared norm.
+    std::vector<Vec3> nativeCentered_;
+    double nativeNorm2_ = 0.0;
     Rng rng_;
     msm::IncrementalMsmBuilder msmBuilder_;
     int nextTrajectoryId_ = 0;

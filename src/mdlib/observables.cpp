@@ -55,37 +55,100 @@ std::array<double, 4> largestEigenvector4(std::array<std::array<double, 4>, 4> m
     return {v[0][best], v[1][best], v[2][best], v[3][best]};
 }
 
-/// Builds Horn's 4x4 key matrix from the covariance of centered coordinate
-/// sets a (target) and b (mobile).
-std::array<std::array<double, 4>, 4> hornMatrix(std::span<const Vec3> a,
-                                                std::span<const Vec3> b) {
-    double sxx = 0, sxy = 0, sxz = 0, syx = 0, syy = 0, syz = 0, szx = 0,
-           szy = 0, szz = 0;
+/// The nine sums of the covariance between centered coordinate sets
+/// a (target) and b (mobile): xy = sum_i b_i.x * a_i.y, and so on.
+struct Covariance {
+    double xx = 0, xy = 0, xz = 0, yx = 0, yy = 0, yz = 0, zx = 0, zy = 0,
+           zz = 0;
+};
+
+Covariance covariance(std::span<const Vec3> a, std::span<const Vec3> b) {
+    Covariance s;
     for (std::size_t i = 0; i < a.size(); ++i) {
-        sxx += b[i].x * a[i].x;
-        sxy += b[i].x * a[i].y;
-        sxz += b[i].x * a[i].z;
-        syx += b[i].y * a[i].x;
-        syy += b[i].y * a[i].y;
-        syz += b[i].y * a[i].z;
-        szx += b[i].z * a[i].x;
-        szy += b[i].z * a[i].y;
-        szz += b[i].z * a[i].z;
+        s.xx += b[i].x * a[i].x;
+        s.xy += b[i].x * a[i].y;
+        s.xz += b[i].x * a[i].z;
+        s.yx += b[i].y * a[i].x;
+        s.yy += b[i].y * a[i].y;
+        s.yz += b[i].y * a[i].z;
+        s.zx += b[i].z * a[i].x;
+        s.zy += b[i].z * a[i].y;
+        s.zz += b[i].z * a[i].z;
     }
+    return s;
+}
+
+/// Horn's 4x4 key matrix of a covariance.
+std::array<std::array<double, 4>, 4> hornMatrix(const Covariance& s) {
     std::array<std::array<double, 4>, 4> k{};
-    k[0][0] = sxx + syy + szz;
-    k[0][1] = syz - szy;
-    k[0][2] = szx - sxz;
-    k[0][3] = sxy - syx;
-    k[1][1] = sxx - syy - szz;
-    k[1][2] = sxy + syx;
-    k[1][3] = szx + sxz;
-    k[2][2] = -sxx + syy - szz;
-    k[2][3] = syz + szy;
-    k[3][3] = -sxx - syy + szz;
+    k[0][0] = s.xx + s.yy + s.zz;
+    k[0][1] = s.yz - s.zy;
+    k[0][2] = s.zx - s.xz;
+    k[0][3] = s.xy - s.yx;
+    k[1][1] = s.xx - s.yy - s.zz;
+    k[1][2] = s.xy + s.yx;
+    k[1][3] = s.zx + s.xz;
+    k[2][2] = -s.xx + s.yy - s.zz;
+    k[2][3] = s.yz + s.zy;
+    k[3][3] = -s.xx - s.yy + s.zz;
     for (int i = 0; i < 4; ++i)
         for (int j = 0; j < i; ++j) k[i][j] = k[j][i];
     return k;
+}
+
+/// Largest eigenvalue of Horn's key matrix by QCP (Theobald, Acta Cryst.
+/// A 61:478, 2005; Liu, Agrafiotis & Theobald, J. Comput. Chem. 31:1561,
+/// 2010): Newton's method on the key matrix's characteristic quartic
+/// P(l) = l^4 + c2 l^2 + c1 l + c0 (traceless, so no cubic term), started
+/// from the upper bound `e0` = (|a|^2 + |b|^2) / 2.
+///
+/// A repeated top root (collinear sets, two-point sets) is resolvable only
+/// to about sqrt(eps) this way. P'(l) is the product of the gaps from l to
+/// the other three eigenvalues, so a small slope at the root flags a near
+/// tie; then the Jacobi solve of the same key matrix supplies l instead.
+double largestEigenvalue(const Covariance& s, double e0) {
+    const double xx2 = s.xx * s.xx, xy2 = s.xy * s.xy, xz2 = s.xz * s.xz;
+    const double yx2 = s.yx * s.yx, yy2 = s.yy * s.yy, yz2 = s.yz * s.yz;
+    const double zx2 = s.zx * s.zx, zy2 = s.zy * s.zy, zz2 = s.zz * s.zz;
+
+    const double c2 =
+        -2.0 * (xx2 + xy2 + xz2 + yx2 + yy2 + yz2 + zx2 + zy2 + zz2);
+    const double c1 = 8.0 * (s.xx * s.yz * s.zy + s.yy * s.zx * s.xz +
+                             s.zz * s.xy * s.yx - s.xx * s.yy * s.zz -
+                             s.yz * s.zx * s.xy - s.zy * s.yx * s.xz);
+
+    const double yy2zz2yz2zy2Mxx2 = yy2 + zz2 - xx2 + yz2 + zy2;
+    const double xy2xz2yx2zx2 = xy2 + xz2 - yx2 - zx2;
+    const double yzzyMyyzz2 = 2.0 * (s.yz * s.zy - s.yy * s.zz);
+    const double xzPzx = s.xz + s.zx, yzPzy = s.yz + s.zy;
+    const double xyPyx = s.xy + s.yx, yzMzy = s.yz - s.zy;
+    const double xzMzx = s.xz - s.zx, xyMyx = s.xy - s.yx;
+    const double xxPyy = s.xx + s.yy, xxMyy = s.xx - s.yy;
+    const double c0 =
+        xy2xz2yx2zx2 * xy2xz2yx2zx2 +
+        (yy2zz2yz2zy2Mxx2 + yzzyMyyzz2) * (yy2zz2yz2zy2Mxx2 - yzzyMyyzz2) +
+        (-xzPzx * yzMzy + xyMyx * (xxMyy - s.zz)) *
+            (-xzMzx * yzPzy + xyMyx * (xxMyy + s.zz)) +
+        (-xzPzx * yzPzy - xyPyx * (xxPyy - s.zz)) *
+            (-xzMzx * yzMzy - xyPyx * (xxPyy + s.zz)) +
+        (xyPyx * yzPzy + xzPzx * (xxMyy + s.zz)) *
+            (-xyMyx * yzMzy + xzPzx * (xxPyy + s.zz)) +
+        (xyPyx * yzMzy + xzMzx * (xxMyy - s.zz)) *
+            (-xyMyx * yzPzy + xzMzx * (xxPyy - s.zz));
+
+    double l = e0;
+    for (int it = 0; it < 50; ++it) {
+        const double prev = l;
+        const double l2 = l * l;
+        const double b = (l2 + c2) * l;
+        const double a = b + c1;
+        l -= (a * l + c0) / (2.0 * l2 * l + b + a);
+        if (std::abs(l - prev) < std::abs(1e-11 * l)) break;
+    }
+    const double slope = 4.0 * l * l * l + 2.0 * c2 * l + c1;
+    if (!(std::abs(slope) > 1e-2 * std::abs(l * l * l)))
+        largestEigenvector4(hornMatrix(s), l);
+    return l;
 }
 
 Mat3 quaternionToMatrix(const std::array<double, 4>& q) {
@@ -114,18 +177,20 @@ Vec3 centerCoordinates(std::vector<Vec3>& xs) {
     return c;
 }
 
+std::vector<Vec3> centered(std::span<const Vec3> xs, double& squaredNorm) {
+    std::vector<Vec3> cx(xs.begin(), xs.end());
+    centerCoordinates(cx);
+    squaredNorm = 0.0;
+    for (const auto& x : cx) squaredNorm += norm2(x);
+    return cx;
+}
+
 double rmsd(std::span<const Vec3> a, std::span<const Vec3> b) {
     COP_REQUIRE(a.size() == b.size(), "coordinate set size mismatch");
     COP_REQUIRE(!a.empty(), "empty coordinate set");
-    std::vector<Vec3> ca(a.begin(), a.end());
-    std::vector<Vec3> cb(b.begin(), b.end());
-    centerCoordinates(ca);
-    centerCoordinates(cb);
     double ga = 0.0, gb = 0.0;
-    for (std::size_t i = 0; i < ca.size(); ++i) {
-        ga += norm2(ca[i]);
-        gb += norm2(cb[i]);
-    }
+    const auto ca = centered(a, ga);
+    const auto cb = centered(b, gb);
     return rmsdCentered(ca, cb, ga, gb);
 }
 
@@ -133,8 +198,8 @@ double rmsdCentered(std::span<const Vec3> a, std::span<const Vec3> b,
                     double squaredNormA, double squaredNormB) {
     COP_REQUIRE(a.size() == b.size(), "coordinate set size mismatch");
     COP_REQUIRE(!a.empty(), "empty coordinate set");
-    double lambdaMax = 0.0;
-    largestEigenvector4(hornMatrix(a, b), lambdaMax);
+    const double lambdaMax = largestEigenvalue(
+        covariance(a, b), 0.5 * (squaredNormA + squaredNormB));
     const double msd = std::max(
         0.0,
         (squaredNormA + squaredNormB - 2.0 * lambdaMax) / double(a.size()));
@@ -144,7 +209,8 @@ double rmsdCentered(std::span<const Vec3> a, std::span<const Vec3> b,
 Mat3 optimalRotation(std::span<const Vec3> a, std::span<const Vec3> b) {
     COP_REQUIRE(a.size() == b.size() && !a.empty(), "bad coordinate sets");
     double lambdaMax = 0.0;
-    const auto q = largestEigenvector4(hornMatrix(a, b), lambdaMax);
+    const auto q =
+        largestEigenvector4(hornMatrix(covariance(a, b)), lambdaMax);
     return quaternionToMatrix(q);
 }
 

@@ -9,27 +9,13 @@
 
 namespace cop::msm {
 
-namespace {
-
-/// Centers a probe conformation and accumulates its squared norm with the
-/// same loop order md::rmsd uses, so cached-path results stay bit-identical.
-std::vector<Vec3> centerProbe(const std::vector<Vec3>& x, double& squaredNorm) {
-    std::vector<Vec3> cx(x);
-    md::centerCoordinates(cx);
-    squaredNorm = 0.0;
-    for (const auto& v : cx) squaredNorm += norm2(v);
-    return cx;
-}
-
-} // namespace
-
 void ConformationSet::add(std::vector<Vec3> conformation) {
     COP_REQUIRE(!conformation.empty(), "empty conformation");
     if (!conformations_.empty())
         COP_REQUIRE(conformation.size() == conformations_.front().size(),
                     "conformation size mismatch");
     double g = 0.0;
-    centered_.push_back(centerProbe(conformation, g));
+    centered_.push_back(md::centered(conformation, g));
     norm2_.push_back(g);
     conformations_.push_back(std::move(conformation));
 }
@@ -41,7 +27,7 @@ double ConformationSet::distance(std::size_t i, std::size_t j) const {
 double ConformationSet::distanceTo(std::size_t i,
                                    const std::vector<Vec3>& x) const {
     double g = 0.0;
-    const auto cx = centerProbe(x, g);
+    const auto cx = md::centered(x, g);
     return distanceToCentered(i, cx, g);
 }
 
@@ -181,21 +167,14 @@ ClusteringResult kMedoidsRefine(const ConformationSet& data,
             }
             if (candCost < curCost) initial.centers[c] = cand;
         }
-        // Reassignment pass.
-        for (std::size_t i = 0; i < n; ++i) {
-            double best = std::numeric_limits<double>::max();
-            int bestC = initial.assignments[i];
-            for (std::size_t c = 0; c < k; ++c) {
-                const double d = data.distance(i, initial.centers[c]);
-                ++initial.rmsd.calls;
-                if (d < best) {
-                    best = d;
-                    bestC = int(c);
-                }
-            }
-            initial.assignments[i] = bestC;
-            initial.distances[i] = best;
-        }
+        // Reassignment pass: nearest medoid, pruned by the triangle
+        // inequality against the medoid-medoid distances.
+        const auto cc = centerDistanceMatrix(data, initial.centers, nullptr,
+                                             &initial.rmsd);
+        auto assigned = assignRangeToCenters(data, 0, n, initial.centers, cc);
+        initial.assignments = std::move(assigned.assignments);
+        initial.distances = std::move(assigned.distances);
+        initial.rmsd += assigned.rmsd;
     }
     return initial;
 }
@@ -301,7 +280,7 @@ std::vector<int> assignToCenters(const ConformationSet& data,
     out.reserve(xs.size());
     for (const auto& x : xs) {
         double g = 0.0;
-        const auto cx = centerProbe(x, g);
+        const auto cx = md::centered(x, g);
         double best = std::numeric_limits<double>::max();
         int bestC = 0;
         for (std::size_t c = 0; c < centers.size(); ++c) {

@@ -11,9 +11,10 @@
 ///  - every conformation added to a ConformationSet is cached centered with
 ///    its squared norm, so member-to-member RMSD skips the copy / center /
 ///    norm passes of md::rmsd (bit-identical result);
-///  - k-centers and assignment prune provably-futile RMSD evaluations with
-///    the triangle inequality against a center-center distance matrix, and
-///    report calls-vs-pruned counters so the skip rate is observable.
+///  - k-centers, k-medoids reassignment and assignment prune
+///    provably-futile RMSD evaluations with the triangle inequality against
+///    a center-center distance matrix, and report calls-vs-pruned counters
+///    so the skip rate is observable.
 
 #include <cstdint>
 #include <span>
@@ -124,7 +125,10 @@ ClusteringResult kCenters(const ConformationSet& data,
 
 /// K-medoids refinement: alternately recompute each cluster's medoid and
 /// reassign, for `sweeps` passes over the data. Improves cluster
-/// compactness after k-centers.
+/// compactness after k-centers. Each reassignment is assignRangeToCenters
+/// over all members against a fresh centerDistanceMatrix, so it is pruned
+/// by the triangle inequality and equals the all-centers scan; per sweep
+/// it adds n*k + k(k-1)/2 to calls + pruned.
 ClusteringResult kMedoidsRefine(const ConformationSet& data,
                                 ClusteringResult initial, int sweeps = 2,
                                 std::uint64_t seed = 0);

@@ -1,6 +1,7 @@
 #include "msm/clustering.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -120,6 +121,69 @@ TEST(KMedoids, RefinementNeverIncreasesCost) {
     const double before = cost(initial);
     const auto refined = kMedoidsRefine(data, std::move(initial), 3, 10);
     EXPECT_LE(cost(refined), before + 1e-9);
+}
+
+TEST(KMedoids, PrunedReassignmentMatchesBruteForce) {
+    // Reference refinement written out here: the same medoid update (same
+    // Rng draws), then every member scanned against every medoid.
+    std::uint64_t pruned = 0;
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+        const auto data = threeBlobs(15, seed);
+        const std::size_t n = data.size();
+        KCentersParams p;
+        p.numClusters = 4 + std::size_t(seed);
+        p.seed = seed;
+        const auto initial = kCenters(data, p);
+        const std::size_t k = initial.centers.size();
+
+        ClusteringResult ref = initial;
+        std::uint64_t expectedWork = initial.rmsd.calls + initial.rmsd.pruned;
+        cop::Rng rng(seed + 100);
+        for (int sweep = 0; sweep < 3; ++sweep) {
+            std::vector<std::vector<std::size_t>> members(k);
+            for (std::size_t i = 0; i < n; ++i)
+                members[std::size_t(ref.assignments[i])].push_back(i);
+            for (std::size_t c = 0; c < k; ++c) {
+                if (members[c].size() < 2) continue;
+                const std::size_t cur = ref.centers[c];
+                const std::size_t cand =
+                    members[c][rng.uniformInt(members[c].size())];
+                if (cand == cur) continue;
+                double curCost = 0.0, candCost = 0.0;
+                for (std::size_t m : members[c]) {
+                    curCost += data.distance(m, cur);
+                    candCost += data.distance(m, cand);
+                }
+                expectedWork += 2 * members[c].size();
+                if (candCost < curCost) ref.centers[c] = cand;
+            }
+            for (std::size_t i = 0; i < n; ++i) {
+                double best = std::numeric_limits<double>::max();
+                for (std::size_t c = 0; c < k; ++c) {
+                    const double d = data.distance(i, ref.centers[c]);
+                    if (d < best) {
+                        best = d;
+                        ref.assignments[i] = int(c);
+                    }
+                }
+                ref.distances[i] = best;
+            }
+            expectedWork += n * k + k * (k - 1) / 2;
+
+            // kMedoidsRefine's draws for sweep s are a prefix of those for
+            // s + 1, so each sweep count is checked against the reference.
+            const auto refined =
+                kMedoidsRefine(data, initial, sweep + 1, seed + 100);
+            EXPECT_EQ(refined.centers, ref.centers) << "seed " << seed;
+            EXPECT_EQ(refined.assignments, ref.assignments)
+                << "seed " << seed;
+            EXPECT_EQ(refined.distances, ref.distances) << "seed " << seed;
+            EXPECT_EQ(refined.rmsd.calls + refined.rmsd.pruned, expectedWork)
+                << "seed " << seed << " sweeps " << sweep + 1;
+            pruned += refined.rmsd.pruned - initial.rmsd.pruned;
+        }
+    }
+    EXPECT_GT(pruned, 0u); // the bound does fire on this data
 }
 
 TEST(AssignToCenters, NearestCenterWins) {
