@@ -130,7 +130,7 @@ void MsmController::clusteringStep(ProjectContext& ctx) {
 
     msmBuilder_.setNumClusters(params_.pipeline.numClusters);
     msmBuilder_.setSeed(rng_.next());
-    lastMsm_ = msmBuilder_.update(trajs, params_.analysisPool);
+    lastMsm_ = msmBuilder_.update(trajs);
     const auto& msmResult = *lastMsm_;
     COP_LOG_INFO("msm") << msmResult.stats.summary();
 

@@ -46,9 +46,6 @@ struct MsmControllerParams {
     /// Radius-degradation threshold for the incremental MSM builder's
     /// fall-back to a full re-cluster (<= 0 re-clusters every generation).
     double msmRebuildRadiusFactor = 1.5;
-    /// Optional thread pool for the MSM analysis (clustering, assignment,
-    /// counting). Not owned; may be null (serial analysis).
-    ThreadPool* analysisPool = nullptr;
     /// Weighting for respawns; the first `evenGenerations` use Even
     /// regardless (paper §3.2: even early, adaptive once states settle).
     msm::WeightingScheme weighting = msm::WeightingScheme::Adaptive;

@@ -123,12 +123,6 @@ public:
     const Topology& topology() const { return top_; }
     const Box& box() const { return box_; }
 
-    /// Attaches (or detaches, with nullptr) the thread pool used for the
-    /// Soa/SimdAuto nonbonded loop and the neighbour-list displacement
-    /// scan.
-    void setPool(ThreadPool* pool) { pool_ = pool; }
-    ThreadPool* pool() const { return pool_; }
-
     /// Persistent scratch state; exposed so tests can assert buffer reuse
     /// (steady-state compute() must not reallocate).
     const ForceWorkspace& workspace() const { return ws_; }

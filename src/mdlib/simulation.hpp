@@ -42,11 +42,6 @@ public:
     /// Draws Maxwell-Boltzmann velocities at the integrator temperature.
     void initializeVelocities();
 
-    /// Attaches a thread pool to the force engine (the paper's "threads
-    /// within a node" tier). The pool is a runtime resource: it is not
-    /// checkpointed, and a restored simulation starts detached.
-    void setThreadPool(ThreadPool* pool) { forceField_->setPool(pool); }
-
     /// Advances `nSteps`, recording a frame every sampleInterval steps
     /// (and one at the very start of the run if the trajectory is empty).
     void run(std::int64_t nSteps);

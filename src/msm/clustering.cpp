@@ -78,10 +78,9 @@ ClusteringResult kCenters(const ConformationSet& data,
     auto relaxRange = [&](std::size_t lo, std::size_t hi,
                           std::size_t center, int c) {
         ChunkOut out;
-        const bool prune = params.prune && c > 0;
         const std::vector<double>& ccRow = ccRows[std::size_t(c)];
         for (std::size_t i = lo; i < hi; ++i) {
-            if (prune &&
+            if (c > 0 &&
                 ccRow[std::size_t(result.assignments[i])] >=
                     2.0 * result.distances[i]) {
                 ++out.rmsd.pruned;
@@ -105,7 +104,7 @@ ClusteringResult kCenters(const ConformationSet& data,
     std::size_t nextCenter = rng.uniformInt(n);
     for (std::size_t c = 0; c < k; ++c) {
         result.centers.push_back(nextCenter);
-        if (params.prune && c > 0) {
+        if (c > 0) {
             auto& row = ccRows[c];
             row.reserve(c);
             for (std::size_t b = 0; b < c; ++b) {

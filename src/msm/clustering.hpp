@@ -108,9 +108,6 @@ struct KCentersParams {
     /// this radius (0 disables the radius criterion).
     double stopRadius = 0.0;
     std::uint64_t seed = 0; ///< selects the first center
-    /// Skip RMSD evaluations the triangle inequality proves futile. The
-    /// result is identical either way; off exists for tests/benchmarks.
-    bool prune = true;
 };
 
 /// Gonzalez k-centers: repeatedly promote the point farthest from all

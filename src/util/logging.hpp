@@ -48,7 +48,7 @@ private:
     std::atomic<LogLevel> level_{LogLevel::Warn};
     /// Leaf lock: guards the warning counter and serializes stderr writes;
     /// nothing else is ever acquired under it.
-    mutable util::Mutex mutex_{"Logger.mutex"};
+    mutable util::Mutex mutex_;
     std::size_t warnCount_ COP_GUARDED_BY(mutex_) = 0;
 };
 

@@ -1,40 +1,24 @@
 #pragma once
 
 /// \file mutex.hpp
-/// Capability-annotated mutex wrapper + runtime lock-order detector.
+/// Capability-annotated mutex wrapper.
 ///
-/// Every lock in this repository goes through `util::Mutex` so that two
-/// orthogonal checkers can see it:
-///
-///  1. **Clang's `-Wthread-safety` static analysis.** The `COP_CAPABILITY` /
-///     `COP_GUARDED_BY` / `COP_REQUIRES` macros expand to the Clang
-///     thread-safety attributes (no-ops on GCC), turning lock-discipline
-///     violations — touching a `COP_GUARDED_BY` field without holding its
-///     mutex, returning with a lock held, double-locking — into compile
-///     errors under the `-Werror=thread-safety` CI job.
-///
-///  2. **A runtime lock-order detector** (`LockOrderRegistry`). Each thread
-///     keeps a stack of held `Mutex`es; every acquisition adds
-///     held-before-acquired edges to a global acquisition-order graph. The
-///     first acquisition that closes a cycle reports *both* offending
-///     acquisition stacks (the current one and the recorded stack of the
-///     conflicting edge) and aborts — making ABBA deadlocks deterministic
-///     build failures instead of timing-dependent hangs that TSan only sees
-///     when both threads actually race. On by default in debug builds
-///     (`!NDEBUG`); runtime-toggleable so release-build tests can exercise
-///     it.
+/// Every lock in this repository goes through `util::Mutex` so that
+/// Clang's `-Wthread-safety` static analysis sees it. The
+/// `COP_CAPABILITY` / `COP_GUARDED_BY` / `COP_REQUIRES` macros expand to
+/// the Clang thread-safety attributes (no-ops on GCC), turning
+/// lock-discipline violations — touching a `COP_GUARDED_BY` field without
+/// holding its mutex, returning with a lock held, double-locking — into
+/// compile errors under the `-Werror=thread-safety` CI job. Lock-order
+/// inversions are ThreadSanitizer's job: its deadlock detector records
+/// the acquisition order of every mutex and reports an ABBA inversion
+/// even when the two orders run serially.
 ///
 /// This header is the single place in src/ allowed to name `std::mutex`
-/// directly (enforced by the grep gate in CI / tools/run_fuzz.sh's sibling
-/// checks): everything else uses `Mutex`, `LockGuard`, `UniqueLock`.
+/// directly (enforced by copernicus_lint's bare-mutex check): everything
+/// else uses `Mutex`, `LockGuard`, `UniqueLock`.
 
-#include <atomic>
-#include <cstdint>
-#include <functional>
 #include <mutex>
-#include <string>
-#include <unordered_map>
-#include <vector>
 
 // --- Clang thread-safety attribute macros (no-op elsewhere) -------------
 
@@ -61,109 +45,19 @@
 
 namespace cop::util {
 
-class Mutex;
-
-/// Global acquisition-order graph + per-thread held-lock stacks. The
-/// graph's own guard is a bare std::mutex on purpose: routing it through
-/// Mutex would recurse into the detector.
-class LockOrderRegistry {
-public:
-    static LockOrderRegistry& instance();
-
-    /// Detector on/off. Defaults to on when NDEBUG is not defined. The
-    /// per-lock cost when a thread holds no other lock is one relaxed
-    /// atomic load plus a thread-local vector push, so tests may enable it
-    /// in release builds too.
-    void setEnabled(bool on) { enabled_ = on; }
-    bool enabled() const { return enabled_; }
-
-    using FailureHandler = std::function<void(const std::string& report)>;
-
-    /// Replaces the cycle handler (default: write the report to stderr and
-    /// abort). Returns the previous handler so tests can restore it.
-    FailureHandler setFailureHandler(FailureHandler h);
-
-    /// Drops all recorded ordering edges (not the held stacks). Tests use
-    /// this to isolate scenarios from each other.
-    void resetGraph();
-
-    // Called by Mutex; not part of the public surface.
-    void onAcquired(const Mutex* m);
-    void onReleased(const Mutex* m);
-    void onDestroyed(const Mutex* m);
-
-private:
-    LockOrderRegistry() = default;
-
-    /// One recorded held-before-acquired edge; `stack` is a rendered
-    /// snapshot of the acquiring thread's held-lock stack at record time,
-    /// shown verbatim in cycle reports ("both stacks").
-    struct Edge {
-        std::string stack;
-    };
-
-    bool findPath(std::uint64_t from, std::uint64_t to,
-                  std::vector<std::uint64_t>& path) const;
-    std::string renderStack(const std::vector<const Mutex*>& held,
-                            const Mutex* acquiring) const;
-    void reportCycle(const std::vector<const Mutex*>& held, const Mutex* m,
-                     const std::vector<std::uint64_t>& path);
-
-    std::atomic<bool> enabled_{
-#ifdef NDEBUG
-        false
-#else
-        true
-#endif
-    };
-
-    // graphMutex_ is deliberately a bare std::mutex (wrapping it in Mutex
-    // would recurse into the detector); everything below it is guarded by
-    // it.
-    std::mutex graphMutex_;
-    std::unordered_map<std::uint64_t,
-                       std::unordered_map<std::uint64_t, Edge>>
-        edges_;
-    std::unordered_map<std::uint64_t, std::string> names_;
-    FailureHandler handler_;
-};
-
-/// Annotated exclusive mutex. `name` shows up in lock-order reports; give
-/// every long-lived mutex one.
+/// Annotated exclusive mutex.
 class COP_CAPABILITY("mutex") Mutex {
 public:
-    explicit Mutex(const char* name = "mutex")
-        : name_(name), id_(nextId()) {}
-    ~Mutex() { LockOrderRegistry::instance().onDestroyed(this); }
-
+    Mutex() = default;
     Mutex(const Mutex&) = delete;
     Mutex& operator=(const Mutex&) = delete;
 
-    void lock() COP_ACQUIRE() {
-        m_.lock();
-        LockOrderRegistry::instance().onAcquired(this);
-    }
-
-    void unlock() COP_RELEASE() {
-        LockOrderRegistry::instance().onReleased(this);
-        m_.unlock();
-    }
-
-    bool try_lock() COP_TRY_ACQUIRE(true) {
-        if (!m_.try_lock()) return false;
-        LockOrderRegistry::instance().onAcquired(this);
-        return true;
-    }
-
-    const char* name() const { return name_; }
-    std::uint64_t orderId() const { return id_; }
+    void lock() COP_ACQUIRE() { m_.lock(); }
+    void unlock() COP_RELEASE() { m_.unlock(); }
+    bool try_lock() COP_TRY_ACQUIRE(true) { return m_.try_lock(); }
 
 private:
-    static std::uint64_t nextId();
-
     std::mutex m_;
-    const char* name_;
-    std::uint64_t id_;
 };
 
 /// Scoped lock; the annotated replacement for std::lock_guard.
@@ -180,8 +74,8 @@ private:
 };
 
 /// Scoped lock usable with std::condition_variable_any (BasicLockable):
-/// the wait path goes through unlock()/lock(), so both the capability
-/// bookkeeping and the lock-order detector stay consistent across waits.
+/// the wait path goes through unlock()/lock(), so the capability
+/// bookkeeping stays consistent across waits.
 class COP_SCOPED_CAPABILITY UniqueLock {
 public:
     explicit UniqueLock(Mutex& m) COP_ACQUIRE(m) : m_(m) { m_.lock(); }

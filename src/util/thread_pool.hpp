@@ -143,7 +143,7 @@ private:
     std::vector<std::thread> workers_;
     /// Leaf lock of the repo-wide hierarchy (DESIGN.md "Concurrency
     /// invariants"): no other Mutex is ever acquired while holding it.
-    util::Mutex mutex_{"ThreadPool.mutex"};
+    util::Mutex mutex_;
     std::queue<std::function<void()>> tasks_ COP_GUARDED_BY(mutex_);
     bool stop_ COP_GUARDED_BY(mutex_) = false;
     /// _any variant: waits on util::UniqueLock, so the capability and

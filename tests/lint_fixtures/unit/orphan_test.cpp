@@ -1,6 +1,5 @@
 // Fixture: a test tree, outside every reach-dir. Its includes do not
 // count as uses.
-#include "allowed.hpp"
 #include "orphan.hpp"
 
-int check() { return fixture::orphan() + fixture::allowed(); }
+int check() { return fixture::orphan(); }

@@ -122,8 +122,7 @@ TEST(LintConfig, RejectsPathsMissingUnderRoot) {
 
     for (const char* line : {"untrusted-file core/no_such_decode.cpp\n",
                              "blocking-allow core/no_such_decode.cpp flush\n",
-                             "switch-enum Fruit core/no_such_decode.cpp\n",
-                             "test-only-allow core/no_such_decode.cpp\n"}) {
+                             "switch-enum Fruit core/no_such_decode.cpp\n"}) {
         SCOPED_TRACE(line);
         Config cfg;
         err.clear();
@@ -146,8 +145,7 @@ TEST(LintConfig, ParsesAllDirectives) {
                             "blocking-allow src/core/store.cpp *\n"
                             "switch-enum Fruit fruit.hpp\n"
                             "header-dir src/\n"
-                            "reach-dir bench\n"
-                            "test-only-allow src/mdlib/x.hpp\n",
+                            "reach-dir bench\n",
                             cfg, err))
         << err;
     EXPECT_EQ(cfg.lintDirs, std::vector<std::string>{"src"});
@@ -157,7 +155,6 @@ TEST(LintConfig, ParsesAllDirectives) {
     EXPECT_EQ(cfg.switchEnums[0].first, "Fruit");
     EXPECT_EQ(cfg.headerDirs, std::vector<std::string>{"src/"});
     EXPECT_EQ(cfg.reachDirs, std::vector<std::string>{"bench"});
-    EXPECT_EQ(cfg.testOnlyAllow, std::vector<std::string>{"src/mdlib/x.hpp"});
 }
 
 TEST(LintFunctions, QualifiedNamesAndDestructors) {
@@ -332,7 +329,7 @@ TEST_P(LintTestOnlyHeader, MatchesExpectedFindings) {
 
 INSTANTIATE_TEST_SUITE_P(
     Fixtures, LintTestOnlyHeader,
-    ::testing::Values("lib/orphan.hpp", "lib/used.hpp", "lib/allowed.hpp"),
+    ::testing::Values("lib/orphan.hpp", "lib/used.hpp"),
     [](const ::testing::TestParamInfo<const char*>& paramInfo) {
         std::string name = paramInfo.param;
         for (char& c : name)

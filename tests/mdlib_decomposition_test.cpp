@@ -6,7 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include "mdlib/decomposition.hpp"
+#include "support/decomposition.hpp"
 #include "util/random.hpp"
 
 namespace cop::md {

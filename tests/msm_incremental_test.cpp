@@ -7,6 +7,7 @@
 #include "mdlib/trajectory.hpp"
 #include "msm/pipeline.hpp"
 #include "msm/transition_counts.hpp"
+#include "support/msm_oracles.hpp"
 #include "util/random.hpp"
 #include "util/thread_pool.hpp"
 
@@ -192,15 +193,12 @@ ConformationSet clusteredSet(Rng& rng, std::size_t n, std::size_t nBasins) {
 TEST(Pruning, KCentersPrunedMatchesUnpruned) {
     Rng rng(61);
     const auto data = clusteredSet(rng, 240, 6);
-    KCentersParams on;
-    on.numClusters = 12;
-    on.seed = 5;
-    on.prune = true;
-    KCentersParams off = on;
-    off.prune = false;
+    KCentersParams params;
+    params.numClusters = 12;
+    params.seed = 5;
 
-    const auto a = kCenters(data, on);
-    const auto b = kCenters(data, off);
+    const auto a = kCenters(data, params);
+    const auto b = kCentersUnpruned(data, params);
     EXPECT_EQ(a.assignments, b.assignments);
     EXPECT_EQ(a.centers, b.centers);
     EXPECT_EQ(a.distances, b.distances);
@@ -218,14 +216,11 @@ TEST(Pruning, AdversarialEquidistantIdentical) {
     Rng rng(67);
     ConformationSet data;
     for (std::size_t i = 0; i < 120; ++i) data.add(gaussianConf(rng, 8, 1.0));
-    KCentersParams on;
-    on.numClusters = 10;
-    on.seed = 3;
-    on.prune = true;
-    KCentersParams off = on;
-    off.prune = false;
-    const auto a = kCenters(data, on);
-    const auto b = kCenters(data, off);
+    KCentersParams params;
+    params.numClusters = 10;
+    params.seed = 3;
+    const auto a = kCenters(data, params);
+    const auto b = kCentersUnpruned(data, params);
     EXPECT_EQ(a.assignments, b.assignments);
     EXPECT_EQ(a.centers, b.centers);
     EXPECT_EQ(a.distances, b.distances);

@@ -1,6 +1,5 @@
 #include "lint.hpp"
 
-#include <algorithm>
 #include <filesystem>
 
 namespace coplint {
@@ -54,8 +53,7 @@ void checkBareMutex(const LexedFile& f, const Config& cfg,
                 "std::" + name.text +
                     " outside src/util/ — use util::Mutex / util::LockGuard"
                     " / util::UniqueLock (src/util/mutex.hpp) so the"
-                    " thread-safety annotations and the lock-order detector"
-                    " see this lock"});
+                    " thread-safety annotations see this lock"});
             break;
         }
     }
@@ -451,16 +449,13 @@ void checkTestOnlyHeaders(const std::vector<std::string>& headers,
         }
     }
     for (const auto& h : headers) {
-        if (!pathInAny(h, cfg.headerDirs) || reached.count(h) > 0 ||
-            std::find(cfg.testOnlyAllow.begin(), cfg.testOnlyAllow.end(),
-                      h) != cfg.testOnlyAllow.end())
-            continue;
+        if (!pathInAny(h, cfg.headerDirs) || reached.count(h) > 0) continue;
         out.push_back(Finding{
             h, 1, "copernicus-test-only-header",
             "only tests and its own .cpp include this header — code stays "
             "only if a pipeline, bench, example, the CLI or a paper_map "
-            "row reaches it; delete it with its tests, or add a "
-            "lint_config test-only-allow entry with the reason"});
+            "row reaches it; delete it with its tests, or move it to "
+            "tests/support"});
     }
 }
 

@@ -72,9 +72,6 @@ bool parseConfig(const std::string& text, Config& out, std::string& error) {
         } else if (directive == "reach-dir") {
             if (!need(a, "a path")) return false;
             out.reachDirs.push_back(a);
-        } else if (directive == "test-only-allow") {
-            if (!need(a, "a file path")) return false;
-            out.testOnlyAllow.push_back(a);
         } else {
             error = "lint_config:" + std::to_string(lineNo) +
                     ": unknown directive '" + directive + "'";
@@ -98,8 +95,6 @@ bool checkConfigPaths(const Config& cfg, const std::filesystem::path& root,
         if (missing("blocking-allow", entry.first)) return false;
     for (const auto& entry : cfg.switchEnums)
         if (missing("switch-enum", entry.second)) return false;
-    for (const auto& path : cfg.testOnlyAllow)
-        if (missing("test-only-allow", path)) return false;
     return true;
 }
 

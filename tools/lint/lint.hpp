@@ -8,8 +8,8 @@
 ///   copernicus-bare-mutex        std::mutex / lock_guard / scoped_lock /
 ///                                condition_variable ... outside src/util/
 ///                                (everything goes through util::Mutex so
-///                                the thread-safety annotations and the
-///                                lock-order detector see every lock)
+///                                the thread-safety annotations see every
+///                                lock)
 ///   copernicus-nondeterminism    rand() / random_device / system_clock /
 ///                                getenv and iteration over unordered
 ///                                containers in the replay- and
@@ -29,8 +29,7 @@
 ///   copernicus-test-only-header  a header under a header-dir that no
 ///                                reach-dir file includes except its own
 ///                                .cpp, i.e. only tests reach it; a
-///                                tree-wide check, exempted per header by
-///                                a lint_config test-only-allow entry
+///                                tree-wide check with no exceptions
 ///
 /// Suppression grammar (reason is mandatory — a reasonless NOLINT is
 /// itself a finding):
@@ -90,17 +89,15 @@ struct Config {
     std::vector<std::string> headerDirs;
     /// Trees whose quoted includes count as a use of a header.
     std::vector<std::string> reachDirs;
-    /// Headers allowed to be reached from tests only.
-    std::vector<std::string> testOnlyAllow;
 };
 
 /// Parses the config text; returns false and sets `error` on a malformed
 /// line (unknown directive or missing operand).
 bool parseConfig(const std::string& text, Config& out, std::string& error);
 
-/// Returns false and sets `error` when an untrusted-file, blocking-allow,
-/// switch-enum or test-only-allow path names no file under `root`: a
-/// stale entry would otherwise silently scope its check to nothing.
+/// Returns false and sets `error` when an untrusted-file, blocking-allow
+/// or switch-enum path names no file under `root`: a stale entry would
+/// otherwise silently scope its check to nothing.
 bool checkConfigPaths(const Config& cfg, const std::filesystem::path& root,
                       std::string& error);
 
@@ -141,9 +138,9 @@ void checkBlocking(const LexedFile& f, const Config& cfg,
 std::vector<std::string> quotedIncludes(const LexedFile& f);
 
 /// Tree-wide check: flags each of `headers` (repo-relative) that lies
-/// under a header-dir, is not allow-listed, and is included by no file
-/// in `reachFiles` other than its own .cpp. A quoted include resolves
-/// against the including file's directory first, then each header-dir.
+/// under a header-dir and is included by no file in `reachFiles` other
+/// than its own .cpp. A quoted include resolves against the including
+/// file's directory first, then each header-dir.
 void checkTestOnlyHeaders(const std::vector<std::string>& headers,
                           const std::vector<LexedFile>& reachFiles,
                           const Config& cfg, std::vector<Finding>& out);

@@ -1,18 +1,32 @@
 #!/usr/bin/env bash
-# Builds and runs the microbenchmarks, emitting google-benchmark JSON to
-# BENCH_micro_md.json, BENCH_micro_msm.json and BENCH_micro_sched.json in
-# the repo root so the perf trajectory — kernel flavors x SIMD ISAs x
-# thread counts, MSM rebuild modes, scheduler flavors x queue depths — is
-# tracked PR over PR. Then runs the macro benches and, last, the
-# end-to-end suite (bench/e2e/run.sh, into build-e2e/BENCH_e2e.json),
-# which bench/e2e/bench_diff.py compares with the committed
-# bench/e2e/BENCH_e2e.json: a regression exits nonzero.
+# Builds and runs the benchmarks and re-captures their JSON in the repo
+# root, so the perf trajectory — kernel flavors x SIMD ISAs x thread
+# counts, MSM rebuild modes, scheduler flavors x queue depths, the data
+# plane and the macro harnesses — is tracked change over change. Each
+# bench rewrites only its own file:
+#
+#   micro_md       BENCH_micro_md.json
+#   micro_msm      BENCH_micro_msm.json
+#   micro_sched    BENCH_micro_sched.json
+#   micro_store    BENCH_micro_store.json (writes ~2.8 GB to $TMPDIR)
+#   macro_overlay  BENCH_macro_overlay.json
+#   macro_tenancy  BENCH_macro_tenancy.json (reads BENCH_macro_overlay.json
+#                  as its single-tenant parity baseline; ~7 min)
+#   e2e            the end-to-end suite (bench/e2e/run.sh, 5-8 min) into
+#                  build-e2e/BENCH_e2e.json, which bench/e2e/bench_diff.py
+#                  compares with the committed bench/e2e/BENCH_e2e.json: a
+#                  regression exits nonzero
 #
 # Usage:
-#   tools/run_bench.sh                 # full sweep
-#   FILTER=BM_NonbondedKernel tools/run_bench.sh
-#   BUILD_DIR=build-release tools/run_bench.sh -- --benchmark_min_time=0.1
-#   tools/run_bench.sh --allow-debug   # explicitly bless a non-Release dir
+#   tools/run_bench.sh                     # full sweep, all seven in order
+#   tools/run_bench.sh micro_msm           # re-capture one file
+#   tools/run_bench.sh micro_md micro_sched -- --benchmark_min_time=0.1
+#   BUILD_DIR=build-release tools/run_bench.sh micro_md
+#   tools/run_bench.sh --allow-debug       # explicitly bless a non-Release dir
+#
+# Arguments after `--` go to the google-benchmark binaries (micro_md,
+# micro_msm, micro_sched). `--benchmark_filter` is refused: a filtered
+# run would overwrite a committed file with a subset of its rows.
 #
 # Refuses to run from a non-Release build directory unless --allow-debug
 # is given: debug-build timings silently committed as BENCH_*.json would
@@ -23,17 +37,42 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 BUILD_DIR=${BUILD_DIR:-build}
-FILTER=${FILTER:-.}
 
+if [[ -n "${FILTER:-}" ]]; then
+  echo "error: FILTER is not supported: a filtered run would overwrite a" >&2
+  echo "committed file with a subset of its rows. Name the benches to" >&2
+  echo "re-capture instead, or run a benchmark binary directly." >&2
+  exit 2
+fi
+
+all_benches=(micro_md micro_msm micro_sched micro_store macro_overlay
+  macro_tenancy e2e)
 allow_debug=0
+benches=()
 extra=()
-for arg in "$@"; do
-  case "$arg" in
+while [[ $# -gt 0 ]]; do
+  case "$1" in
     --allow-debug) allow_debug=1 ;;
-    --) ;;
-    *) extra+=("$arg") ;;
+    --) shift; extra=("$@"); break ;;
+    *)
+      if [[ " ${all_benches[*]} " != *" $1 "* ]]; then
+        echo "error: unknown bench '$1' (one of: ${all_benches[*]})" >&2
+        exit 2
+      fi
+      benches+=("$1") ;;
   esac
+  shift
 done
+for arg in "${extra[@]+"${extra[@]}"}"; do
+  if [[ "$arg" == --benchmark_filter* ]]; then
+    echo "error: --benchmark_filter would overwrite a committed file with" >&2
+    echo "a subset of its rows; run the benchmark binary directly instead." >&2
+    exit 2
+  fi
+done
+[[ ${#benches[@]} -eq 0 ]] && benches=("${all_benches[@]}")
+
+selected() { [[ " ${benches[*]} " == *" $1 "* ]]; }
 
 # Fresh dirs are configured Release; an existing dir keeps its cached
 # build type (so BUILD_DIR=build-debug genuinely trips the gate below
@@ -53,71 +92,70 @@ if [[ "$build_type" != "Release" && $allow_debug -ne 1 ]]; then
   exit 1
 fi
 
-cmake --build "$BUILD_DIR" -j"$(nproc)" --target micro_md micro_msm micro_sched \
-  micro_store macro_overlay macro_tenancy
+# The e2e suite builds its own tree (build-e2e/); every other bench is a
+# target here. micro_md is always built: it reports the SIMD ISA stamp.
+targets=(micro_md)
+for b in "${benches[@]}"; do
+  [[ "$b" != e2e && "$b" != micro_md ]] && targets+=("$b")
+done
+written=()
+if [[ "${benches[*]}" != e2e ]]; then
+  cmake --build "$BUILD_DIR" -j"$(nproc)" --target "${targets[@]}"
 
-simd_isa=$("$BUILD_DIR"/bench/micro_md --print-simd-isa)
-echo "build type: $build_type, detected SIMD ISA: $simd_isa"
+  simd_isa=$("$BUILD_DIR"/bench/micro_md --print-simd-isa)
+  echo "build type: $build_type, detected SIMD ISA: $simd_isa"
 
-# Repetitions + random interleaving for micro_md: the SIMD headline is a
-# ratio of two benchmarks that would otherwise run minutes apart, and on
-# a shared host the load drifts on that timescale. Interleaved
-# repetitions spread any slow phase across every benchmark, so the
-# medians compare like with like.
-"$BUILD_DIR"/bench/micro_md \
-  --benchmark_filter="$FILTER" \
-  --benchmark_repetitions=3 \
-  --benchmark_enable_random_interleaving=true \
-  --benchmark_out=BENCH_micro_md.json \
-  --benchmark_out_format=json \
-  "${extra[@]+"${extra[@]}"}"
+  # Repetitions + random interleaving for micro_md: the SIMD headline is a
+  # ratio of two benchmarks that would otherwise run minutes apart, and on
+  # a shared host the load drifts on that timescale. Interleaved
+  # repetitions spread any slow phase across every benchmark, so the
+  # medians compare like with like.
+  if selected micro_md; then
+    "$BUILD_DIR"/bench/micro_md \
+      --benchmark_repetitions=3 \
+      --benchmark_enable_random_interleaving=true \
+      --benchmark_out=BENCH_micro_md.json \
+      --benchmark_out_format=json \
+      "${extra[@]+"${extra[@]}"}"
+    written+=(BENCH_micro_md.json)
+  fi
 
-"$BUILD_DIR"/bench/micro_msm \
-  --benchmark_filter="$FILTER" \
-  --benchmark_out=BENCH_micro_msm.json \
-  --benchmark_out_format=json \
-  "${extra[@]+"${extra[@]}"}"
+  for b in micro_msm micro_sched; do
+    selected "$b" || continue
+    "$BUILD_DIR/bench/$b" \
+      --benchmark_out="BENCH_$b.json" \
+      --benchmark_out_format=json \
+      "${extra[@]+"${extra[@]}"}"
+    written+=("BENCH_$b.json")
+  done
 
-"$BUILD_DIR"/bench/micro_sched \
-  --benchmark_filter="$FILTER" \
-  --benchmark_out=BENCH_micro_sched.json \
-  --benchmark_out_format=json \
-  "${extra[@]+"${extra[@]}"}"
+  # These three write their own BENCH_<name>.json. micro_store: the
+  # tiered-store bounded-RSS experiment (1M commands vs the RAM cap),
+  # codec ratio/throughput on a real checkpoint and WAL append/replay
+  # throughput; it exits nonzero if any gate (bounded RSS, ratio > 1,
+  # lossless replay) fails. macro_overlay: the closed-loop command mill +
+  # sparse trickle, batched vs unbatched, plus the WAL-on/off A/B tax leg.
+  # macro_tenancy: the multi-tenant scheduling-plane study (10k workers x
+  # 100 projects, weighted DRR, admission, single-tenant parity); it runs
+  # after macro_overlay because it reads BENCH_macro_overlay.json.
+  for b in micro_store macro_overlay macro_tenancy; do
+    selected "$b" || continue
+    "$BUILD_DIR/bench/$b"
+    written+=("BENCH_$b.json")
+  done
 
-# Data-plane microbenchmarks: tiered-store bounded-RSS experiment (1M
-# commands vs the RAM cap), codec ratio/throughput on a real checkpoint,
-# and WAL append/replay throughput. Writes BENCH_micro_store.json itself
-# and exits nonzero if any gate (bounded RSS, ratio > 1, lossless replay)
-# fails.
-"$BUILD_DIR"/bench/micro_store
-
-# Macro overlay-throughput harness (closed-loop command mill + sparse
-# trickle, batched vs unbatched, plus the WAL-on/off A/B tax leg).
-# Writes BENCH_macro_overlay.json itself.
-"$BUILD_DIR"/bench/macro_overlay
-
-# Multi-tenant scheduling-plane study (10k workers x 100 projects,
-# weighted DRR, admission, single-tenant parity). Must run after
-# macro_overlay: it reads BENCH_macro_overlay.json as the parity
-# baseline. Writes BENCH_macro_tenancy.json itself. Slow (~7 min).
-"$BUILD_DIR"/bench/macro_tenancy
-
-# Stamp build type + detected ISA into every JSON (micro_md carries them
-# natively via benchmark context; the others get them injected here so a
-# lone file is still self-describing).
-if command -v python3 >/dev/null 2>&1; then
-  COP_BUILD_TYPE="$build_type" COP_SIMD_ISA="$simd_isa" python3 - <<'EOF'
-import json, os
+  # Stamp build type + detected ISA into every JSON just written (micro_md
+  # carries them natively via benchmark context; the others get them
+  # injected here so a lone file is still self-describing).
+  if command -v python3 >/dev/null 2>&1; then
+    COP_BUILD_TYPE="$build_type" COP_SIMD_ISA="$simd_isa" \
+      python3 - "${written[@]}" <<'EOF'
+import json, os, sys
 stamp = {"cop_build_type": os.environ["COP_BUILD_TYPE"],
          "cop_simd_isa_detected": os.environ["COP_SIMD_ISA"]}
-for path in ("BENCH_micro_md.json", "BENCH_micro_msm.json",
-             "BENCH_micro_sched.json", "BENCH_micro_store.json",
-             "BENCH_macro_overlay.json", "BENCH_macro_tenancy.json"):
-    try:
-        with open(path) as f:
-            d = json.load(f)
-    except (OSError, ValueError):
-        continue
+for path in sys.argv[1:]:
+    with open(path) as f:
+        d = json.load(f)
     if "context" in d and isinstance(d["context"], dict):
         d["context"].update(stamp)
     else:
@@ -126,13 +164,14 @@ for path in ("BENCH_micro_md.json", "BENCH_micro_msm.json",
         json.dump(d, f, indent=1)
         f.write("\n")
 EOF
-fi
+  fi
 
-echo "Wrote BENCH_micro_md.json, BENCH_micro_msm.json, BENCH_micro_sched.json, BENCH_micro_store.json, BENCH_macro_overlay.json and BENCH_macro_tenancy.json"
+  echo "Wrote ${written[*]}"
+fi
 
 # Headline for the SIMD kernel tier: runtime-dispatched widest ISA vs the
 # width-1 SoA baseline at N=10000 (single thread, uncharged + charged).
-if command -v python3 >/dev/null 2>&1; then
+if selected micro_md && command -v python3 >/dev/null 2>&1; then
   python3 - <<'EOF' || true
 import json
 with open("BENCH_micro_md.json") as f:
@@ -164,7 +203,7 @@ fi
 # Headline for the adaptive-MSM sweep: from-scratch rebuild vs incremental
 # update of the same generation (BM_MsmFullGeneration / gen:N against
 # BM_MsmIncrementalGeneration / gen:N, single-threaded).
-if command -v python3 >/dev/null 2>&1; then
+if selected micro_msm && command -v python3 >/dev/null 2>&1; then
   python3 - <<'EOF' || true
 import json
 with open("BENCH_micro_msm.json") as f:
@@ -184,8 +223,9 @@ EOF
 fi
 
 # Headline for the overlay transport: wall-clock commands/sec with
-# envelope coalescing on vs off, plus the sparse-load ack-latency check.
-if command -v python3 >/dev/null 2>&1; then
+# envelope coalescing on vs off, the sparse-load ack-latency check, and
+# the WAL-on/off hot-path tax (gate >= 0.95).
+if selected macro_overlay && command -v python3 >/dev/null 2>&1; then
   python3 - <<'EOF' || true
 import json
 with open("BENCH_macro_overlay.json") as f:
@@ -198,12 +238,16 @@ print(f"overlay hot: {on['wall_commands_per_sec']:.0f} cps batched vs "
 sp = d["sparse"]
 print(f"overlay sparse: ack p99 {sp['batched']['ack_latency_p99_s']:.4f}s batched vs "
       f"{sp['unbatched']['ack_latency_p99_s']:.4f}s unbatched")
+ab = d.get("wal_ab", {})
+if ab:
+    print(f"wal tax (overlay hot): {ab['wal_tax_cps_ratio']:.4f}x cps "
+          f"(gate >= {ab['wal_tax_gate']})")
 EOF
 fi
 
 # Headline for the data plane: bounded RSS under 1M commands, codec ratio
-# on a real checkpoint, and the WAL-on/off hot-path tax (gate >= 0.95).
-if command -v python3 >/dev/null 2>&1; then
+# on a real checkpoint, and WAL append/replay throughput.
+if selected micro_store && command -v python3 >/dev/null 2>&1; then
   python3 - <<'EOF' || true
 import json
 with open("BENCH_micro_store.json") as f:
@@ -217,24 +261,13 @@ print(f"codec: {c['compression_ratio']:.2f}x on a real checkpoint, "
 print(f"wal: {w['appends_per_sec']:.0f} appends/s, "
       f"{w['records_per_sync']:.0f} records/fdatasync, "
       f"{w['replays_per_sec']:.0f} replays/s")
-with open("BENCH_macro_overlay.json") as f:
-    o = json.load(f)
-ab = o.get("wal_ab", {})
-if ab:
-    print(f"wal tax (overlay hot): {ab['wal_tax_cps_ratio']:.4f}x cps "
-          f"(gate >= {ab['wal_tax_gate']})")
-with open("BENCH_macro_tenancy.json") as f:
-    t = json.load(f)
-ab = t.get("wal_ab", {})
-if ab:
-    print(f"wal tax (tenancy): {ab['wal_tax_cps_ratio']:.4f}x cps "
-          f"(gate >= {ab['wal_tax_gate']})")
 EOF
 fi
 
 # Headline for the multi-tenant plane: flagship fairness + claim latency,
-# weighted shares, and single-tenant parity with macro_overlay.
-if command -v python3 >/dev/null 2>&1; then
+# weighted shares, single-tenant parity with macro_overlay, and the
+# WAL-on/off tax.
+if selected macro_tenancy && command -v python3 >/dev/null 2>&1; then
   python3 - <<'EOF' || true
 import json
 with open("BENCH_macro_tenancy.json") as f:
@@ -252,12 +285,16 @@ print(f"single-tenant parity: {s['sim_commands_per_sec']:.2f} sim cps vs "
       f"overlay {s['baseline_sim_commands_per_sec']:.2f} "
       f"(ratio {s['ratio_vs_macro_overlay']:.4f}, "
       f"within 5%: {s['within_5pct']})")
+ab = d.get("wal_ab", {})
+if ab:
+    print(f"wal tax (tenancy): {ab['wal_tax_cps_ratio']:.4f}x cps "
+          f"(gate >= {ab['wal_tax_gate']})")
 EOF
 fi
 
 # Headline for the scheduler: legacy linear-scan claim vs indexed claim at
-# 1e4 pending commands (the ISSUE's >= 10x acceptance point).
-if command -v python3 >/dev/null 2>&1; then
+# 1e4 pending commands (the >= 10x acceptance point).
+if selected micro_sched && command -v python3 >/dev/null 2>&1; then
   python3 - <<'EOF' || true
 import json
 with open("BENCH_micro_sched.json") as f:
@@ -280,5 +317,7 @@ fi
 
 # End-to-end adaptive pipeline (bench/e2e, 5-8 min), compared with the
 # committed baseline; bench_diff.py exits nonzero on any regression.
-bench/e2e/run.sh --out build-e2e/BENCH_e2e.json
-python3 bench/e2e/bench_diff.py bench/e2e/BENCH_e2e.json build-e2e/BENCH_e2e.json
+if selected e2e; then
+  bench/e2e/run.sh --out build-e2e/BENCH_e2e.json
+  python3 bench/e2e/bench_diff.py bench/e2e/BENCH_e2e.json build-e2e/BENCH_e2e.json
+fi
