@@ -117,7 +117,7 @@ int generateCorpus(const fs::path& dir) {
     req.cores = 8;
     req.executables = {"mdrun", "fe_sample"};
     req.visited = {1, 2, 3};
-    writeSeed(dir, "workload_request", req.kType, req.encode());
+    writeSeed(dir, "workload_request", req.kType, encodeWhole(req));
 
     CommandSpec spec;
     spec.id = 42;
@@ -132,26 +132,26 @@ int generateCorpus(const fs::path& dir) {
     spec.input = SharedBytes{1, 2, 3, 4};
     WorkloadAssignPayload assign;
     assign.commands = {spec};
-    writeSeed(dir, "workload_assign", assign.kType, assign.encode());
+    writeSeed(dir, "workload_assign", assign.kType, encodeWhole(assign));
 
     HeartbeatPayload hb;
     hb.worker = 9;
     hb.running = {42, 43};
     hb.projectServers = {3, 3};
-    writeSeed(dir, "heartbeat", hb.kType, hb.encode());
+    writeSeed(dir, "heartbeat", hb.kType, encodeWhole(hb));
 
     CheckpointPayload cp;
     cp.commandId = 42;
     cp.projectId = 7;
     cp.projectServer = 3;
     cp.blob = SharedBytes{5, 6, 7, 8, 9};
-    writeSeed(dir, "checkpoint", cp.kType, cp.encode());
+    writeSeed(dir, "checkpoint", cp.kType, encodeWhole(cp));
 
     WorkerFailedPayload wf;
     wf.worker = 9;
     wf.commands = {42, 43};
     wf.checkpoints = {SharedBytes{1, 2}, SharedBytes{}};
-    writeSeed(dir, "worker_failed", wf.kType, wf.encode());
+    writeSeed(dir, "worker_failed", wf.kType, encodeWhole(wf));
 
     CommandResult result;
     result.commandId = 42;
@@ -164,7 +164,7 @@ int generateCorpus(const fs::path& dir) {
     CommandOutputPayload out;
     out.result = result;
     out.projectServer = 3;
-    writeSeed(dir, "command_output", out.kType, out.encode());
+    writeSeed(dir, "command_output", out.kType, encodeWhole(out));
 
     // A worker's renewal list under tag 13, the retired LeaseRenew type:
     // well-formed bytes under a tag no decoder accepts any more.
@@ -182,7 +182,7 @@ int generateCorpus(const fs::path& dir) {
     hs.workers = {9, 10};
     hs.counts = {2, 1};
     hs.commands = {42, 43, 44};
-    writeSeed(dir, "heartbeat_summary", hs.kType, hs.encode());
+    writeSeed(dir, "heartbeat_summary", hs.kType, encodeWhole(hs));
 
     // Hostile summary shapes: the per-worker counts must stay parallel
     // to the worker list and tile the flattened command list exactly.
@@ -213,20 +213,20 @@ int generateCorpus(const fs::path& dir) {
 
     NoWorkPayload nw;
     nw.worker = 9;
-    writeSeed(dir, "no_work", nw.kType, nw.encode());
+    writeSeed(dir, "no_work", nw.kType, encodeWhole(nw));
 
     ClientRequestPayload creq;
     creq.projectId = 7;
     creq.command = "status";
-    writeSeed(dir, "client_request", creq.kType, creq.encode());
+    writeSeed(dir, "client_request", creq.kType, encodeWhole(creq));
 
     ClientResponsePayload cresp;
     cresp.text = "9 commands pending";
-    writeSeed(dir, "client_response", cresp.kType, cresp.encode());
+    writeSeed(dir, "client_response", cresp.kType, encodeWhole(cresp));
 
     AckPayload ack;
     ack.ackedMessageId = 1234;
-    writeSeed(dir, "ack", ack.kType, ack.encode());
+    writeSeed(dir, "ack", ack.kType, encodeWhole(ack));
 
     // A mixed coalesced frame: data + piggybacked ack, the shape the
     // batching endpoint actually emits.
@@ -235,16 +235,16 @@ int generateCorpus(const fs::path& dir) {
     be1.type = hb.kType;
     be1.messageId = 77;
     be1.requireAck = true;
-    be1.payload = hb.encode();
+    be1.payload = encodeWhole(hb);
     BatchEntry be2;
     be2.type = ack.kType;
     be2.messageId = 78;
-    be2.payload = ack.encode();
+    be2.payload = encodeWhole(ack);
     batch.entries = {be1, be2};
-    writeSeed(dir, "batch_mixed", batch.kType, batch.encode());
+    writeSeed(dir, "batch_mixed", batch.kType, encodeWhole(batch));
 
     // Malformed shapes the decode hardening must keep rejecting.
-    auto hbBytes = hb.encode();
+    auto hbBytes = encodeWhole(hb);
     writeSeed(dir, "malformed_truncated", hb.kType,
               {hbBytes.begin(), hbBytes.begin() + long(hbBytes.size() / 2)});
     auto trailing = hbBytes;
@@ -261,9 +261,9 @@ int generateCorpus(const fs::path& dir) {
     // after a well-formed batch.
     auto nested = batch;
     nested.entries[0].type = batch.kType;
-    nested.entries[0].payload = batch.encode();
-    writeSeed(dir, "batch_malformed_nested", batch.kType, nested.encode());
-    auto batchBytes = batch.encode();
+    nested.entries[0].payload = encodeWhole(batch);
+    writeSeed(dir, "batch_malformed_nested", batch.kType, encodeWhole(nested));
+    auto batchBytes = encodeWhole(batch);
     auto batchHostile = batchBytes;
     std::memcpy(batchHostile.data(), &huge, sizeof(huge));
     writeSeed(dir, "batch_malformed_huge_count", batch.kType, batchHostile);

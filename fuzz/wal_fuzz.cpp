@@ -240,7 +240,9 @@ SchedulerImage schedulerImage() {
     image.deficit = 8 + 8 + configBytes.buffer().size();
     image.nextSeq = image.deficit + 8 + 7 * 8;
     image.firstSeq = image.nextSeq + 8 + 8 + 8;
-    image.secondSeq = image.firstSeq + 8 + spec.encodedSize();
+    cop::BinaryWriter specBytes;
+    spec.serialize(specBytes);
+    image.secondSeq = image.firstSeq + 8 + specBytes.size();
     return image;
 }
 

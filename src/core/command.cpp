@@ -16,14 +16,6 @@ void CommandSpec::serialize(BinaryWriter& w) const {
     w.writeBytes(input);
 }
 
-std::size_t CommandSpec::encodedSize() const {
-    return 4 + 4            // header magic + version
-           + 8 + 8 + 4      // id, projectId, projectServer
-           + 8 + executable.size() // length-prefixed string
-           + 8 + 4 + 4 + 4 + 4 // steps, cores, priority, trajectory, gen
-           + 8 + input.size();  // length-prefixed blob
-}
-
 CommandSpec CommandSpec::deserialize(BinaryReader& r) {
     const auto version = r.readHeader("CCMD");
     COP_IO_CHECK(version == 1, "unsupported command version");
@@ -51,15 +43,6 @@ void CommandResult::serialize(BinaryWriter& w) const {
     w.write(error);
     w.writeBytes(output);
     w.write(simSeconds);
-}
-
-std::size_t CommandResult::encodedSize() const {
-    return 4 + 4            // header magic + version
-           + 8 + 8 + 4 + 4  // commandId, projectId, trajectoryId, generation
-           + 1              // success
-           + 8 + error.size()
-           + 8 + output.size()
-           + 8;             // simSeconds
 }
 
 CommandResult CommandResult::deserialize(BinaryReader& r) {

@@ -35,8 +35,6 @@ struct CommandSpec {
 
     void serialize(BinaryWriter& w) const;
     static CommandSpec deserialize(BinaryReader& r);
-    /// Exact wire size of serialize()'s output, for reserve() prehints.
-    std::size_t encodedSize() const;
 };
 
 struct CommandResult {
@@ -51,8 +49,6 @@ struct CommandResult {
 
     void serialize(BinaryWriter& w) const;
     static CommandResult deserialize(BinaryReader& r);
-    /// Exact wire size of serialize()'s output, for reserve() prehints.
-    std::size_t encodedSize() const;
 };
 
 } // namespace cop::core

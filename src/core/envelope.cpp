@@ -28,29 +28,29 @@ std::optional<AnyPayload> decodePayload(const net::Message& msg) {
     try {
         switch (msg.type) {
         case MessageType::WorkloadRequest:
-            return WorkloadRequestPayload::decode(msg.payload);
+            return decodeWhole<WorkloadRequestPayload>(msg.payload);
         case MessageType::WorkloadAssign:
-            return WorkloadAssignPayload::decode(msg.payload);
+            return decodeWhole<WorkloadAssignPayload>(msg.payload);
         case MessageType::Heartbeat:
-            return HeartbeatPayload::decode(msg.payload);
+            return decodeWhole<HeartbeatPayload>(msg.payload);
         case MessageType::CheckpointData:
-            return CheckpointPayload::decode(msg.payload);
+            return decodeWhole<CheckpointPayload>(msg.payload);
         case MessageType::CommandOutput:
-            return CommandOutputPayload::decode(msg.payload);
+            return decodeWhole<CommandOutputPayload>(msg.payload);
         case MessageType::WorkerFailed:
-            return WorkerFailedPayload::decode(msg.payload);
+            return decodeWhole<WorkerFailedPayload>(msg.payload);
         case MessageType::NoWorkAvailable:
-            return NoWorkPayload::decode(msg.payload);
+            return decodeWhole<NoWorkPayload>(msg.payload);
         case MessageType::ClientRequest:
-            return ClientRequestPayload::decode(msg.payload);
+            return decodeWhole<ClientRequestPayload>(msg.payload);
         case MessageType::ClientResponse:
-            return ClientResponsePayload::decode(msg.payload);
+            return decodeWhole<ClientResponsePayload>(msg.payload);
         case MessageType::HeartbeatSummary:
-            return HeartbeatSummaryPayload::decode(msg.payload);
+            return decodeWhole<HeartbeatSummaryPayload>(msg.payload);
         case MessageType::Ack:
-            return AckPayload::decode(msg.payload);
+            return decodeWhole<AckPayload>(msg.payload);
         case MessageType::Batch:
-            return BatchPayload::decode(msg.payload);
+            return decodeWhole<BatchPayload>(msg.payload);
         }
     } catch (const std::exception&) {
         return std::nullopt; // truncated or corrupt payload
@@ -88,25 +88,6 @@ std::uint64_t Endpoint::sendRaw(net::MessageType type, net::NodeId to,
     else
         net_->send(std::move(msg));
     if (reliable) armRetry(id);
-    return id;
-}
-
-std::uint64_t Endpoint::resend(const net::Message& failed,
-                               net::NodeId newDestination) {
-    if (down_) return 0;
-    net::Message msg = failed;
-    msg.source = node_->id();
-    msg.destination = newDestination;
-    msg.id = net_->nextMessageId();
-    msg.requireAck = true;
-    ++stats_.sent;
-    const std::uint64_t id = msg.id;
-    pending_.emplace(id, Pending{msg, 1, 0, net_->loop().now()});
-    if (batch_.enabled)
-        enqueue(std::move(msg), /*isAck=*/false);
-    else
-        net_->send(std::move(msg));
-    armRetry(id);
     return id;
 }
 
@@ -196,7 +177,7 @@ void Endpoint::flush(net::NodeId dest, FlushReason reason) {
     msg.requireAck = false; // reliability stays end-to-end per sub-envelope
     msg.batchCount = std::uint32_t(payload.entries.size());
     msg.bulkBytes = payload.bulkPayloadBytes();
-    msg.payload = payload.encode();
+    msg.payload = encodeWhole(payload);
     net_->send(std::move(msg));
 }
 
@@ -268,7 +249,7 @@ void Endpoint::receive(const net::Message& msg) {
         reply.source = node_->id();
         reply.destination = msg.source;
         reply.id = net_->nextMessageId();
-        reply.payload = ack.encode();
+        reply.payload = encodeWhole(ack);
         // Piggyback the ack on whatever else is (or is about to be)
         // heading back to the sender; the ack-flush deadline bounds how
         // long it may wait for company.

@@ -109,15 +109,13 @@ public:
     /// Returns the message id (0 if the endpoint is shut down).
     template <typename T>
     std::uint64_t send(net::NodeId to, const T& payload, bool reliable = true) {
-        return sendRaw(T::kType, to, payload.encode(), reliable);
+        return sendRaw(T::kType, to, encodeWhole(payload), reliable);
     }
 
+    /// Sends already-encoded payload bytes tagged `type`. Also re-targets
+    /// an undelivered message (from onDeliveryFailure) under a fresh id.
     std::uint64_t sendRaw(net::MessageType type, net::NodeId to,
                           std::vector<std::uint8_t> payload, bool reliable);
-
-    /// Re-targets an undelivered message (from onDeliveryFailure) to a new
-    /// destination under a fresh id, reliably. Used for server failover.
-    std::uint64_t resend(const net::Message& failed, net::NodeId newDestination);
 
     /// Crash semantics: stop receiving, sending and retrying. Pending
     /// retransmit and flush timers are cancelled; queued envelopes die

@@ -2,32 +2,10 @@
 
 namespace cop::core {
 
-namespace {
-
-/// Shared whole-buffer wrappers around the streaming pair. The exact-size
-/// reserve() prehint means envelope encoding never reallocates: one
-/// allocation per message, asserted by the Wire.EncodedSizeIsExact test.
-template <typename T>
-std::vector<std::uint8_t> encodeWhole(const T& p) {
-    BinaryWriter w;
-    w.reserve(p.encodedSize());
-    p.serialize(w);
-    return w.takeBuffer();
+BinaryWriter& detail::encodeScratch() {
+    thread_local BinaryWriter scratch;
+    return scratch;
 }
-
-template <typename T>
-T decodeWhole(std::span<const std::uint8_t> data) {
-    BinaryReader r(data);
-    T v = T::deserialize(r);
-    // An envelope payload owns its whole buffer; bytes past the decoded
-    // payload mean corruption (or an attack), not a compatible extension.
-    if (!r.atEnd())
-        throw IoError("malformed envelope: " + std::to_string(r.remaining()) +
-                      " trailing bytes after payload");
-    return v;
-}
-
-} // namespace
 
 void WorkloadRequestPayload::serialize(BinaryWriter& w) const {
     w.write(std::int32_t(worker));
@@ -266,85 +244,5 @@ AckPayload AckPayload::deserialize(BinaryReader& r) {
     p.ackedMessageId = r.read<std::uint64_t>();
     return p;
 }
-
-
-// --- Exact wire sizes (must mirror the serialize() bodies above) --------
-
-std::size_t WorkloadRequestPayload::encodedSize() const {
-    std::size_t n = 4 + 8 + platform.size() + 4;
-    n += 8;
-    for (const auto& e : executables) n += 8 + e.size();
-    n += 8 + 4 * visited.size();
-    return n;
-}
-
-std::size_t WorkloadAssignPayload::encodedSize() const {
-    std::size_t n = 8;
-    for (const auto& c : commands) n += c.encodedSize();
-    return n;
-}
-
-std::size_t HeartbeatPayload::encodedSize() const {
-    return 4 + 8 + 8 * running.size() + 8 + 4 * projectServers.size();
-}
-
-std::size_t CheckpointPayload::encodedSize() const {
-    return 8 + 8 + 4 + 8 + blob.size();
-}
-
-std::size_t WorkerFailedPayload::encodedSize() const {
-    std::size_t n = 4 + 8 + 8 * commands.size() + 8;
-    for (const auto& c : checkpoints) n += 8 + c.size();
-    return n;
-}
-
-std::size_t CommandOutputPayload::encodedSize() const {
-    return result.encodedSize() + 4;
-}
-
-std::size_t NoWorkPayload::encodedSize() const { return 4 + 8; }
-
-std::size_t ClientRequestPayload::encodedSize() const {
-    return 8 + 8 + command.size();
-}
-
-std::size_t ClientResponsePayload::encodedSize() const {
-    return 8 + text.size() + 1 + 8;
-}
-
-std::size_t HeartbeatSummaryPayload::encodedSize() const {
-    return 4 + 8 + 4 * workers.size() + 8 + 4 * counts.size() + 8 +
-           8 * commands.size();
-}
-
-std::size_t AckPayload::encodedSize() const { return 8; }
-
-std::size_t BatchPayload::encodedSize() const {
-    std::size_t n = 8;
-    for (const auto& e : entries) n += 18 + e.payload.size();
-    return n;
-}
-
-// Whole-buffer wrappers, one pair per payload.
-#define COP_WIRE_WHOLE(T)                                                    \
-    std::vector<std::uint8_t> T::encode() const { return encodeWhole(*this); } \
-    T T::decode(std::span<const std::uint8_t> data) {                        \
-        return decodeWhole<T>(data);                                         \
-    }
-
-COP_WIRE_WHOLE(WorkloadRequestPayload)
-COP_WIRE_WHOLE(WorkloadAssignPayload)
-COP_WIRE_WHOLE(HeartbeatPayload)
-COP_WIRE_WHOLE(CheckpointPayload)
-COP_WIRE_WHOLE(WorkerFailedPayload)
-COP_WIRE_WHOLE(CommandOutputPayload)
-COP_WIRE_WHOLE(NoWorkPayload)
-COP_WIRE_WHOLE(ClientRequestPayload)
-COP_WIRE_WHOLE(ClientResponsePayload)
-COP_WIRE_WHOLE(HeartbeatSummaryPayload)
-COP_WIRE_WHOLE(AckPayload)
-COP_WIRE_WHOLE(BatchPayload)
-
-#undef COP_WIRE_WHOLE
 
 } // namespace cop::core

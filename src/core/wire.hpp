@@ -4,12 +4,14 @@
 /// Wire formats of the framework-level message payloads exchanged between
 /// workers, relay servers, project servers and clients. Every payload
 /// struct declares its message type (`kType`) and a streaming
-/// serialize/deserialize pair; the envelope layer (core/envelope.hpp) uses
-/// these to give Server/Worker/Client a typed RPC surface instead of raw
-/// byte blobs. The `encode`/`decode` convenience wrappers produce/consume
-/// whole buffers.
+/// serialize/deserialize pair, the only place its byte layout is written;
+/// the envelope layer (core/envelope.hpp) uses these to give
+/// Server/Worker/Client a typed RPC surface instead of raw byte blobs.
+/// `encodeWhole`/`decodeWhole` turn any payload into / out of one whole
+/// message buffer.
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -32,9 +34,6 @@ struct WorkloadRequestPayload {
 
     void serialize(BinaryWriter& w) const;
     static WorkloadRequestPayload deserialize(BinaryReader& r);
-    std::vector<std::uint8_t> encode() const;
-    std::size_t encodedSize() const; ///< exact wire size, for reserve()
-    static WorkloadRequestPayload decode(std::span<const std::uint8_t> data);
 };
 
 struct WorkloadAssignPayload {
@@ -44,9 +43,6 @@ struct WorkloadAssignPayload {
 
     void serialize(BinaryWriter& w) const;
     static WorkloadAssignPayload deserialize(BinaryReader& r);
-    std::vector<std::uint8_t> encode() const;
-    std::size_t encodedSize() const; ///< exact wire size, for reserve()
-    static WorkloadAssignPayload decode(std::span<const std::uint8_t> data);
 };
 
 /// Heartbeat status: which commands this worker is running and where their
@@ -60,9 +56,6 @@ struct HeartbeatPayload {
 
     void serialize(BinaryWriter& w) const;
     static HeartbeatPayload deserialize(BinaryReader& r);
-    std::vector<std::uint8_t> encode() const;
-    std::size_t encodedSize() const; ///< exact wire size, for reserve()
-    static HeartbeatPayload decode(std::span<const std::uint8_t> data);
 };
 
 /// Mid-run checkpoint streamed to the worker's closest server.
@@ -76,9 +69,6 @@ struct CheckpointPayload {
 
     void serialize(BinaryWriter& w) const;
     static CheckpointPayload deserialize(BinaryReader& r);
-    std::vector<std::uint8_t> encode() const;
-    std::size_t encodedSize() const; ///< exact wire size, for reserve()
-    static CheckpointPayload decode(std::span<const std::uint8_t> data);
 };
 
 /// Failure signal from a worker's server to a project server, carrying the
@@ -92,9 +82,6 @@ struct WorkerFailedPayload {
 
     void serialize(BinaryWriter& w) const;
     static WorkerFailedPayload deserialize(BinaryReader& r);
-    std::vector<std::uint8_t> encode() const;
-    std::size_t encodedSize() const; ///< exact wire size, for reserve()
-    static WorkerFailedPayload decode(std::span<const std::uint8_t> data);
 };
 
 /// A finished (or failed — see result.success) command travelling from the
@@ -109,9 +96,6 @@ struct CommandOutputPayload {
 
     void serialize(BinaryWriter& w) const;
     static CommandOutputPayload deserialize(BinaryReader& r);
-    std::vector<std::uint8_t> encode() const;
-    std::size_t encodedSize() const; ///< exact wire size, for reserve()
-    static CommandOutputPayload decode(std::span<const std::uint8_t> data);
 };
 
 /// Negative response to a workload request (no commands anywhere), or a
@@ -125,9 +109,6 @@ struct NoWorkPayload {
 
     void serialize(BinaryWriter& w) const;
     static NoWorkPayload deserialize(BinaryReader& r);
-    std::vector<std::uint8_t> encode() const;
-    std::size_t encodedSize() const; ///< exact wire size, for reserve()
-    static NoWorkPayload decode(std::span<const std::uint8_t> data);
 };
 
 /// Monitoring/control request from the command-line client (paper §2.4).
@@ -139,9 +120,6 @@ struct ClientRequestPayload {
 
     void serialize(BinaryWriter& w) const;
     static ClientRequestPayload deserialize(BinaryReader& r);
-    std::vector<std::uint8_t> encode() const;
-    std::size_t encodedSize() const; ///< exact wire size, for reserve()
-    static ClientRequestPayload decode(std::span<const std::uint8_t> data);
 };
 
 struct ClientResponsePayload {
@@ -155,9 +133,6 @@ struct ClientResponsePayload {
 
     void serialize(BinaryWriter& w) const;
     static ClientResponsePayload deserialize(BinaryReader& r);
-    std::vector<std::uint8_t> encode() const;
-    std::size_t encodedSize() const; ///< exact wire size, for reserve()
-    static ClientResponsePayload decode(std::span<const std::uint8_t> data);
 };
 
 /// An edge server's aggregated heartbeat digest towards one project
@@ -178,9 +153,6 @@ struct HeartbeatSummaryPayload {
 
     void serialize(BinaryWriter& w) const;
     static HeartbeatSummaryPayload deserialize(BinaryReader& r);
-    std::vector<std::uint8_t> encode() const;
-    std::size_t encodedSize() const; ///< exact wire size, for reserve()
-    static HeartbeatSummaryPayload decode(std::span<const std::uint8_t> data);
 };
 
 /// One coalesced sub-envelope inside a Batch frame: the fields of the
@@ -209,9 +181,6 @@ struct BatchPayload {
 
     void serialize(BinaryWriter& w) const;
     static BatchPayload deserialize(BinaryReader& r);
-    std::vector<std::uint8_t> encode() const;
-    std::size_t encodedSize() const; ///< exact wire size, for reserve()
-    static BatchPayload decode(std::span<const std::uint8_t> data);
 };
 
 /// End-to-end delivery acknowledgement (envelope protocol).
@@ -222,9 +191,37 @@ struct AckPayload {
 
     void serialize(BinaryWriter& w) const;
     static AckPayload deserialize(BinaryReader& r);
-    std::vector<std::uint8_t> encode() const;
-    std::size_t encodedSize() const; ///< exact wire size, for reserve()
-    static AckPayload decode(std::span<const std::uint8_t> data);
 };
+
+namespace detail {
+/// The per-thread writer encodeWhole() serializes into. Encoding never
+/// nests (no serialize() encodes a whole payload), so one writer per
+/// thread is never in use twice.
+BinaryWriter& encodeScratch();
+} // namespace detail
+
+/// One whole message buffer holding `p`. The bytes are serialized into
+/// the reused scratch writer and copied out once, so every message costs
+/// exactly one allocation, of exactly its size.
+template <typename T>
+std::vector<std::uint8_t> encodeWhole(const T& p) {
+    BinaryWriter& w = detail::encodeScratch();
+    w.clear();
+    p.serialize(w);
+    return {w.buffer().begin(), w.buffer().end()};
+}
+
+/// Decodes a message buffer that must hold exactly one `T`.
+template <typename T>
+T decodeWhole(std::span<const std::uint8_t> data) {
+    BinaryReader r(data);
+    T v = T::deserialize(r);
+    // An envelope payload owns its whole buffer; bytes past the decoded
+    // payload mean corruption (or an attack), not a compatible extension.
+    if (!r.atEnd())
+        throw IoError("malformed envelope: " + std::to_string(r.remaining()) +
+                      " trailing bytes after payload");
+    return v;
+}
 
 } // namespace cop::core

@@ -108,7 +108,7 @@ void Worker::handleDeliveryFailure(const net::Message& failed) {
         // the current server instead of dropping it.
         if (std::find(fallbackServers_.begin(), fallbackServers_.end(),
                       failed.destination) != fallbackServers_.end())
-            endpoint_.resend(failed, server_);
+            endpoint_.sendRaw(failed.type, server_, failed.payload, true);
         return;
     }
     if (!fallbackServers_.empty()) {
@@ -120,7 +120,7 @@ void Worker::handleDeliveryFailure(const net::Message& failed) {
         ++stats_.serverFailovers;
         COP_LOG_INFO("worker") << node_.name() << ": failing over to "
                                << network_->node(server_).name();
-        endpoint_.resend(failed, server_);
+        endpoint_.sendRaw(failed.type, server_, failed.payload, true);
         return;
     }
     if (failed.type == net::MessageType::WorkloadRequest) {

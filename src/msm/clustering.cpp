@@ -158,11 +158,14 @@ ClusteringResult kMedoidsRefine(const ConformationSet& data,
             const std::size_t cand =
                 members[c][rng.uniformInt(members[c].size())];
             if (cand == cur) continue;
+            // distances[m] already holds data.distance(m, cur): every
+            // producer of a ClusteringResult stores the distance to the
+            // assigned center, with the same argument order.
             double curCost = 0.0, candCost = 0.0;
             for (std::size_t m : members[c]) {
-                curCost += data.distance(m, cur);
+                curCost += initial.distances[m];
                 candCost += data.distance(m, cand);
-                initial.rmsd.calls += 2;
+                ++initial.rmsd.calls;
             }
             if (candCost < curCost) initial.centers[c] = cand;
         }

@@ -125,7 +125,9 @@ ClusteringResult kCenters(const ConformationSet& data,
 /// compactness after k-centers. Each reassignment is assignRangeToCenters
 /// over all members against a fresh centerDistanceMatrix, so it is pruned
 /// by the triangle inequality and equals the all-centers scan; per sweep
-/// it adds n*k + k(k-1)/2 to calls + pruned.
+/// it adds n*k + k(k-1)/2 to calls + pruned. The medoid update costs one
+/// call per member of each cluster whose drawn candidate is not its
+/// medoid: the current medoid's cost is summed from `distances`.
 ClusteringResult kMedoidsRefine(const ConformationSet& data,
                                 ClusteringResult initial, int sweeps = 2,
                                 std::uint64_t seed = 0);

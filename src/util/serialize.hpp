@@ -29,10 +29,6 @@ public:
     /// across many small encodes skips the per-encode allocation.
     void clear() { buf_.clear(); }
 
-    /// Prehint for the bytes about to be appended; with an exact hint
-    /// (payload encodedSize()) encoding never reallocates.
-    void reserve(std::size_t bytes) { buf_.reserve(buf_.size() + bytes); }
-
     template <typename T>
         requires std::is_arithmetic_v<T>
     void write(T v) {

@@ -167,7 +167,9 @@ QueueImage twoPendingImage() {
     BinaryWriter w;
     q.serialize(w);
     QueueImage image{w.buffer(), 24, 0};
-    image.secondSeq = image.firstSeq + 8 + makeCmd(1).encodedSize();
+    BinaryWriter first;
+    makeCmd(1).serialize(first);
+    image.secondSeq = image.firstSeq + 8 + first.size();
     return image;
 }
 
@@ -254,7 +256,7 @@ TEST(Wire, WorkloadRequestRoundTrip) {
     p.cores = 24;
     p.executables = {"mdrun", "fe_sample"};
     p.visited = {1, 2};
-    const auto p2 = WorkloadRequestPayload::decode(p.encode());
+    const auto p2 = decodeWhole<WorkloadRequestPayload>(encodeWhole(p));
     EXPECT_EQ(p2.worker, 5);
     EXPECT_EQ(p2.platform, "OpenMPI");
     EXPECT_EQ(p2.cores, 24);
@@ -266,7 +268,7 @@ TEST(Wire, WorkloadAssignRoundTrip) {
     WorkloadAssignPayload p;
     p.commands.push_back(makeCmd(1));
     p.commands.push_back(makeCmd(2, "fe_sample", 4));
-    const auto p2 = WorkloadAssignPayload::decode(p.encode());
+    const auto p2 = decodeWhole<WorkloadAssignPayload>(encodeWhole(p));
     ASSERT_EQ(p2.commands.size(), 2u);
     EXPECT_EQ(p2.commands[1].executable, "fe_sample");
 }
@@ -276,10 +278,10 @@ TEST(Wire, HeartbeatRoundTripAndSize) {
     hb.worker = 3;
     hb.running = {100, 200};
     hb.projectServers = {0, 0};
-    const auto bytes = hb.encode();
+    const auto bytes = encodeWhole(hb);
     // Paper: heartbeats are typically < 200 bytes on the wire.
     EXPECT_LT(bytes.size() + 96, 200u);
-    const auto hb2 = HeartbeatPayload::decode(bytes);
+    const auto hb2 = decodeWhole<HeartbeatPayload>(bytes);
     EXPECT_EQ(hb2.worker, 3);
     EXPECT_EQ(hb2.running, hb.running);
     EXPECT_EQ(hb2.projectServers, hb.projectServers);
@@ -291,7 +293,7 @@ TEST(Wire, CheckpointAndWorkerFailedRoundTrip) {
     cp.projectId = 22;
     cp.projectServer = 1;
     cp.blob = {7, 7, 7};
-    const auto cp2 = CheckpointPayload::decode(cp.encode());
+    const auto cp2 = decodeWhole<CheckpointPayload>(encodeWhole(cp));
     EXPECT_EQ(cp2.commandId, 11u);
     EXPECT_EQ(cp2.blob, cp.blob);
 
@@ -299,7 +301,7 @@ TEST(Wire, CheckpointAndWorkerFailedRoundTrip) {
     wf.worker = 6;
     wf.commands = {11, 12};
     wf.checkpoints = {{1}, {}};
-    const auto wf2 = WorkerFailedPayload::decode(wf.encode());
+    const auto wf2 = decodeWhole<WorkerFailedPayload>(encodeWhole(wf));
     EXPECT_EQ(wf2.worker, 6);
     EXPECT_EQ(wf2.commands, wf.commands);
     ASSERT_EQ(wf2.checkpoints.size(), 2u);
@@ -308,11 +310,13 @@ TEST(Wire, CheckpointAndWorkerFailedRoundTrip) {
 
 template <typename Payload>
 void expectExactEncodedSize(const Payload& p, const char* what) {
-    const auto bytes = p.encode();
-    EXPECT_EQ(bytes.size(), p.encodedSize()) << what;
-    // The reserve() prehint is exact, so encoding never reallocates: the
-    // buffer's capacity is exactly what was reserved up front.
-    EXPECT_EQ(bytes.capacity(), p.encodedSize()) << what;
+    const auto bytes = encodeWhole(p);
+    BinaryWriter w;
+    p.serialize(w);
+    EXPECT_EQ(bytes, w.buffer()) << what;
+    // One allocation of exactly the message's size: the scratch writer's
+    // spare capacity never leaks into the returned buffer.
+    EXPECT_EQ(bytes.capacity(), bytes.size()) << what;
 }
 
 TEST(Wire, EncodedSizeIsExact) {
@@ -370,9 +374,26 @@ TEST(Wire, EncodedSizeIsExact) {
     cresp.text = "project running: 12/225 trajectories";
     expectExactEncodedSize(cresp, "ClientResponse");
 
+    HeartbeatSummaryPayload hs;
+    hs.edge = 2;
+    hs.workers = {9, 10};
+    hs.counts = {2, 1};
+    hs.commands = {42, 43, 44};
+    expectExactEncodedSize(hs, "HeartbeatSummary");
+
     AckPayload ack;
     ack.ackedMessageId = 77;
     expectExactEncodedSize(ack, "Ack");
+
+    // A batch encoded right after a bigger message: the scratch writer
+    // then holds more capacity than the batch needs.
+    BatchPayload batch;
+    batch.entries.push_back(
+        BatchEntry{HeartbeatPayload::kType, 5, true, encodeWhole(hb)});
+    batch.entries.push_back(
+        BatchEntry{AckPayload::kType, 6, false, encodeWhole(ack)});
+    (void)encodeWhole(assign);
+    expectExactEncodedSize(batch, "Batch");
 }
 
 TEST(ExecutableRegistryTest, DispatchAndErrors) {

@@ -123,6 +123,16 @@ TEST(KMedoids, RefinementNeverIncreasesCost) {
     EXPECT_LE(cost(refined), before + 1e-9);
 }
 
+/// kMedoidsRefine takes the current medoid's cost from `distances`, so
+/// each one must be bitwise the metric to the assigned center.
+void expectDistancesToAssignedCenters(const ConformationSet& data,
+                                      const ClusteringResult& r) {
+    for (std::size_t i = 0; i < data.size(); ++i)
+        EXPECT_EQ(r.distances[i],
+                  data.distance(i, r.centers[std::size_t(r.assignments[i])]))
+            << "member " << i;
+}
+
 TEST(KMedoids, PrunedReassignmentMatchesBruteForce) {
     // Reference refinement written out here: the same medoid update (same
     // Rng draws), then every member scanned against every medoid.
@@ -135,6 +145,7 @@ TEST(KMedoids, PrunedReassignmentMatchesBruteForce) {
         p.seed = seed;
         const auto initial = kCenters(data, p);
         const std::size_t k = initial.centers.size();
+        expectDistancesToAssignedCenters(data, initial);
 
         ClusteringResult ref = initial;
         std::uint64_t expectedWork = initial.rmsd.calls + initial.rmsd.pruned;
@@ -154,7 +165,9 @@ TEST(KMedoids, PrunedReassignmentMatchesBruteForce) {
                     curCost += data.distance(m, cur);
                     candCost += data.distance(m, cand);
                 }
-                expectedWork += 2 * members[c].size();
+                // The current medoid's distances come from the last
+                // assignment; only the candidate's are evaluated.
+                expectedWork += members[c].size();
                 if (candCost < curCost) ref.centers[c] = cand;
             }
             for (std::size_t i = 0; i < n; ++i) {
@@ -178,6 +191,7 @@ TEST(KMedoids, PrunedReassignmentMatchesBruteForce) {
             EXPECT_EQ(refined.assignments, ref.assignments)
                 << "seed " << seed;
             EXPECT_EQ(refined.distances, ref.distances) << "seed " << seed;
+            expectDistancesToAssignedCenters(data, refined);
             EXPECT_EQ(refined.rmsd.calls + refined.rmsd.pruned, expectedWork)
                 << "seed " << seed << " sweeps " << sweep + 1;
             pruned += refined.rmsd.pruned - initial.rmsd.pruned;

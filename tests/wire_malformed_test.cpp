@@ -69,59 +69,59 @@ std::vector<WireCase> allPayloadCases() {
     req.cores = 8;
     req.executables = {"mdrun", "fe_sample"};
     req.visited = {1, 2, 3};
-    cases.push_back({"WorkloadRequest", req.kType, req.encode()});
+    cases.push_back({"WorkloadRequest", req.kType, encodeWhole(req)});
 
     WorkloadAssignPayload assign;
     assign.commands = {sampleSpec()};
-    cases.push_back({"WorkloadAssign", assign.kType, assign.encode()});
+    cases.push_back({"WorkloadAssign", assign.kType, encodeWhole(assign)});
 
     HeartbeatPayload hb;
     hb.worker = 9;
     hb.running = {42, 43};
     hb.projectServers = {3, 3};
-    cases.push_back({"Heartbeat", hb.kType, hb.encode()});
+    cases.push_back({"Heartbeat", hb.kType, encodeWhole(hb)});
 
     CheckpointPayload cp;
     cp.commandId = 42;
     cp.projectId = 7;
     cp.projectServer = 3;
     cp.blob = SharedBytes{5, 6, 7, 8, 9};
-    cases.push_back({"Checkpoint", cp.kType, cp.encode()});
+    cases.push_back({"Checkpoint", cp.kType, encodeWhole(cp)});
 
     WorkerFailedPayload wf;
     wf.worker = 9;
     wf.commands = {42, 43};
     wf.checkpoints = {SharedBytes{1, 2}, SharedBytes{}};
-    cases.push_back({"WorkerFailed", wf.kType, wf.encode()});
+    cases.push_back({"WorkerFailed", wf.kType, encodeWhole(wf)});
 
     CommandOutputPayload out;
     out.result = sampleResult();
     out.projectServer = 3;
-    cases.push_back({"CommandOutput", out.kType, out.encode()});
+    cases.push_back({"CommandOutput", out.kType, encodeWhole(out)});
 
     NoWorkPayload nw;
     nw.worker = 9;
-    cases.push_back({"NoWork", nw.kType, nw.encode()});
+    cases.push_back({"NoWork", nw.kType, encodeWhole(nw)});
 
     ClientRequestPayload creq;
     creq.projectId = 7;
     creq.command = "status";
-    cases.push_back({"ClientRequest", creq.kType, creq.encode()});
+    cases.push_back({"ClientRequest", creq.kType, encodeWhole(creq)});
 
     ClientResponsePayload cresp;
     cresp.text = "9 commands pending";
-    cases.push_back({"ClientResponse", cresp.kType, cresp.encode()});
+    cases.push_back({"ClientResponse", cresp.kType, encodeWhole(cresp)});
 
     HeartbeatSummaryPayload hs;
     hs.edge = 4;
     hs.workers = {9, 10};
     hs.counts = {2, 1};
     hs.commands = {42, 43, 44};
-    cases.push_back({"HeartbeatSummary", hs.kType, hs.encode()});
+    cases.push_back({"HeartbeatSummary", hs.kType, encodeWhole(hs)});
 
     AckPayload ack;
     ack.ackedMessageId = 1234;
-    cases.push_back({"Ack", ack.kType, ack.encode()});
+    cases.push_back({"Ack", ack.kType, encodeWhole(ack)});
 
     BatchPayload batch;
     BatchEntry be;
@@ -132,14 +132,14 @@ std::vector<WireCase> allPayloadCases() {
     bhb.worker = 9;
     bhb.running = {42};
     bhb.projectServers = {3};
-    be.payload = bhb.encode();
+    be.payload = encodeWhole(bhb);
     BatchEntry be2;
     be2.type = net::MessageType::Ack;
     be2.messageId = 78;
     be2.requireAck = false;
-    be2.payload = ack.encode();
+    be2.payload = encodeWhole(ack);
     batch.entries = {std::move(be), std::move(be2)};
-    cases.push_back({"Batch", batch.kType, batch.encode()});
+    cases.push_back({"Batch", batch.kType, encodeWhole(batch)});
 
     return cases;
 }
@@ -214,10 +214,10 @@ TEST(WireMalformed, HugeElementCountInsidePayloadIsRejected) {
     hb.worker = 9;
     hb.running = {42};
     hb.projectServers = {3};
-    std::vector<std::uint8_t> bytes = hb.encode();
+    std::vector<std::uint8_t> bytes = encodeWhole(hb);
     const std::uint64_t huge = std::uint64_t(-1);
     std::memcpy(bytes.data() + 4, &huge, sizeof(huge)); // after i32 worker
-    EXPECT_THROW(HeartbeatPayload::decode(bytes), IoError);
+    EXPECT_THROW(decodeWhole<HeartbeatPayload>(bytes), IoError);
     EXPECT_FALSE(decodePayload(
         messageWith(net::MessageType::Heartbeat, std::move(bytes))));
 }
@@ -230,9 +230,11 @@ TEST(WireMalformed, HeartbeatSummaryRoundTripsFieldForField) {
     hs.workers = {9, 10, 11};
     hs.counts = {1, 0, 2};
     hs.commands = {42, 43, 44};
-    const auto bytes = hs.encode();
-    EXPECT_EQ(bytes.size(), hs.encodedSize());
-    const auto back = HeartbeatSummaryPayload::decode(bytes);
+    const auto bytes = encodeWhole(hs);
+    // edge, then three length-prefixed arrays: 4 + (8 + 12) + (8 + 12) +
+    // (8 + 24).
+    EXPECT_EQ(bytes.size(), 76u);
+    const auto back = decodeWhole<HeartbeatSummaryPayload>(bytes);
     EXPECT_EQ(back.edge, hs.edge);
     EXPECT_EQ(back.workers, hs.workers);
     EXPECT_EQ(back.counts, hs.counts);
@@ -251,7 +253,7 @@ TEST(WireMalformed, HeartbeatSummaryRejectsWorkerCountMismatch) {
     w.write(std::uint32_t(1));
     w.write(std::uint64_t(1));   // 1 command
     w.write(std::uint64_t(42));
-    EXPECT_THROW(HeartbeatSummaryPayload::decode(w.buffer()), IoError);
+    EXPECT_THROW(decodeWhole<HeartbeatSummaryPayload>(w.buffer()), IoError);
     EXPECT_FALSE(decodePayload(messageWith(
         net::MessageType::HeartbeatSummary,
         {w.buffer().begin(), w.buffer().end()})));
@@ -267,7 +269,7 @@ TEST(WireMalformed, HeartbeatSummaryRejectsCountsNotTilingCommands) {
     w.write(std::uint64_t(2));   // but only 2 present
     w.write(std::uint64_t(42));
     w.write(std::uint64_t(43));
-    EXPECT_THROW(HeartbeatSummaryPayload::decode(w.buffer()), IoError);
+    EXPECT_THROW(decodeWhole<HeartbeatSummaryPayload>(w.buffer()), IoError);
 }
 
 // --- Retry-after hints -----------------------------------------------------
@@ -284,17 +286,17 @@ TEST(WireMalformed, RetryAfterRejectsNegativeAndNan) {
         NoWorkPayload nw;
         nw.worker = 9;
         nw.retryAfterSeconds = 15.0;
-        auto nwBytes = nw.encode();
+        auto nwBytes = encodeWhole(nw);
         std::memcpy(nwBytes.data() + nwBytes.size() - 8, &bad, 8);
-        EXPECT_THROW(NoWorkPayload::decode(nwBytes), IoError);
+        EXPECT_THROW(decodeWhole<NoWorkPayload>(nwBytes), IoError);
 
         ClientResponsePayload cr;
         cr.text = "busy";
         cr.accepted = false;
         cr.retryAfterSeconds = 30.0;
-        auto crBytes = cr.encode();
+        auto crBytes = encodeWhole(cr);
         std::memcpy(crBytes.data() + crBytes.size() - 8, &bad, 8);
-        EXPECT_THROW(ClientResponsePayload::decode(crBytes), IoError);
+        EXPECT_THROW(decodeWhole<ClientResponsePayload>(crBytes), IoError);
     }
 }
 
@@ -302,7 +304,7 @@ TEST(WireMalformed, RetryAfterRoundTripsThroughNoWorkAndClientResponse) {
     NoWorkPayload nw;
     nw.worker = 9;
     nw.retryAfterSeconds = 12.5;
-    const auto nwBack = NoWorkPayload::decode(nw.encode());
+    const auto nwBack = decodeWhole<NoWorkPayload>(encodeWhole(nw));
     EXPECT_EQ(nwBack.worker, 9);
     EXPECT_DOUBLE_EQ(nwBack.retryAfterSeconds, 12.5);
 
@@ -310,7 +312,7 @@ TEST(WireMalformed, RetryAfterRoundTripsThroughNoWorkAndClientResponse) {
     cr.text = "busy: over quota";
     cr.accepted = false;
     cr.retryAfterSeconds = 30.0;
-    const auto crBack = ClientResponsePayload::decode(cr.encode());
+    const auto crBack = decodeWhole<ClientResponsePayload>(encodeWhole(cr));
     EXPECT_EQ(crBack.text, cr.text);
     EXPECT_FALSE(crBack.accepted);
     EXPECT_DOUBLE_EQ(crBack.retryAfterSeconds, 30.0);
@@ -337,13 +339,14 @@ TEST(WireMalformed, BatchRoundTripsEmptySingleAndLarge) {
     // Empty batch: legal on the wire (an endpoint never sends one, but the
     // decoder must not choke on it).
     BatchPayload empty;
-    const auto emptyBytes = empty.encode();
-    EXPECT_EQ(emptyBytes.size(), empty.encodedSize());
-    EXPECT_TRUE(BatchPayload::decode(emptyBytes).entries.empty());
+    const auto emptyBytes = encodeWhole(empty);
+    EXPECT_EQ(emptyBytes.size(), 8u); // the entry count alone
+    EXPECT_TRUE(decodeWhole<BatchPayload>(emptyBytes).entries.empty());
 
     // Single and many entries round-trip field-for-field.
     for (std::size_t n : {std::size_t(1), std::size_t(64)}) {
         BatchPayload batch;
+        std::size_t wireSize = 8; // entry count
         for (std::size_t i = 0; i < n; ++i) {
             BatchEntry e;
             e.type = i % 2 == 0 ? net::MessageType::Heartbeat
@@ -351,11 +354,13 @@ TEST(WireMalformed, BatchRoundTripsEmptySingleAndLarge) {
             e.messageId = 1000 + i;
             e.requireAck = i % 3 == 0;
             e.payload.assign(i % 7 + 1, std::uint8_t(i));
+            // type + id + ack flag + length prefix, then the payload.
+            wireSize += 18 + e.payload.size();
             batch.entries.push_back(std::move(e));
         }
-        const auto bytes = batch.encode();
-        EXPECT_EQ(bytes.size(), batch.encodedSize());
-        const auto back = BatchPayload::decode(bytes);
+        const auto bytes = encodeWhole(batch);
+        EXPECT_EQ(bytes.size(), wireSize);
+        const auto back = decodeWhole<BatchPayload>(bytes);
         ASSERT_EQ(back.entries.size(), n);
         for (std::size_t i = 0; i < n; ++i) {
             EXPECT_EQ(back.entries[i].type, batch.entries[i].type);
@@ -374,10 +379,10 @@ TEST(WireMalformed, BatchRejectsNestedBatchEntries) {
     BatchEntry e;
     e.type = net::MessageType::Batch;
     e.messageId = 5;
-    e.payload = inner.encode();
+    e.payload = encodeWhole(inner);
     outer.entries.push_back(std::move(e));
-    const auto bytes = outer.encode();
-    EXPECT_THROW(BatchPayload::decode(bytes), IoError);
+    const auto bytes = encodeWhole(outer);
+    EXPECT_THROW(decodeWhole<BatchPayload>(bytes), IoError);
     EXPECT_FALSE(
         decodePayload(messageWith(net::MessageType::Batch, bytes)));
 }
@@ -421,9 +426,9 @@ TEST(WireMalformed, BatchRejectsUnknownEntryTypeTag) {
     batch.entries.push_back(std::move(e));
     for (const std::uint8_t tag : kUnknownTags) {
         SCOPED_TRACE("tag " + std::to_string(tag));
-        auto bytes = batch.encode();
+        auto bytes = encodeWhole(batch);
         bytes[8] = tag; // the entry's type tag, just past the u64 count
-        EXPECT_THROW(BatchPayload::decode(bytes), IoError);
+        EXPECT_THROW(decodeWhole<BatchPayload>(bytes), IoError);
     }
 }
 
@@ -431,10 +436,10 @@ TEST(WireMalformed, BatchHostileEntryCountIsRejectedBeforeAllocating) {
     // An empty batch whose count field claims 2^64-1 entries: must throw
     // IoError from the count validation, not attempt the allocation.
     BatchPayload batch;
-    auto bytes = batch.encode();
+    auto bytes = encodeWhole(batch);
     const std::uint64_t huge = std::uint64_t(-1);
     std::memcpy(bytes.data(), &huge, sizeof(huge));
-    EXPECT_THROW(BatchPayload::decode(bytes), IoError);
+    EXPECT_THROW(decodeWhole<BatchPayload>(bytes), IoError);
     EXPECT_FALSE(decodePayload(
         messageWith(net::MessageType::Batch, std::move(bytes))));
 }
@@ -473,13 +478,13 @@ TEST(WireMalformed, EndpointCountsMalformedDropsAndDeliversNothing) {
     EXPECT_EQ(ep.stats().malformedDropped, 1u);
     EXPECT_EQ(delivered, 0);
 
-    auto padded = hb.encode();
+    auto padded = encodeWhole(hb);
     padded.push_back(0x00);                 // valid payload + trailing byte
     sendRawTo(std::move(padded));
     EXPECT_EQ(ep.stats().malformedDropped, 2u);
     EXPECT_EQ(delivered, 0);
 
-    sendRawTo(hb.encode());                 // well-formed still delivers
+    sendRawTo(encodeWhole(hb));             // well-formed still delivers
     EXPECT_EQ(ep.stats().malformedDropped, 2u);
     EXPECT_EQ(delivered, 1);
 
@@ -495,7 +500,7 @@ TEST(WireMalformed, EndpointCountsMalformedDropsAndDeliversNothing) {
         BatchPayload batch;
         batch.entries.push_back(BatchEntry{type, 1000 + tag, false,
                                            payloadOnceValidUnder(tag)});
-        sendRawTo(batch.encode(), net::MessageType::Batch);
+        sendRawTo(encodeWhole(batch), net::MessageType::Batch);
         EXPECT_EQ(ep.stats().malformedDropped, ++dropped);
     }
     EXPECT_EQ(delivered, 1);

@@ -9,7 +9,8 @@
 # committed seed corpus, (2) a bounded exploration phase. Without clang it
 # falls back to the standalone drivers and replays the corpora only — the
 # same checks the `fuzz_corpus_replay` / `fuzz_wal_corpus_replay` ctest
-# entries run on every build.
+# entries run on every build. The `fuzz_corpus_fresh` ctest also requires
+# each committed seed to equal what `--generate` writes today.
 #
 # Usage:
 #   tools/run_fuzz.sh                 # replay + 60 s exploration each
