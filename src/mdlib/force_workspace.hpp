@@ -69,10 +69,12 @@ struct PairBuckets {
     /// build requires box lengths >= 3 list cutoffs).
     AlignedVector<unsigned char> ljRunS, qRunS, goRunS;
     /// Positions are wrapped into the box with frozen per-slot offsets
-    /// (cell-built periodic lists). Implied by `shifted`.
+    /// (cell-built periodic lists).
     bool wrapped = false;
-    /// Runs split by shift code and the shifted kernels image via the
-    /// per-run code table. Width-1 kernel sets only: wide sets leave
+    /// The shifted kernels run, imaging via the per-run code table. Set
+    /// for wrapped lists under width-1 kernel sets (runs split by shift
+    /// code) and for every open box (every run on code 13, the zero
+    /// shift, so nothing is imaged). Wide sets on periodic lists leave
     /// runs unsplit and image per block with a vector rint.
     bool shifted = false;
 

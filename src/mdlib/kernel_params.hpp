@@ -15,11 +15,12 @@
 
 namespace cop::md {
 
-/// Constants consumed by the SoA/SIMD inner loops. For an open
-/// (non-periodic) box the lengths and inverse lengths are zero, which
-/// turns the minimum-image fixup into arithmetic no-ops — no branch in
-/// the loop. The tab arrays decode per-pair shift codes (0..26) into the
-/// three components of the pair's periodic shift vector.
+/// Constants consumed by the SoA/SIMD inner loops. The lengths and
+/// inverse lengths feed the unshifted kernels' minimum-image fixup, which
+/// only periodic boxes run: an open (non-periodic) box runs the shifted
+/// kernels with every run on code 13, the zero shift. The tab arrays
+/// decode per-run shift codes (0..26) into the three components of the
+/// run's periodic shift vector.
 struct SoaParams {
     double cut2 = 0.0, minR2 = 1e-12;
     double Lx = 0.0, Ly = 0.0, Lz = 0.0;
