@@ -146,8 +146,15 @@ void NeighborList::buildBruteForce(const Topology& top, const Box& box,
     const int n = int(positions.size());
     const double cut2 = (cutoff_ + skin_) * (cutoff_ + skin_);
     for (int i = 0; i < n; ++i) {
+        // Walk row i's sorted exclusions alongside j instead of a binary
+        // search per pair: `ex` always points at the first exclusion >= j.
+        const auto& excl = top.exclusions(std::size_t(i));
+        auto ex = std::upper_bound(excl.begin(), excl.end(), i);
         for (int j = i + 1; j < n; ++j) {
-            if (top.isExcluded(i, j)) continue;
+            if (ex != excl.end() && *ex == j) {
+                ++ex;
+                continue;
+            }
             const Vec3 d =
                 box.minimumImage(positions[std::size_t(i)],
                                  positions[std::size_t(j)]);

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "mdlib/proteins.hpp"
 #include "util/random.hpp"
 #include "util/thread_pool.hpp"
 
@@ -86,6 +87,67 @@ TEST(NeighborList, ExclusionsNeverAppear) {
     EXPECT_EQ(set.count({2, 3}), 0u);
     EXPECT_EQ(set.count({0, 2}), 1u);
     EXPECT_EQ(set.size(), 4u); // 6 pairs minus 2 exclusions
+}
+
+/// The brute-force build's pairs, in the order it emits them: ascending
+/// i, then ascending j, skipping each excluded pair by a per-pair
+/// Topology::isExcluded lookup.
+std::vector<std::pair<int, int>> exclusionScan(const Topology& top,
+                                               const Box& box,
+                                               const std::vector<Vec3>& pos,
+                                               double listCut) {
+    std::vector<std::pair<int, int>> out;
+    const int n = int(pos.size());
+    for (int i = 0; i < n; ++i)
+        for (int j = i + 1; j < n; ++j) {
+            if (top.isExcluded(i, j)) continue;
+            const Vec3 d = box.minimumImage(pos[std::size_t(i)],
+                                            pos[std::size_t(j)]);
+            if (norm2(d) <= listCut * listCut) out.push_back({i, j});
+        }
+    return out;
+}
+
+std::vector<std::pair<int, int>> asVector(const std::vector<NeighborPair>& ps) {
+    std::vector<std::pair<int, int>> out;
+    for (const auto& p : ps) out.push_back({p.i, p.j});
+    return out;
+}
+
+TEST(NeighborList, BruteForceMatchesExclusionScanInOrder) {
+    // Villin: the production topology, open box.
+    const auto model = villinGoModel();
+    cop::Rng rng(3);
+    auto pos = model.native;
+    for (auto& p : pos) p += rng.gaussianVec3(0.3);
+    const auto ffp = model.forceFieldParams();
+    NeighborList nl(ffp.cutoff, ffp.neighborSkin);
+    nl.build(model.topology, Box::open(), pos);
+    EXPECT_TRUE(nl.cellOrder().empty());
+    EXPECT_EQ(asVector(nl.pairs()),
+              exclusionScan(model.topology, Box::open(), pos,
+                            ffp.cutoff + ffp.neighborSkin));
+
+    // Dense exclusions: about half of all pairs excluded, including the
+    // first and last partner of rows, adjacent runs and whole rows.
+    const std::size_t n = 30;
+    Topology dense(n);
+    for (int i = 0; i < int(n); ++i)
+        for (int j = i + 1; j < int(n); ++j)
+            if (i == 0 || j == int(n) - 1 || j == i + 1 || rng.uniform() < 0.4)
+                dense.addBond({i, j, 1.0, 1.0});
+    dense.finalize();
+    std::vector<Vec3> cloud;
+    for (std::size_t i = 0; i < n; ++i)
+        cloud.push_back({rng.uniform(0.0, 4.0), rng.uniform(0.0, 4.0),
+                         rng.uniform(0.0, 4.0)});
+    for (const Box& box : {Box::open(), Box::cubic(5.0)}) {
+        NeighborList dnl(2.0, 0.2);
+        dnl.build(dense, box, cloud);
+        const auto expected = exclusionScan(dense, box, cloud, 2.2);
+        EXPECT_FALSE(expected.empty());
+        EXPECT_EQ(asVector(dnl.pairs()), expected);
+    }
 }
 
 TEST(NeighborList, UpdateOnlyRebuildsWhenNeeded) {
