@@ -48,6 +48,15 @@ Integrator::Integrator(ForceField& ff, IntegratorParams params, Rng rng)
     COP_REQUIRE(params.temperature >= 0.0, "temperature must be >= 0");
     COP_REQUIRE(params.tauT > 0.0, "tauT must be positive");
     COP_REQUIRE(params.friction >= 0.0, "friction must be >= 0");
+    const auto& top = ff_.topology();
+    const double dt = params_.dt;
+    c1_ = std::exp(-params_.friction * dt);
+    const double c2 = std::sqrt(std::max(0.0, 1.0 - c1_ * c1_));
+    for (std::size_t i = 0; i < top.numParticles(); ++i) {
+        halfDtOverM_.push_back(0.5 * dt / top.mass(i));
+        noiseSigma_.push_back(std::sqrt(params_.temperature / top.mass(i)) *
+                              c2);
+    }
 }
 
 void Integrator::run(State& state, std::int64_t nSteps) {
@@ -69,49 +78,42 @@ void Integrator::run(State& state, std::int64_t nSteps) {
 
 void Integrator::stepVelocityVerlet(State& state) {
     const double dt = params_.dt;
-    const auto& top = ff_.topology();
 
     if (params_.thermostat == ThermostatKind::NoseHoover)
         applyNoseHooverHalf(state, 0.5 * dt);
 
     for (std::size_t i = 0; i < state.numParticles(); ++i) {
-        state.velocities[i] += state.forces[i] * (0.5 * dt / top.mass(i));
+        state.velocities[i] += state.forces[i] * halfDtOverM_[i];
         state.positions[i] += state.velocities[i] * dt;
     }
     lastEnergies_ = ff_.compute(state.positions, state.forces);
     for (std::size_t i = 0; i < state.numParticles(); ++i)
-        state.velocities[i] += state.forces[i] * (0.5 * dt / top.mass(i));
+        state.velocities[i] += state.forces[i] * halfDtOverM_[i];
 
     if (params_.thermostat == ThermostatKind::NoseHoover)
         applyNoseHooverHalf(state, 0.5 * dt);
 }
 
 void Integrator::stepLangevinBAOAB(State& state) {
-    const double dt = params_.dt;
-    const auto& top = ff_.topology();
-    const double c1 = std::exp(-params_.friction * dt);
-    const double c2 = std::sqrt(std::max(0.0, 1.0 - c1 * c1));
-
-    // B: half kick
-    for (std::size_t i = 0; i < state.numParticles(); ++i)
-        state.velocities[i] += state.forces[i] * (0.5 * dt / top.mass(i));
-    // A: half drift
-    for (std::size_t i = 0; i < state.numParticles(); ++i)
-        state.positions[i] += state.velocities[i] * (0.5 * dt);
-    // O: Ornstein-Uhlenbeck
-    for (std::size_t i = 0; i < state.numParticles(); ++i) {
-        const double sigma =
-            std::sqrt(params_.temperature / top.mass(i));
-        state.velocities[i] =
-            state.velocities[i] * c1 + rng_.gaussianVec3(sigma * c2);
+    const double halfDt = 0.5 * params_.dt;
+    const std::size_t n = state.numParticles();
+    Vec3* x = state.positions.data();
+    Vec3* v = state.velocities.data();
+    // B (half kick) then A (half drift), fused per atom.
+    for (std::size_t i = 0; i < n; ++i) {
+        v[i] += state.forces[i] * halfDtOverM_[i];
+        x[i] += v[i] * halfDt;
     }
-    // A: half drift
-    for (std::size_t i = 0; i < state.numParticles(); ++i)
-        state.positions[i] += state.velocities[i] * (0.5 * dt);
+    // O (Ornstein-Uhlenbeck) then A, fused per atom; the Gaussians are
+    // drawn in atom order, x, y, z, as by separate loops.
+    for (std::size_t i = 0; i < n; ++i) {
+        v[i] = v[i] * c1_ + rng_.gaussianVec3(noiseSigma_[i]);
+        x[i] += v[i] * halfDt;
+    }
     // B: half kick with new forces
     lastEnergies_ = ff_.compute(state.positions, state.forces);
-    for (std::size_t i = 0; i < state.numParticles(); ++i)
-        state.velocities[i] += state.forces[i] * (0.5 * dt / top.mass(i));
+    for (std::size_t i = 0; i < n; ++i)
+        v[i] += state.forces[i] * halfDtOverM_[i];
 }
 
 void Integrator::applyNoseHooverHalf(State& state, double halfDt) {

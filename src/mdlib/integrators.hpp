@@ -9,6 +9,7 @@
 /// and exercise Nosé-Hoover in tests and the generic LJ engine.
 
 #include <memory>
+#include <vector>
 
 #include "mdlib/forcefield.hpp"
 #include "mdlib/state.hpp"
@@ -79,6 +80,13 @@ private:
     ForceField& ff_;
     IntegratorParams params_;
     Rng rng_;
+    /// Per-step constants, fixed by the parameters and the masses:
+    /// 0.5 dt / m per atom (the half kick), the BAOAB friction decay
+    /// c1 = exp(-gamma dt), and sqrt(T / m) * sqrt(1 - c1^2) per atom
+    /// (the O step's noise amplitude).
+    std::vector<double> halfDtOverM_;
+    double c1_ = 0.0;
+    std::vector<double> noiseSigma_;
     Energies lastEnergies_;
     bool forcesValid_ = false;
 };
