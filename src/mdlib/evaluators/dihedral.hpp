@@ -5,6 +5,12 @@
 /// dphi = phi - phi0, phi the signed Blondel & Karplus dihedral angle.
 /// Dihedrals use raw positions (Gō models run in open boxes; the four
 /// atoms are bonded neighbours, never split across an image).
+///
+/// No libm call: cos(phi) and sin(phi) come from the two plane normals,
+/// cos(dphi) and sin(dphi) by angle addition with the cos(phi0) and
+/// sin(phi0) that Topology::finalize() derives, and the 3 dphi terms from
+/// the triple-angle formulas. The atan2/cos/sin form it replaced is kept
+/// in tests/support/md_oracles.* as the reference.
 
 #include <cmath>
 #include <vector>
@@ -15,11 +21,13 @@
 
 namespace cop::md::evaluators {
 
-/// Signed dihedral angle for positions a-b-c-d, plus the four gradient
-/// vectors, using the standard textbook formulation (Blondel & Karplus).
+/// cos and sin of the signed dihedral angle for positions a-b-c-d, plus
+/// the four gradient vectors, using the standard textbook formulation
+/// (Blondel & Karplus).
 struct DihedralGeometry {
-    double phi;
-    Vec3 fi, fj, fk, fl; ///< -dphi/dr scaled later by dE/dphi
+    double cosPhi;
+    double sinPhi;
+    Vec3 fi, fj, fk, fl; ///< dphi/dr, scaled later by dE/dphi
 };
 
 inline DihedralGeometry dihedralGeometry(const Vec3& ri, const Vec3& rj,
@@ -36,10 +44,14 @@ inline DihedralGeometry dihedralGeometry(const Vec3& ri, const Vec3& rj,
     DihedralGeometry g{};
     if (n1sq < 1e-12 || n2sq < 1e-12 || b2len < 1e-12) {
         // Degenerate (collinear) geometry: zero force, zero angle.
-        g.phi = 0.0;
+        g.cosPhi = 1.0;
+        g.sinPhi = 0.0;
         return g;
     }
-    g.phi = std::atan2(dot(cross(n1, n2), b2) / b2len, dot(n1, n2));
+    // |n1||n2| cos(phi) = n1.n2 and |n1||n2| sin(phi) = (n1 x n2).b2/|b2|.
+    const double invR = 1.0 / std::sqrt(n1sq * n2sq);
+    g.cosPhi = dot(n1, n2) * invR;
+    g.sinPhi = dot(cross(n1, n2), b2) * invR / b2len;
 
     // dphi/dri = -(b2len / n1sq) * n1 ; dphi/drl = (b2len / n2sq) * n2.
     // The middle-atom projections use s12 = -(b1.b2)/|b2|^2 and
@@ -67,11 +79,21 @@ struct DihedralEvaluator {
                                         positions[std::size_t(d.j)],
                                         positions[std::size_t(d.k)],
                                         positions[std::size_t(d.l)]);
-        const double dphi = g.phi - d.phi0;
-        const double energy = d.k1 * (1.0 - std::cos(dphi)) +
-                              d.k3 * (1.0 - std::cos(3.0 * dphi));
-        const double dEdPhi =
-            d.k1 * std::sin(dphi) + 3.0 * d.k3 * std::sin(3.0 * dphi);
+        // dphi = phi - phi0 by angle addition, sin(3 dphi) by the triple
+        // angle formula. The energy uses 1 - cos(dphi) = |u - u0|^2 / 2
+        // for the unit vectors u = (cos phi, sin phi) and u0 = (cos phi0,
+        // sin phi0), and 1 - cos(3 dphi) = (1 - cos dphi)(1 + 2 cos
+        // dphi)^2: no cancellation near dphi = 0, so a term at its native
+        // angle has zero energy to rounding of a square.
+        const double cosD = g.cosPhi * d.cosPhi0 + g.sinPhi * d.sinPhi0;
+        const double sinD = g.sinPhi * d.cosPhi0 - g.cosPhi * d.sinPhi0;
+        const double sin3D = sinD * (3.0 - 4.0 * sinD * sinD);
+        const double dc = g.cosPhi - d.cosPhi0;
+        const double ds = g.sinPhi - d.sinPhi0;
+        const double oneMinusCosD = 0.5 * (dc * dc + ds * ds);
+        const double t = 1.0 + 2.0 * cosD;
+        const double energy = oneMinusCosD * (d.k1 + d.k3 * t * t);
+        const double dEdPhi = d.k1 * sinD + 3.0 * d.k3 * sin3D;
         forces[std::size_t(d.i)] -= g.fi * dEdPhi;
         forces[std::size_t(d.j)] -= g.fj * dEdPhi;
         forces[std::size_t(d.k)] -= g.fk * dEdPhi;
