@@ -263,7 +263,7 @@ void Endpoint::receive(const net::Message& msg) {
         return;
     }
     rememberSeen(msg.id);
-    const auto decoded = decodePayload(msg);
+    auto decoded = decodePayload(msg);
     if (!decoded) {
         ++stats_.malformedDropped;
         return;
@@ -273,31 +273,31 @@ void Endpoint::receive(const net::Message& msg) {
     env.from = msg.source;
     env.messageId = msg.id;
     env.type = msg.type;
-    env.payload = *decoded;
+    env.payload = std::move(*decoded);
     handler_(env, msg);
 }
 
 void Endpoint::receiveBatch(const net::Message& msg) {
-    const auto decoded = decodePayload(msg);
+    auto decoded = decodePayload(msg);
     if (!decoded) {
         // One malformed frame, one count: sub-envelopes of a corrupt batch
         // are indistinguishable from garbage and are dropped wholesale.
         ++stats_.malformedDropped;
         return;
     }
-    const auto& batchPayload = std::get<BatchPayload>(*decoded);
+    auto& batchPayload = std::get<BatchPayload>(*decoded);
     // Replay each sub-envelope through the normal receive path: acks,
     // per-id dedup and malformed counting behave exactly as if the
     // envelopes had arrived as singletons. Nested batches cannot occur
     // (the decoder rejects them), so this cannot recurse.
-    for (const auto& e : batchPayload.entries) {
+    for (auto& e : batchPayload.entries) {
         net::Message sub;
         sub.type = e.type;
         sub.source = msg.source;
         sub.destination = node_->id();
         sub.id = e.messageId;
         sub.requireAck = e.requireAck;
-        sub.payload = e.payload;
+        sub.payload = std::move(e.payload);
         receive(sub);
         if (down_) return; // a handler may have shut us down mid-batch
     }
