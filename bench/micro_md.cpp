@@ -15,8 +15,10 @@
 /// Extra flags on top of google-benchmark's:
 ///   --print-simd-isa  print the detected widest runnable ISA and exit
 ///   --smoke           quick flavor x ISA correctness/throughput sweep
-///                     (filters to the nonbonded benchmarks, ~10 ms per
-///                     measurement) — used by CI and tools/run_bench.sh
+///                     plus the villin step and checkpoint rows (filters
+///                     to BM_Nonbonded*, BM_GoModelStep and BM_Checkpoint,
+///                     ~10 ms per measurement) — used by CI;
+///                     tools/run_bench.sh refuses it
 ///
 /// The emitted JSON context carries cop_build_type (CMake build type the
 /// library was compiled with), simd_isa_detected and simd_isas_compiled,
@@ -269,11 +271,12 @@ int main(int argc, char** argv) {
         }
         args.push_back(argv[i]);
     }
-    // Smoke mode: the full flavor x ISA nonbonded sweep at ~10 ms per
-    // measurement. Enough to catch a wrong-answer or crashing kernel in
-    // CI; useless for performance claims (run_bench.sh refuses to emit
-    // JSON from it).
-    static char filterFlag[] = "--benchmark_filter=BM_Nonbonded";
+    // Smoke mode: the full flavor x ISA nonbonded sweep and the villin
+    // step and checkpoint rows at ~10 ms per measurement. Enough to catch
+    // a wrong-answer or crashing kernel or integrator in CI; useless for
+    // performance claims (run_bench.sh refuses to emit JSON from it).
+    static char filterFlag[] =
+        "--benchmark_filter=BM_Nonbonded|BM_GoModelStep|BM_Checkpoint";
     static char minTimeFlag[] = "--benchmark_min_time=0.01";
     if (smoke) {
         args.push_back(filterFlag);

@@ -25,8 +25,9 @@
 #   tools/run_bench.sh --allow-debug       # explicitly bless a non-Release dir
 #
 # Arguments after `--` go to the google-benchmark binaries (micro_md,
-# micro_msm, micro_sched). `--benchmark_filter` is refused: a filtered
-# run would overwrite a committed file with a subset of its rows.
+# micro_msm, micro_sched). `--benchmark_filter` and `--smoke` are
+# refused: a filtered run would overwrite a committed file with a subset
+# of its rows.
 #
 # Refuses to run from a non-Release build directory unless --allow-debug
 # is given: debug-build timings silently committed as BENCH_*.json would
@@ -64,9 +65,9 @@ while [[ $# -gt 0 ]]; do
   shift
 done
 for arg in "${extra[@]+"${extra[@]}"}"; do
-  if [[ "$arg" == --benchmark_filter* ]]; then
-    echo "error: --benchmark_filter would overwrite a committed file with" >&2
-    echo "a subset of its rows; run the benchmark binary directly instead." >&2
+  if [[ "$arg" == --benchmark_filter* || "$arg" == --smoke ]]; then
+    echo "error: $arg would overwrite a committed file with a subset of" >&2
+    echo "its rows; run the benchmark binary directly instead." >&2
     exit 2
   fi
 done
