@@ -74,8 +74,10 @@ void BarController::onCommandFailed(ProjectContext& ctx,
 
 void BarController::refine(ProjectContext& ctx) {
     ++rounds_;
+    // Each window warm-starts from its previous round's deltaF.
     estimate_ = fe::barChain(forwardWork_, reverseWork_,
-                             fe::BarParams{params_.beta, 1e-10, 200});
+                             fe::BarParams{params_.beta, 1e-10, 200},
+                             estimate_);
     if (estimate_->totalError <= params_.targetError ||
         rounds_ >= params_.maxRounds) {
         done_ = true;
