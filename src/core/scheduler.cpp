@@ -49,7 +49,7 @@ void ShardedScheduler::addTenant(ProjectId id, TenantConfig config) {
     COP_REQUIRE(config.admissionRetryAfter >= 0.0,
                 "tenant retry-after must be >= 0");
     auto [it, inserted] =
-        shards_.emplace(id, Shard{CommandQueue(*store_), config});
+        shards_.emplace(id, Shard{CommandQueue(*store_), config, 0.0, {}});
     COP_REQUIRE(inserted,
                 "duplicate tenant id " + std::to_string(id));
     ring_.clear();

@@ -10,7 +10,9 @@ namespace {
 
 void appendModel(std::string& out, const std::vector<Vec3>& positions,
                  int modelIndex, bool multiModel) {
-    char line[96];
+    // Room for the longest line snprintf can format (%8.3f of any finite
+    // double), so no record is ever cut short.
+    char line[1088];
     if (multiModel) {
         std::snprintf(line, sizeof(line), "MODEL     %4d\n", modelIndex);
         out += line;

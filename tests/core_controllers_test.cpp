@@ -72,8 +72,9 @@ TEST(MsmControllerTest, RunsGenerationsAndBuildsModel) {
     EXPECT_GT(s1.rmsd.calls, 0u);
     EXPECT_EQ(s2.generation, 2u);
     EXPECT_EQ(s2.snapshotsTotal, c->history()[1].totalSnapshots);
-    if (!s2.fullRebuild)
+    if (!s2.fullRebuild) {
         EXPECT_LT(s2.snapshotsNew, s2.snapshotsTotal);
+    }
     EXPECT_FALSE(s2.summary().empty());
 }
 

@@ -99,7 +99,7 @@ TEST(SegmentStore, OwnTempDirIsRemovedButCallersDirStays) {
     // first spill and removes it on destruction.
     std::string ownDir;
     {
-        SegmentStore store(StoreConfig{.ramBytes = 1024});
+        SegmentStore store(StoreConfig{.ramBytes = 1024, .dir = {}});
         for (std::uint64_t k = 0; k < 4; ++k) store.put(k, blobOf(1024, k));
         ASSERT_GT(store.stats().spills, 0u);
         ownDir = store.config().dir;

@@ -230,7 +230,7 @@ TEST(OverlayBatch, DeploymentCompletesIdenticallyBatchedAndUnbatched) {
     // whether or not the endpoints coalesce — batching is transparent to
     // the protocol.
     struct Fixed : Controller {
-        explicit Fixed(int n) : n(n) {}
+        explicit Fixed(int count) : n(count) {}
         void onProjectStart(ProjectContext& ctx) override {
             for (int i = 0; i < n; ++i) {
                 CommandSpec spec;

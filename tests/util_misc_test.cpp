@@ -97,7 +97,9 @@ TEST(ThreadPool, ForChunksGrainedCoversRangeAndRespectsGrain) {
         const std::size_t nChunks = pool.chunkCountForGrained(n, minGrain);
         EXPECT_GE(nChunks, 1u);
         EXPECT_LE(nChunks, pool.chunkCountFor(n));
-        if (n < 2 * minGrain) EXPECT_EQ(nChunks, 1u);
+        if (n < 2 * minGrain) {
+            EXPECT_EQ(nChunks, 1u);
+        }
 
         std::vector<std::atomic<int>> hits(n);
         std::vector<std::atomic<int>> chunkSeen(nChunks);

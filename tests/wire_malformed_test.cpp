@@ -498,8 +498,8 @@ TEST(WireMalformed, EndpointCountsMalformedDropsAndDeliversNothing) {
         EXPECT_EQ(ep.stats().malformedDropped, ++dropped);
 
         BatchPayload batch;
-        batch.entries.push_back(BatchEntry{type, 1000 + tag, false,
-                                           payloadOnceValidUnder(tag)});
+        batch.entries.push_back(BatchEntry{type, std::uint64_t(1000 + tag),
+                                           false, payloadOnceValidUnder(tag)});
         sendRawTo(encodeWhole(batch), net::MessageType::Batch);
         EXPECT_EQ(ep.stats().malformedDropped, ++dropped);
     }
